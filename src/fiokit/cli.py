@@ -14,6 +14,7 @@ import json
 import sys
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from . import __version__
 from .dyadic import build_auxiliary, build_lp_family
@@ -138,7 +139,7 @@ def _calibration_checks(cfg: dict, suite: CheckSuite):
     for rho in np.geomspace(0.05, spec.xi_max, 20):
         s = np.linspace(np.log(0.5 / rho) - 0.05, np.log(2.0 / rho) + 0.05, 4096)
         vals = psi(np.exp(s) * rho) ** 2
-        worst = max(worst, abs(float(np.trapezoid(vals, s)) - 1.0))
+        worst = max(worst, abs(float(trapezoid(vals, s)) - 1.0))
     suite.check("calderon-normalization", worst, 1e-10)
 
     pts = lattice(spec).points()

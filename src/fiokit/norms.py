@@ -11,9 +11,12 @@ with the admissible smoothness interval they determine.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .dyadic import LittlewoodPaleyFamily, build_lp_family
 from .errors import DimensionError, ParameterError
@@ -57,7 +60,24 @@ def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = Non
 
 
 def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float:
-    """Directional-decomposition norm; streams one direction at a time."""
+    """Directional-decomposition norm, computed from the frame's sparse
+    direction spectra without a full-grid inverse FFT per direction.
+
+    With g_l = phi_l(D) <D>^s f, the direction terms ||g_l||_p^p are:
+
+    - p = 2: by Parseval, L^-n sum |g_l^|^2 over the direction's sparse
+      coefficients; ||q(D) f||_2 likewise.  No inverse FFT runs.
+    - p != 2: the coefficients are scattered into the lattice lines the
+      sector touches (frame.touched_lines, on whichever axis has fewer),
+      the first 1-D inverse pass runs on those lines only and the second
+      on the full grid.  A direction whose coefficients are all exactly
+      zero adds exactly 0 and is skipped.
+
+    Directions run on a thread pool sized to the CPUs this process may
+    use; each worker gathers its own direction's coefficients from the
+    shared spectrum.  The terms are summed in direction order, so the
+    result does not depend on thread scheduling.
+    """
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
     if f.spec != frame.spec:
@@ -65,17 +85,82 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     spec = f.spec
     spectrum = forward_transform(f)
     q = falling(lattice(spec).mags, 2.0, 4.0)
-    low_part = lp_norm(inverse_transform(q * spectrum, spec), p)
+    if p == 2.0:
+        low = q * spectrum
+        low_part = np.sqrt(float(np.vdot(low, low).real) / spec.L**spec.n)
+    else:
+        low_part = lp_norm(inverse_transform(q * spectrum, spec), p)
     bess = bessel_values(spec, s).ravel()
     flat = spectrum.ravel()
+
+    M = frame.n_directions
+    W = min(_cpu_count(), M)
+    # two grids of work space per worker, allocated here so that the
+    # worker threads allocate nothing large
+    work = np.empty((W, 2) + spec.shape, dtype=complex)
+
+    def stride(w):
+        return _direction_powers(frame, range(w, M, W), bess, flat, p, work[w])
+
+    powers = np.empty(M)
+    with ThreadPoolExecutor(max_workers=W) as pool:
+        for w, values in enumerate(pool.map(stride, range(W))):
+            powers[w::W] = values
     total = 0.0
-    for l in range(frame.n_directions):
-        idx, vals = frame.sparse(l)
-        g = np.zeros(flat.shape, dtype=complex)
-        g[idx] = vals * bess[idx] * flat[idx]
-        gl = inverse_transform(g.reshape(spec.shape), spec)
-        total += frame.directions.weights[l] * lp_norm(gl, p) ** p
+    for weight, power in zip(frame.directions.weights, powers):
+        total += weight * power
     return low_part + total ** (1.0 / p)
+
+
+def _direction_powers(frame: ParabolicFrame, directions, bess, flat, p: float, work) -> list:
+    """||phi_l(D) <D>^s f||_p^p for each l in directions, from the
+    direction's sparse coefficients; flat is the spectrum of f and work
+    two complex grids of scratch space (unused at p = 2)."""
+    N, L = frame.spec.N, frame.spec.L
+    out = []
+    if p == 2.0:
+        for l in directions:
+            idx, vals = frame.sparse(l)
+            coeffs = vals * bess[idx] * flat[idx]
+            out.append(float(np.vdot(coeffs, coeffs).real) / L**2)
+        return out
+    # unscaled inverse passes give raw = L^2 g, so dx^2 sum |g|^p =
+    # L^-2p (L/N)^2 sum |raw|^p
+    scale = L ** (-2.0 * p) * (L / N) ** 2
+    grid, spare = work
+    # spare holds the touched lines, then |raw|^2 in its first N^2 floats
+    mod2 = spare.view(np.float64).reshape(-1)[: N * N].reshape(N, N)
+    slot = np.empty(N, dtype=np.intp)
+    for l in directions:
+        idx, vals = frame.sparse(l)
+        coeffs = vals * bess[idx] * flat[idx]
+        if not coeffs.any():
+            out.append(0.0)
+            continue
+        axis, lines = frame.touched_lines(l)
+        line, pos = np.divmod(idx, N)
+        if axis == 1:
+            # work on the transpose: the sum of |g|^p does not change
+            line, pos = pos, line
+        slot[lines] = np.arange(lines.size)
+        part = spare[: lines.size]
+        part.fill(0.0)
+        part[slot[line], pos] = coeffs
+        grid.fill(0.0)
+        grid[lines] = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True)
+        raw = sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True).view(np.float64)
+        np.square(raw, out=raw)
+        np.add(raw[:, 0::2], raw[:, 1::2], out=mod2)
+        np.power(mod2, p / 2.0, out=mod2)
+        out.append(float(mod2.sum()) * scale)
+    return out
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

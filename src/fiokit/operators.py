@@ -5,9 +5,11 @@ The dense path is the literal frequency-sum definition (quadratic in
 the number of lattice points, restricted to small grids); the
 separable path is a short sum of band projections and pointwise
 multiplications and scales to large grids.  Probing reports
-norm ratios over a test family; at p = 2 a power-iteration spectral
-bound on a conjugated operator certifies an upper bound the probe
-must not exceed.
+norm ratios over a test family; at p = 2 it also records sqrt(2) times
+a power-iteration estimate of the L^2 norm of a conjugated operator.
+That number is what the probe ratios are compared against, but it is not
+a rigorous bound: power iteration estimates the norm from below and may
+stop at its iteration cap before it converges.
 """
 
 from __future__ import annotations
@@ -201,12 +203,17 @@ def _frame_weight_multipliers(frame: ParabolicFrame):
 
 
 def certified_l2_bound(a, frame: ParabolicFrame, iters: int = 200, seed: int = 0) -> float:
-    """Upper bound for ratios of the (p=2, s=0) directional norm.
+    """sqrt(2) times a power-iteration estimate of ||Phi(D) T Phi(D)^{-1}||_2.
 
     With |||g|||^2 = ||q(D)g||_2^2 + sum_l w_l ||phi_l(D)g||_2^2, the
     reported norm N1 + N2 satisfies ||| . ||| <= N1 + N2 <= sqrt(2) ||| . |||,
     and ||| . ||| = ||Phi(D) . ||_2 by Parseval.  Hence every probe ratio
     is at most sqrt(2) times the L^2 spectral norm of Phi(D) T Phi(D)^{-1}.
+
+    The returned number is not that bound itself.  Power iteration gives a
+    lower estimate of the spectral norm, and it returns after `iters`
+    applies whether or not it has converged, without saying which; so
+    the result may sit below the true sqrt(2) ||Phi T Phi^{-1}||_2.
     """
     phi, phi_inv = _frame_weight_multipliers(frame)
     spec = frame.spec
@@ -283,7 +290,7 @@ def operator_norm_probe(
     pi_iters: int = 200,
 ) -> BoundednessReport:
     """Ratios of directional norms over the family; at p = 2, s = 0 the
-    certified power-iteration bound is recorded alongside."""
+    power-iteration estimate of certified_l2_bound is recorded alongside."""
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
     if len(family) == 0:

@@ -202,11 +202,13 @@ class ParabolicFrame:
         pts = lattice(spec).points()
         coverage = np.zeros(len(pts))
         self._sparse = []
+        self._lines = []
         w = self.directions.weights[0]
         for omega in self.directions.omegas:
             vals = self.geometry.phi_values(pts, omega)
             idx = np.nonzero(vals)[0]
             self._sparse.append((idx, vals[idx]))
+            self._lines.append(_touched_lines(idx, spec.N))
             coverage[idx] += w * vals[idx]
         self.coverage = coverage.reshape(spec.shape)
         self.m = build_reproducing_m(self)
@@ -224,6 +226,17 @@ class ParabolicFrame:
     def sparse(self, l: int):
         """(flat lattice indices, phi values) for direction l."""
         return self._sparse[l]
+
+    def touched_lines(self, l: int):
+        """(axis, sorted indices along that axis) of the lattice lines that
+        direction l's support meets, on the axis with fewer such lines."""
+        return self._lines[l]
+
+
+def _touched_lines(idx: np.ndarray, N: int):
+    rows, cols = np.divmod(idx, N)
+    rows, cols = np.unique(rows), np.unique(cols)
+    return (0, rows) if rows.size <= cols.size else (1, cols)
 
 
 def build_reproducing_m(frame: ParabolicFrame) -> SpectralMultiplier:

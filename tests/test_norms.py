@@ -1,8 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import fiokit as fk
 from conftest import plane_wave, random_field
+from fiokit.grid import bessel_values
 
 
 def test_sobolev_s_values():
@@ -102,6 +106,105 @@ def test_hpfio_parameter_validation(spec64, frame64, rng):
     other = fk.GridSpec(N=32)
     with pytest.raises(fk.DimensionError):
         fk.hpfio_norm(fk.GridField(other, np.zeros(other.shape)), 0.0, 2.0, frame64)
+
+
+def _hpfio_by_definition(f, s, p, frame):
+    """The directional norm as defined: one full-grid inverse transform
+    and one L^p norm per direction."""
+    spec = f.spec
+    spectrum = fk.forward_transform(f)
+    q = fk.falling(fk.lattice(spec).mags, 2.0, 4.0)
+    low_part = fk.lp_norm(fk.inverse_transform(q * spectrum, spec), p)
+    bess = bessel_values(spec, s).ravel()
+    flat = spectrum.ravel()
+    total = 0.0
+    for l in range(frame.n_directions):
+        idx, vals = frame.sparse(l)
+        g = np.zeros(flat.shape, dtype=complex)
+        g[idx] = vals * bess[idx] * flat[idx]
+        gl = fk.inverse_transform(g.reshape(spec.shape), spec)
+        total += frame.directions.weights[l] * fk.lp_norm(gl, p) ** p
+    return low_part + total ** (1.0 / p)
+
+
+@pytest.fixture(scope="module")
+def frame128_2pi():
+    return fk.ParabolicFrame(fk.GridSpec(N=128, L=2.0 * np.pi))
+
+
+def _exact_plane_wave(spec):
+    """exp(i xi0.x) at xi0 = (N/4, N/4) lattice steps: its samples are
+    exact fourth roots of unity, so its spectrum is exactly one-hot."""
+    k = np.arange(spec.N)
+    roots = np.array([1.0, 1j, -1.0, -1j])
+    return fk.GridField(spec, roots[(k[:, None] + k[None, :]) % 4])
+
+
+HPFIO_PS = (1.1, 4.0 / 3.0, 2.0, 3.0, 4.0)
+HPFIO_SS = (-0.4, 0.0, 0.7)
+
+
+@pytest.mark.parametrize("frame_name", ["frame64", "frame128_2pi"])
+def test_hpfio_matches_definition(frame_name, request, rng):
+    frame = request.getfixturevalue(frame_name)
+    f = random_field(frame.spec, rng)
+    for p in HPFIO_PS:
+        for s in HPFIO_SS:
+            want = _hpfio_by_definition(f, s, p, frame)
+            assert fk.hpfio_norm(f, s, p, frame) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("frame_name", ["frame64", "frame128_2pi"])
+def test_hpfio_plane_wave_matches_definition(frame_name, request):
+    frame = request.getfixturevalue(frame_name)
+    f = _exact_plane_wave(frame.spec)
+    flat = fk.forward_transform(f).ravel()
+    assert np.count_nonzero(flat) == 1
+    silent = sum(not np.any(flat[frame.sparse(l)[0]]) for l in range(frame.n_directions))
+    assert silent > frame.n_directions // 2
+    for p in HPFIO_PS:
+        for s in HPFIO_SS:
+            want = _hpfio_by_definition(f, s, p, frame)
+            assert want > 0.0
+            assert fk.hpfio_norm(f, s, p, frame) == pytest.approx(want, rel=1e-12)
+
+
+def test_touched_lines_cover_support_on_both_axes(frame64, frame128_2pi):
+    for frame in (frame64, frame128_2pi):
+        N = frame.spec.N
+        axes = set()
+        for l in range(frame.n_directions):
+            idx, _ = frame.sparse(l)
+            axis, lines = frame.touched_lines(l)
+            rows, cols = np.unique(idx // N), np.unique(idx % N)
+            assert np.array_equal(lines, rows if axis == 0 else cols)
+            assert lines.size == min(rows.size, cols.size)
+            axes.add(axis)
+        assert axes == {0, 1}
+
+
+def test_hpfio_is_deterministic(frame128_2pi, rng):
+    f = random_field(frame128_2pi.spec, rng)
+    for p in (4.0 / 3.0, 2.0, 4.0):
+        first = fk.hpfio_norm(f, 0.3, p, frame128_2pi)
+        assert all(fk.hpfio_norm(f, 0.3, p, frame128_2pi) == first for _ in range(3))
+
+
+def test_hpfio_concurrent_callers_agree(frame64, rng):
+    """Callers on more threads than cores, with frequent thread switches,
+    get the single-caller result bit for bit."""
+    f = random_field(frame64.spec, rng)
+    want = {p: fk.hpfio_norm(f, 0.3, p, frame64) for p in (1.5, 2.0, 4.0)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [(p, pool.submit(fk.hpfio_norm, f, 0.3, p, frame64))
+                       for _ in range(4) for p in want]
+            got = [(p, fut.result(timeout=120)) for p, fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(value == want[p] for p, value in got)
 
 
 def test_budget_worked_examples():
