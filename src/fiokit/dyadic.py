@@ -2,9 +2,9 @@
 
 Builds the telescoping family psi_j from a single smooth low-pass
 profile, so the partition of unity holds exactly on the lattice, plus
-the auxiliary wide cutoffs psi~_k, a second band family chi_k and the
-low-frequency cutoff q.  All supports are hard zeros inherited from
-the mollifier profiles.
+the auxiliary wide cutoffs psi~_k, the band family chi_k (the psi_j
+themselves) and the low-frequency cutoff q.  All supports are hard
+zeros inherited from the mollifier profiles.
 """
 
 from __future__ import annotations
@@ -57,15 +57,22 @@ class LittlewoodPaleyFamily:
         return SpectralMultiplier(self.spec, self.values[j])
 
 
+def low_cutoff(rho) -> np.ndarray:
+    """The low cutoff q: 1 on |zeta| <= 2, 0 beyond 4."""
+    return falling(np.asarray(rho, dtype=float), 2.0, 4.0)
+
+
 class AuxiliaryFamilies:
-    """Wide cutoffs psi~_k with psi~_k psi_k = psi_k, a chi band family,
-    and the low cutoff q (1 on |zeta| <= 2, 0 beyond 4)."""
+    """Wide cutoffs psi~_k with psi~_k psi_k = psi_k, the chi band family
+    (the same multipliers as psi) and the low cutoff q."""
+
+    q_profile = staticmethod(low_cutoff)
 
     def __init__(self, spec: GridSpec, eps: float = 0.125):
         self.spec = spec
         self.eps = eps
         self.psi = LittlewoodPaleyFamily(spec, eps)
-        self.chi = LittlewoodPaleyFamily(spec, eps)
+        self.chi = self.psi
         self.J_max = self.psi.J_max
         mags = lattice(spec).mags
         self._tilde_values = [self.tilde_profile(k, mags) for k in range(self.J_max + 1)]
@@ -77,9 +84,6 @@ class AuxiliaryFamilies:
             return falling(rho, 1.0, 2.0)
         t = rho * 2.0 ** (1 - k)
         return rising(t, 0.5, (1.0 + self.eps) / 2.0) * falling(t, 2.0 - self.eps, 2.0)
-
-    def q_profile(self, rho) -> np.ndarray:
-        return falling(np.asarray(rho, dtype=float), 2.0, 4.0)
 
     def tilde_multiplier(self, k: int) -> SpectralMultiplier:
         if not (0 <= k <= self.J_max):

@@ -26,11 +26,9 @@ from .grid import (
     bessel_values,
     forward_transform,
     inverse_transform,
-    lattice,
     lp_norm,
 )
 from .parabolic import ParabolicFrame
-from .profiles import falling
 
 
 def sobolev_s(p: float, n: int) -> float:
@@ -84,7 +82,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
         raise DimensionError("field and frame grids differ")
     spec = f.spec
     spectrum = forward_transform(f)
-    q = falling(lattice(spec).mags, 2.0, 4.0)
+    q = frame.q_values
     if p == 2.0:
         low = q * spectrum
         low_part = np.sqrt(float(np.vdot(low, low).real) / spec.L**spec.n)

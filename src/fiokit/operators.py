@@ -36,7 +36,6 @@ from .grid import (
 )
 from .norms import ExponentBudget, hpfio_norm
 from .parabolic import ParabolicFrame
-from .profiles import falling
 from .symbols import DenseSymbol, SeparableSymbol
 
 
@@ -191,7 +190,7 @@ def _frame_weight_multipliers(frame: ParabolicFrame):
     """Phi = sqrt(q^2 + sum_l w_l phi_l^2), positive on the whole lattice,
     and its reciprocal."""
     spec = frame.spec
-    q = falling(lattice(spec).mags, 2.0, 4.0)
+    q = frame.q_values
     w2 = np.zeros(spec.N**spec.n)
     for l in range(frame.n_directions):
         idx, vals = frame.sparse(l)

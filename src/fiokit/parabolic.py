@@ -16,6 +16,18 @@ phi_omega depends on zeta only through (|zeta|, |zeta^ - omega|), so
 rotational covariance is exact by construction, and the same routine
 evaluates at arbitrary off-lattice points (used for derivative
 sampling).
+
+It also gives phi_{g omega}(g zeta) = phi_omega(zeta) for the 8
+symmetries g of the square lattice (axis sign flips and the axis swap).
+The frame uses this: a direction that is the image g omega of a direction
+already built copies that direction's values to the mapped lattice
+points, and only the other directions (M/8 + 1 of them when 8 divides M)
+run the scale quadrature.  The Nyquist lines (row or column N/2) are the
+exception, because negating frequency -N/2 leaves the lattice; a copied
+direction evaluates its 2N - 1 points there directly.  The copied
+supports are those of direct evaluation exactly, and the values agree
+with it to roundoff (about 1e-13: the computed omega_l are symmetric
+only to rounding).
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from .dyadic import low_cutoff
 from .errors import ConstructionError, ParameterError, ResolutionError
 from .grid import (
     GridField,
@@ -178,9 +191,51 @@ def default_direction_count(spec: GridSpec) -> int:
     return 8 * int(np.ceil(np.sqrt(spec.xi_max)))
 
 
+# the 7 symmetries of the square lattice other than the identity, as
+# signed permutation matrices acting on frequency vectors
+_LATTICE_SYMMETRIES = tuple(
+    np.array(g)
+    for g in (
+        ((1, 0), (0, -1)),
+        ((-1, 0), (0, 1)),
+        ((-1, 0), (0, -1)),
+        ((0, 1), (1, 0)),
+        ((0, 1), (-1, 0)),
+        ((0, -1), (1, 0)),
+        ((0, -1), (-1, 0)),
+    )
+)
+
+
+def _mirror_source(l: int, M: int):
+    """(l0, g) with l0 < l and g omega_l0 = omega_l for the M equispaced
+    directions, or None when no earlier direction maps onto l.
+
+    g turns angle theta into det(g) theta + b pi/2, with b pi/2 the angle
+    of g e1; in steps of 2 pi / M that is l = det(g) l0 + b M/4 (mod M),
+    a direction of the set only when b M/4 is an integer.
+    """
+    for g in _LATTICE_SYMMETRIES:
+        det = int(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+        b = ((1, 0), (0, 1), (-1, 0), (0, -1)).index((g[0, 0], g[1, 0]))
+        if (b * M) % 4:
+            continue
+        l0 = det * (l - b * M // 4) % M
+        if l0 < l:
+            return l0, g
+    return None
+
+
 class ParabolicFrame:
     """Directional frame: cutoffs phi_{omega_l} (stored sparsely on the
-    lattice) and the reproducing multiplier m."""
+    lattice), the reproducing multiplier m and the low cutoff q.
+
+    Direction l is copied from an earlier direction l0 when a lattice
+    symmetry g has g omega_l0 = omega_l: the point with integer frequency
+    index k takes l0's value at g^-1 k.  Points on the Nyquist lines are
+    evaluated directly instead, as is every direction that no earlier
+    direction maps onto.  Supports equal those of direct evaluation.
+    """
 
     def __init__(
         self,
@@ -199,19 +254,38 @@ class ParabolicFrame:
             CSigmaTable(0.5 / spec.xi_max, profile),
             n_tau,
         )
+        N, half = spec.N, spec.N // 2
         pts = lattice(spec).points()
+        nyquist = np.union1d(half * N + np.arange(N), np.arange(N) * N + half)
         coverage = np.zeros(len(pts))
         self._sparse = []
         self._lines = []
         w = self.directions.weights[0]
-        for omega in self.directions.omegas:
-            vals = self.geometry.phi_values(pts, omega)
-            idx = np.nonzero(vals)[0]
-            self._sparse.append((idx, vals[idx]))
-            self._lines.append(_touched_lines(idx, spec.N))
-            coverage[idx] += w * vals[idx]
+        for l, omega in enumerate(self.directions.omegas):
+            mirror = _mirror_source(l, self.directions.M)
+            if mirror is None:
+                vals = self.geometry.phi_values(pts, omega)
+                idx = np.nonzero(vals)[0]
+                vals = vals[idx]
+            else:
+                l0, g = mirror
+                idx0, vals0 = self._sparse[l0]
+                r, c = np.divmod(idx0, N)
+                keep = (r != half) & (c != half)
+                r, c = r[keep], c[keep]
+                mapped = (g[0, 0] * r + g[0, 1] * c) % N * N + (g[1, 0] * r + g[1, 1] * c) % N
+                edge = self.geometry.phi_values(pts[nyquist], omega)
+                hit = np.nonzero(edge)[0]
+                idx = np.concatenate([mapped, nyquist[hit]])
+                order = np.argsort(idx)
+                idx = idx[order]
+                vals = np.concatenate([vals0[keep], edge[hit]])[order]
+            self._sparse.append((idx, vals))
+            self._lines.append(_touched_lines(idx, N))
+            coverage[idx] += w * vals
         self.coverage = coverage.reshape(spec.shape)
         self.m = build_reproducing_m(self)
+        self.q_values = low_cutoff(lattice(spec).mags)
 
     @property
     def n_directions(self) -> int:

@@ -25,13 +25,7 @@ from .grid import (
     read_fiof,
 )
 from .norms import zygmund_norm
-
-_FD_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
+from .parabolic import _FD_STENCILS
 
 
 @dataclass

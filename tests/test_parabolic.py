@@ -188,3 +188,54 @@ def test_anisotropic_bound_finite(frame64):
 def test_frame_rejects_other_dimensions():
     with pytest.raises(fk.ParameterError):
         fk.ParabolicFrame(fk.GridSpec(n=1, N=64))
+
+
+def assert_matches_direct_evaluation(frame):
+    """Every direction's support equals that of build_phi_omega exactly,
+    its values agree to 1e-12, and on the Nyquist lines bit for bit."""
+    spec = frame.spec
+    rows, cols = np.divmod(np.arange(spec.N**2), spec.N)
+    nyquist = (rows == spec.N // 2) | (cols == spec.N // 2)
+    for l, omega in enumerate(frame.directions.omegas):
+        direct = fk.build_phi_omega(omega, spec, frame.geometry).values.ravel()
+        idx, vals = frame.sparse(l)
+        assert np.array_equal(idx, np.flatnonzero(direct))
+        built = np.zeros(spec.N**2)
+        built[idx] = vals
+        assert np.abs(built - direct).max() <= 1e-12
+        assert np.array_equal(built[nyquist], direct[nyquist])
+
+
+def test_symmetric_build_matches_direct_evaluation(frame64):
+    assert_matches_direct_evaluation(frame64)
+
+
+@pytest.mark.parametrize("M", [60, 57])
+def test_symmetric_build_matches_direct_evaluation_any_M(M):
+    # 60: all 8 symmetries map directions onto directions; 57: only theta -> -theta
+    frame = fk.ParabolicFrame(fk.GridSpec(N=64, L=2.0 * np.pi), M_omega=M)
+    assert frame.n_directions == M
+    assert_matches_direct_evaluation(frame)
+
+
+def test_symmetric_build_evaluates_one_eighth():
+    from fiokit.parabolic import _mirror_source
+
+    for M in (16, 112, 160):
+        evaluated = [l for l in range(M) if _mirror_source(l, M) is None]
+        assert evaluated == list(range(M // 8 + 1))
+
+
+def test_frame_build_is_deterministic(spec64, frame64):
+    again = fk.ParabolicFrame(spec64)
+    for l in range(frame64.n_directions):
+        for a, b in zip(frame64.sparse(l), again.sparse(l)):
+            assert np.array_equal(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(frame64.touched_lines(l), again.touched_lines(l)))
+    assert np.array_equal(frame64.coverage, again.coverage)
+    assert np.array_equal(frame64.m.values, again.m.values)
+    assert np.array_equal(frame64.q_values, again.q_values)
+
+
+def test_frame_q_values_match_auxiliary_q(frame64, aux64):
+    assert np.array_equal(frame64.q_values, aux64.q_values)
