@@ -50,7 +50,6 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "r": 2.0,
     "delta": 0.5,
-    "m": 0.0,
     "p_list": [4.0 / 3.0, 2.0, 4.0],
     "s_list": [],
     "bands": [1, 2, 3],
@@ -87,6 +86,10 @@ def config_hash(cfg: dict) -> str:
 def _grid(cfg: dict) -> GridSpec:
     g = cfg["grid"]
     return GridSpec(n=int(g["n"]), N=int(g["N"]), L=float(g["L"]))
+
+
+def _frame(cfg: dict, spec: GridSpec) -> ParabolicFrame:
+    return ParabolicFrame(spec, cfg["M_omega"] and int(cfg["M_omega"]))
 
 
 class CheckSuite:
@@ -133,7 +136,7 @@ def _calibration_checks(cfg: dict, suite: CheckSuite):
         1e-8,
     )
 
-    frame = ParabolicFrame(spec, cfg["M_omega"] and int(cfg["M_omega"]))
+    frame = _frame(cfg, spec)
     psi = frame.geometry.psi
     worst = 0.0
     for rho in np.geomspace(0.05, spec.xi_max, 20):
@@ -227,7 +230,7 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_norm(cfg: dict, args) -> int:
     field = read_fiof(args.field)
-    frame = ParabolicFrame(field.spec, cfg["M_omega"] and int(cfg["M_omega"]))
+    frame = _frame(cfg, field.spec)
     out = {
         "lp": lp_norm(field, args.p),
         "sobolev": classical_norm(field, args.s, args.p),
@@ -282,7 +285,7 @@ def cmd_smooth(cfg: dict, args) -> int:
 
 def cmd_bench(cfg: dict, args) -> int:
     spec = _grid(cfg)
-    frame = ParabolicFrame(spec, cfg["M_omega"] and int(cfg["M_omega"]))
+    frame = _frame(cfg, spec)
     fam = build_lp_family(spec, float(cfg["eps"]))
     chirp = preset_rough_chirp(spec, float(cfg["r"]), float(cfg["delta"]),
                                seed=int(cfg["seed"]), chi=fam)

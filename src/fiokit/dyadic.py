@@ -12,7 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, ParameterError
-from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, lp_norm
+from .grid import (
+    GridField,
+    GridSpec,
+    SpectralMultiplier,
+    _check_specs,
+    apply_multiplier,
+    forward_transform,
+    inverse_transform,
+    lattice,
+    lp_norm,
+)
 from .profiles import falling, rising
 
 
@@ -56,6 +66,16 @@ class LittlewoodPaleyFamily:
             raise ParameterError(f"band index j={j} outside 0..{self.J_max}")
         return SpectralMultiplier(self.spec, self.values[j])
 
+    def bands(self, f: GridField, js=None):
+        """Yield (j, samples of psi_j(D) f) for each j in js (default: every
+        band, in order), from one forward transform of f."""
+        _check_specs(self.spec, f.spec)
+        spectrum = forward_transform(f)
+        for j in range(self.J_max + 1) if js is None else js:
+            if not (0 <= j <= self.J_max):
+                raise ParameterError(f"band index j={j} outside 0..{self.J_max}")
+            yield j, inverse_transform(self.values[j] * spectrum, f.spec).samples
+
 
 def low_cutoff(rho) -> np.ndarray:
     """The low cutoff q: 1 on |zeta| <= 2, 0 beyond 4."""
@@ -90,9 +110,6 @@ class AuxiliaryFamilies:
             raise ParameterError(f"band index k={k} outside 0..{self.J_max}")
         return SpectralMultiplier(self.spec, self._tilde_values[k])
 
-    def q_multiplier(self) -> SpectralMultiplier:
-        return SpectralMultiplier(self.spec, self.q_values)
-
 
 def build_lp_family(spec: GridSpec, eps: float = 0.125) -> LittlewoodPaleyFamily:
     return LittlewoodPaleyFamily(spec, eps)
@@ -109,7 +126,6 @@ def lp_project(f: GridField, j: int, fam: LittlewoodPaleyFamily) -> GridField:
 def square_function_norm(f: GridField, s: float, p: float, fam: LittlewoodPaleyFamily) -> float:
     """L^p norm of the dyadic square function (Sum_k 4^{ks}|chi_k(D)f|^2)^{1/2}."""
     acc = np.zeros(f.spec.shape)
-    for k in range(fam.J_max + 1):
-        fk = lp_project(f, k, fam)
-        acc += 4.0 ** (k * s) * np.abs(fk.samples) ** 2
+    for k, fk in fam.bands(f):
+        acc += 4.0 ** (k * s) * np.abs(fk) ** 2
     return lp_norm(GridField(f.spec, np.sqrt(acc)), p)

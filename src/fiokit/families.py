@@ -65,7 +65,7 @@ def plane_wave_member(spec: GridSpec, k: int) -> FamilyMember:
     return FamilyMember(f"plane_k{k}", k, _normalize(spec, spectrum))
 
 
-def packet_member(spec: GridSpec, k: int, omega, freq_cutoff: float | None = None) -> FamilyMember:
+def packet_member(spec: GridSpec, k: int, omega) -> FamilyMember:
     """Parabolic wave packet: spectral Gaussian centered at rho0*omega,
     width rho0/4 along omega and sqrt(rho0)/2 across."""
     omega = np.asarray(omega, dtype=float)
@@ -76,8 +76,6 @@ def packet_member(spec: GridSpec, k: int, omega, freq_cutoff: float | None = Non
     s_par = rho0 / 4.0
     s_perp = np.sqrt(rho0) / 2.0
     spectrum = np.exp(-(par**2) / (2 * s_par**2) - perp**2 / (2 * s_perp**2)).astype(complex)
-    if freq_cutoff is not None:
-        spectrum[lat.mags > freq_cutoff] = 0.0
     return FamilyMember(f"packet_k{k}", k, _normalize(spec, spectrum))
 
 
@@ -89,12 +87,10 @@ def random_band_member(
     return FamilyMember(f"random_k{k}", k, _normalize(spec, spectrum))
 
 
-def focusing_member(
-    spec: GridSpec, k: int, frame: ParabolicFrame, stride: int = 4
-) -> FamilyMember:
-    """Superposition of packets over frame directions (every `stride`-th)."""
+def focusing_member(spec: GridSpec, k: int, frame: ParabolicFrame) -> FamilyMember:
+    """Superposition of packets over every fourth frame direction."""
     acc = None
-    for omega in frame.directions.omegas[::stride]:
+    for omega in frame.directions.omegas[::4]:
         m = packet_member(spec, k, omega)
         acc = m.field.samples if acc is None else acc + m.field.samples
     spectrum = forward_transform(GridField(spec, acc))

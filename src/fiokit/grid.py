@@ -135,23 +135,17 @@ def _check_specs(a: GridSpec, b: GridSpec):
         raise DimensionError(f"grid specs differ: {a} vs {b}")
 
 
-def radial_multiplier(spec: GridSpec, profile) -> SpectralMultiplier:
-    """Multiplier m(xi) = profile(|xi|) sampled on the lattice."""
-    return SpectralMultiplier(spec, np.asarray(profile(lattice(spec).mags)))
-
-
 def forward_transform(f: GridField) -> np.ndarray:
     """Continuum-normalized DFT: hat f(xi) = (L/N)^n sum_x e^{-i x.xi} f(x)."""
     return np.fft.fftn(f.samples) * f.spec.cell_volume
 
 
 def inverse_transform(spectrum: np.ndarray, spec: GridSpec) -> GridField:
-    """Inverse with (2pi)^{-n} (2pi/L)^n Riemann weight; exact round trip."""
+    """Inverse with (2pi)^{-n} (2pi/L)^n Riemann weight; exact round trip.
+    A non-finite spectrum gives non-finite samples, which GridField rejects."""
     spectrum = np.asarray(spectrum, dtype=complex)
     if spectrum.shape != spec.shape:
         raise InvalidInputError("spectrum shape does not match grid")
-    if not np.all(np.isfinite(spectrum)):
-        raise InvalidInputError("spectrum contains non-finite values")
     return GridField(spec, np.fft.ifftn(spectrum) * (spec.N / spec.L) ** spec.n)
 
 

@@ -49,11 +49,9 @@ def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = Non
         raise ParameterError(f"regularity r={r} must be positive")
     if fam is None:
         fam = build_lp_family(f.spec)
-    spectrum = forward_transform(f)
     best = 0.0
-    for j in range(fam.J_max + 1):
-        band = inverse_transform(fam.values[j] * spectrum, f.spec)
-        best = max(best, 2.0 ** (j * r) * float(np.abs(band.samples).max()))
+    for j, band in fam.bands(f):
+        best = max(best, 2.0 ** (j * r) * float(np.abs(band).max()))
     return best
 
 
@@ -177,10 +175,10 @@ class ExponentBudget:
     eps_slack: float
     s_interval: tuple
 
-    def admissible_s(self, frac: float = 0.5) -> float:
-        """A point inside the admissible smoothness interval."""
+    def admissible_s(self) -> float:
+        """The midpoint of the admissible smoothness interval."""
         lo, hi = self.s_interval
-        return lo + frac * (hi - lo)
+        return lo + 0.5 * (hi - lo)
 
 
 def budget(r: float, delta: float, p: float, n: int, eps_slack: float = 0.01) -> ExponentBudget:

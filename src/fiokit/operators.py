@@ -29,6 +29,7 @@ from .grid import (
     GridField,
     GridSpec,
     SpectralMultiplier,
+    apply_multiplier,
     forward_transform,
     inverse_transform,
     lattice,
@@ -39,25 +40,32 @@ from .parabolic import ParabolicFrame
 from .symbols import DenseSymbol, SeparableSymbol
 
 
+# the dense path loops over the lattice frequencies in Python
+MAX_DENSE_N = 128
+
+
 def _phase_table(spec: GridSpec) -> np.ndarray:
     """E[l, i] = e^{i x_l xi_i} for the axis grid and axis frequencies."""
-    x = spec.x_axis()
-    xi = 2.0 * np.pi * np.fft.fftfreq(spec.N, d=spec.dx)
-    return np.exp(1j * np.outer(x, xi))
+    return np.exp(1j * np.outer(spec.x_axis(), lattice(spec).axis))
 
 
-def apply_dense(a: DenseSymbol, f: GridField, max_dense_n: int = 128) -> GridField:
-    """Direct frequency sum: (a(x,D)f)(x) = L^{-n} sum_eta a(x,eta) f^(eta) e^{ix.eta}."""
-    spec = f.spec
+def _check_dense(a: DenseSymbol, spec: GridSpec):
     if a.spec != spec:
         raise DimensionError("symbol and field grids differ")
-    if spec.N > max_dense_n:
-        raise ResolutionError(f"dense application restricted to N <= {max_dense_n}")
+    if spec.N > MAX_DENSE_N:
+        raise ResolutionError(f"dense application restricted to N <= {MAX_DENSE_N}")
+
+
+def apply_dense(a: DenseSymbol, f: GridField) -> GridField:
+    """Direct frequency sum: (a(x,D)f)(x) = L^{-n} sum_eta a(x,eta) f^(eta) e^{ix.eta},
+    for N <= MAX_DENSE_N."""
+    spec = f.spec
+    _check_dense(a, spec)
     spectrum = forward_transform(f)
     E = _phase_table(spec)
     out = np.zeros(spec.shape, dtype=complex)
     scale = spec.L ** -spec.n
-    axis = 2.0 * np.pi * np.fft.fftfreq(spec.N, d=spec.dx)
+    axis = lattice(spec).axis
     for i1 in range(spec.N):
         col = E[:, i1][:, None]
         for i2 in range(spec.N):
@@ -69,16 +77,13 @@ def apply_dense(a: DenseSymbol, f: GridField, max_dense_n: int = 128) -> GridFie
     return GridField(spec, out)
 
 
-def apply_dense_adjoint(a: DenseSymbol, g: GridField, max_dense_n: int = 128) -> GridField:
+def apply_dense_adjoint(a: DenseSymbol, g: GridField) -> GridField:
     """Adjoint of apply_dense on the grid inner product, computed exactly:
     (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n."""
     spec = g.spec
-    if a.spec != spec:
-        raise DimensionError("symbol and field grids differ")
-    if spec.N > max_dense_n:
-        raise ResolutionError(f"dense application restricted to N <= {max_dense_n}")
+    _check_dense(a, spec)
     E = _phase_table(spec)
-    axis = 2.0 * np.pi * np.fft.fftfreq(spec.N, d=spec.dx)
+    axis = lattice(spec).axis
     spectrum = np.zeros(spec.shape, dtype=complex)
     dv = spec.cell_volume
     for i1 in range(spec.N):
@@ -94,11 +99,9 @@ def apply_separable(a: SeparableSymbol, f: GridField) -> GridField:
     """Sum_k a_k(x) (chi_k(D) f)(x)."""
     if a.spec != f.spec:
         raise DimensionError("symbol and field grids differ")
-    spectrum = forward_transform(f)
     out = np.zeros(f.spec.shape, dtype=complex)
-    for k, a_k in a.bands.items():
-        fk = inverse_transform(a.chi.values[k] * spectrum, f.spec)
-        out += a_k.samples * fk.samples
+    for k, fk in a.chi.bands(f, a.bands):
+        out += a.bands[k].samples * fk
     return GridField(f.spec, out)
 
 
@@ -124,20 +127,18 @@ def apply_symbol(a, f: GridField) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def verify_band_support(
-    a_k: GridField, f_k: GridField, k: int, gamma: float = 1.0, c: float = 0.25
-):
+def verify_band_support(a_k: GridField, f_k: GridField, k: int, gamma: float = 1.0):
     """Check that F(a_k f_k) vanishes outside [2^{k-3}, 2^{k+1}].
 
     Precondition (reported, not asserted): F(a_k) lives in the annulus
-    c 2^{(k-2)/2} <= |xi| <= 2^{k gamma - 3}.  Returns (ok, report).
+    2^{(k-2)/2} / 4 <= |xi| <= 2^{k gamma - 3}.  Returns (ok, report).
     """
     if a_k.spec != f_k.spec:
         raise DimensionError("band factors on different grids")
     mags = lattice(a_k.spec).mags
     ahat = np.abs(forward_transform(a_k))
     apeak = float(ahat.max())
-    pre_out = (mags < c * 2.0 ** ((k - 2) / 2.0)) | (mags > 2.0 ** (k * gamma - 3.0))
+    pre_out = (mags < 0.25 * 2.0 ** ((k - 2) / 2.0)) | (mags > 2.0 ** (k * gamma - 3.0))
     pre_leak = float(ahat[pre_out].max() / apeak) if (apeak > 0 and pre_out.any()) else 0.0
     precondition_ok = pre_leak <= 1e-12
     product = GridField(a_k.spec, a_k.samples * f_k.samples)
@@ -165,9 +166,10 @@ def verify_band_support(
 
 
 def power_iteration(
-    apply_fn, adjoint_fn, spec: GridSpec, iters: int = 200, tol: float = 1e-8, seed: int = 0
+    apply_fn, adjoint_fn, spec: GridSpec, iters: int = 200, seed: int = 0
 ) -> float:
-    """Spectral norm estimate via power iteration on T*T (fixed seed)."""
+    """Spectral norm estimate via power iteration on T*T (fixed seed); it
+    stops once the estimate changes by less than 1e-8 relative."""
     rng = np.random.default_rng(seed)
     v = GridField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
     nv = lp_norm(v, 2.0)
@@ -180,7 +182,7 @@ def power_iteration(
             return 0.0
         new_sigma = np.sqrt(nw)
         v = GridField(spec, w.samples / nw)
-        if sigma > 0 and abs(new_sigma - sigma) < tol * sigma:
+        if sigma > 0 and abs(new_sigma - sigma) < 1e-8 * sigma:
             return float(new_sigma)
         sigma = new_sigma
     return float(sigma)
@@ -201,7 +203,7 @@ def _frame_weight_multipliers(frame: ParabolicFrame):
     return SpectralMultiplier(spec, phi), SpectralMultiplier(spec, 1.0 / phi)
 
 
-def certified_l2_bound(a, frame: ParabolicFrame, iters: int = 200, seed: int = 0) -> float:
+def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     """sqrt(2) times a power-iteration estimate of ||Phi(D) T Phi(D)^{-1}||_2.
 
     With |||g|||^2 = ||q(D)g||_2^2 + sum_l w_l ||phi_l(D)g||_2^2, the
@@ -210,27 +212,20 @@ def certified_l2_bound(a, frame: ParabolicFrame, iters: int = 200, seed: int = 0
     is at most sqrt(2) times the L^2 spectral norm of Phi(D) T Phi(D)^{-1}.
 
     The returned number is not that bound itself.  Power iteration gives a
-    lower estimate of the spectral norm, and it returns after `iters`
+    lower estimate of the spectral norm, and it returns after 200
     applies whether or not it has converged, without saying which; so
     the result may sit below the true sqrt(2) ||Phi T Phi^{-1}||_2.
     """
     phi, phi_inv = _frame_weight_multipliers(frame)
-    spec = frame.spec
+    adj = apply_separable_adjoint if isinstance(a, SeparableSymbol) else apply_dense_adjoint
 
     def conj_apply(v):
-        u = inverse_transform(phi_inv.values * forward_transform(v), spec)
-        return inverse_transform(phi.values * forward_transform(apply_symbol(a, u)), spec)
-
-    if isinstance(a, SeparableSymbol):
-        adj = apply_separable_adjoint
-    else:
-        adj = apply_dense_adjoint
+        return apply_multiplier(apply_symbol(a, apply_multiplier(v, phi_inv)), phi)
 
     def conj_adjoint(v):
-        u = inverse_transform(phi.values * forward_transform(v), spec)
-        return inverse_transform(phi_inv.values * forward_transform(adj(a, u)), spec)
+        return apply_multiplier(adj(a, apply_multiplier(v, phi)), phi_inv)
 
-    return np.sqrt(2.0) * power_iteration(conj_apply, conj_adjoint, spec, iters=iters, seed=seed)
+    return np.sqrt(2.0) * power_iteration(conj_apply, conj_adjoint, frame.spec, seed=seed)
 
 
 @dataclass
@@ -286,7 +281,6 @@ def operator_norm_probe(
     frame: ParabolicFrame,
     family: TestFamily,
     budget: ExponentBudget | None = None,
-    pi_iters: int = 200,
 ) -> BoundednessReport:
     """Ratios of directional norms over the family; at p = 2, s = 0 the
     power-iteration estimate of certified_l2_bound is recorded alongside."""
@@ -305,5 +299,5 @@ def operator_norm_probe(
         out_norm = hpfio_norm(out, s_out, p, frame)
         report.add(member, in_norm, out_norm)
     if p == 2.0 and s_in == 0.0 and s_out == 0.0:
-        report.spectral_bound = certified_l2_bound(a, frame, iters=pi_iters)
+        report.spectral_bound = certified_l2_bound(a, frame)
     return report

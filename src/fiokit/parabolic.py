@@ -51,9 +51,12 @@ from .grid import (
 from .profiles import BumpProfile
 
 _CHUNK = 1 << 16
+# the directional bump u and the node count of the scale quadrature
+_BUMP = BumpProfile()
+_N_TAU = 96
 
 
-def c_sigma(sigma: float, profile: BumpProfile = BumpProfile(), nodes: int | None = None) -> float:
+def c_sigma(sigma: float, nodes: int | None = None) -> float:
     """Normalization c_sigma = (int_{S^1} u(|e1 - nu|/sqrt(sigma))^2 dnu)^{-1/2}.
 
     Periodic trapezoid quadrature on the circle; the node count grows
@@ -65,7 +68,7 @@ def c_sigma(sigma: float, profile: BumpProfile = BumpProfile(), nodes: int | Non
         nodes = max(512, int(np.ceil(2048.0 / np.sqrt(min(sigma, 16.0)))))
     theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
     chord = 2.0 * np.abs(np.sin(theta / 2.0))
-    integral = float((profile(chord / np.sqrt(sigma)) ** 2).sum() * 2.0 * np.pi / nodes)
+    integral = float((_BUMP(chord / np.sqrt(sigma)) ** 2).sum() * 2.0 * np.pi / nodes)
     if integral < 1e-14:
         raise ResolutionError(f"sphere quadrature unresolved at sigma={sigma}")
     return integral ** -0.5
@@ -80,13 +83,12 @@ class CSigmaTable:
 
     FLAT = (2.0 * np.pi) ** -0.5
 
-    def __init__(self, sigma_min: float, profile: BumpProfile = BumpProfile()):
-        self.profile = profile
+    def __init__(self, sigma_min: float):
         self.sigma_min = min(float(sigma_min), 1.0) / 2.0
         lo, hi = np.log(self.sigma_min), np.log(16.0)
         count = int(np.ceil(16.0 * (hi - lo) / np.log(2.0))) + 1
         logs = np.linspace(lo, hi, count)
-        logc = np.array([np.log(c_sigma(float(np.exp(s)), profile)) for s in logs])
+        logc = np.array([np.log(c_sigma(float(np.exp(s)))) for s in logs])
         self._spline = CubicSpline(logs, logc)
 
     def __call__(self, sigma) -> np.ndarray:
@@ -106,19 +108,16 @@ class AngularCalderonProfile:
     (the integral is scale invariant, so C is a single number).
     """
 
-    def __init__(self, profile: BumpProfile = BumpProfile()):
-        self.profile = profile
-
+    def __init__(self):
         def theta_log(s):
-            t = np.exp(s)
-            return float(profile(t / 2.0) * (1.0 - profile(t))) ** 2
+            return float(self.theta(np.exp(s))) ** 2
 
         val, _ = quad(theta_log, np.log(0.5), np.log(2.0), epsabs=1e-14, epsrel=1e-13, limit=200)
         self.constant = val
 
     def theta(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return self.profile(t / 2.0) * (1.0 - self.profile(t))
+        return _BUMP(t / 2.0) * (1.0 - _BUMP(t))
 
     def __call__(self, t) -> np.ndarray:
         return self.theta(t) / np.sqrt(self.constant)
@@ -131,7 +130,6 @@ class PhiGeometry:
     profile: BumpProfile
     psi: AngularCalderonProfile
     ctable: CSigmaTable
-    n_tau: int = 96
 
     def phi_values(self, points, omega) -> np.ndarray:
         """phi_omega at points of shape (..., 2); hard zeros off support."""
@@ -155,7 +153,7 @@ class PhiGeometry:
         return out.reshape(shape)
 
     def _windows(self, rho, d, lo, hi) -> np.ndarray:
-        n = self.n_tau
+        n = _N_TAU
         t = np.linspace(0.0, 1.0, n)
         wt = np.full(n, 1.0)
         wt[0] = wt[-1] = 0.5
@@ -237,23 +235,12 @@ class ParabolicFrame:
     direction maps onto.  Supports equal those of direct evaluation.
     """
 
-    def __init__(
-        self,
-        spec: GridSpec,
-        M_omega: int | None = None,
-        profile: BumpProfile = BumpProfile(),
-        n_tau: int = 96,
-    ):
+    def __init__(self, spec: GridSpec, M_omega: int | None = None):
         if spec.n != 2:
             raise ParameterError("directional frame requires n = 2")
         self.spec = spec
         self.directions = DirectionSet(M_omega or default_direction_count(spec))
-        self.geometry = PhiGeometry(
-            profile,
-            AngularCalderonProfile(profile),
-            CSigmaTable(0.5 / spec.xi_max, profile),
-            n_tau,
-        )
+        self.geometry = PhiGeometry(_BUMP, AngularCalderonProfile(), CSigmaTable(0.5 / spec.xi_max))
         N, half = spec.N, spec.N // 2
         pts = lattice(spec).points()
         nyquist = np.union1d(half * N + np.arange(N), np.arange(N) * N + half)
@@ -369,21 +356,21 @@ _FD_STENCILS = {
 
 
 def _fd_derivative(fun, pts, a1, a2, h1, h2) -> np.ndarray:
-    """Centered finite-difference d^{a1}_1 d^{a2}_2 fun at pts (K, 2)."""
-    out = np.zeros(len(pts))
+    """Centered finite-difference d^{a1}_1 d^{a2}_2 fun at pts (..., 2);
+    the result has the shape of fun's values."""
+    out = 0.0
     for o1, c1 in _FD_STENCILS[a1]:
         for o2, c2 in _FD_STENCILS[a2]:
             shifted = pts.copy()
-            shifted[:, 0] += o1 * h1
-            shifted[:, 1] += o2 * h2
+            shifted[..., 0] += o1 * h1
+            shifted[..., 1] += o2 * h2
             out += c1 * c2 * fun(shifted)
     return out / (h1**a1 * h2**a2)
 
 
-def anisotropic_bound_check(
-    frame: ParabolicFrame, alpha_max: int = 2, n_radii: int = 20, n_angles: int = 15
-) -> dict:
-    """Sampled suprema of |xi^alpha d^alpha (<xi>^{-1/4} phi_{e1})(xi)|.
+def anisotropic_bound_check(frame: ParabolicFrame, alpha_max: int = 2) -> dict:
+    """Sampled suprema of |xi^alpha d^alpha (<xi>^{-1/4} phi_{e1})(xi)|
+    over 20 radii and 15 angles per radius.
 
     Derivatives use centered differences of the analytic construction
     at off-lattice points, with steps matched to the parabolic scaling
@@ -398,14 +385,14 @@ def anisotropic_bound_check(
         w = (1.0 + (pts**2).sum(axis=-1)) ** -0.125
         return w * geom.phi_values(pts, e1)
 
-    radii = np.geomspace(0.25, frame.spec.xi_max, n_radii)
+    radii = np.geomspace(0.25, frame.spec.xi_max, 20)
     report = {}
     for a1 in range(alpha_max + 1):
         for a2 in range(alpha_max + 1 - a1):
             best = 0.0
             for rho in radii:
                 span = min(np.pi, 2.5 / np.sqrt(rho))
-                theta = np.linspace(-span, span, n_angles)
+                theta = np.linspace(-span, span, 15)
                 pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=1)
                 h1 = 1e-3 * max(1.0, rho)
                 h2 = 1e-3 * max(1.0, np.sqrt(rho))

@@ -7,8 +7,6 @@ radii, not merely small).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -39,21 +37,9 @@ def falling(t, lo: float, hi: float) -> np.ndarray:
     return 1.0 - rising(t, lo, hi)
 
 
-@dataclass(frozen=True)
 class BumpProfile:
-    """Radial profile u: [0, inf) -> [0, 1].
-
-    u(t) = 1 for t <= plateau, u(t) = 0 for t >= support, strictly
-    decreasing in between.  Defaults give the standard bump with
-    u = 1 on [0, 1/2] and support [0, 1].
-    """
-
-    plateau: float = 0.5
-    support: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.plateau < self.support):
-            raise ValueError("need 0 < plateau < support")
+    """Radial profile u: [0, inf) -> [0, 1], the standard bump: u = 1 on
+    [0, 1/2], u = 0 for t >= 1, strictly decreasing in between."""
 
     def __call__(self, t) -> np.ndarray:
-        return falling(t, self.plateau, self.support)
+        return falling(t, 0.5, 1.0)

@@ -16,16 +16,9 @@ import numpy as np
 
 from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily, build_auxiliary
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
-from .grid import (
-    GridField,
-    GridSpec,
-    forward_transform,
-    inverse_transform,
-    lattice,
-    read_fiof,
-)
+from .grid import GridField, GridSpec, lattice, read_fiof
 from .norms import zygmund_norm
-from .parabolic import _FD_STENCILS
+from .parabolic import _fd_derivative
 
 
 @dataclass
@@ -118,15 +111,14 @@ def smooth_split(a: DenseSymbol, gamma: float, fam: LittlewoodPaleyFamily | None
     def sharp_fn(eta):
         rho = float(np.hypot(eta[0], eta[1]))
         out = np.zeros(a.spec.shape, dtype=complex)
-        slice_cache = None
+        spectrum = None
         for k in range(fam.J_max + 1):
             w = float(fam.band_profile(k, rho))
             if w == 0.0:
                 continue
-            if slice_cache is None:
-                slice_cache = a.eval(eta)
+            if spectrum is None:
+                spectrum = np.fft.fftn(a.eval(eta))
             cut = fam.lowpass_profile(2.0 ** (-gamma * k) * mags)
-            spectrum = np.fft.fftn(slice_cache)
             out += w * np.fft.ifftn(cut * spectrum)
         return out
 
@@ -141,15 +133,15 @@ def smooth_split(a: DenseSymbol, gamma: float, fam: LittlewoodPaleyFamily | None
     return SmoothingSplit(gamma, sharp, flat)
 
 
-def _band_eta_samples(fam: LittlewoodPaleyFamily, k: int, n_radii: int = 3, n_angles: int = 4):
-    """Representative eta points inside supp psi_k."""
+def _band_eta_samples(fam: LittlewoodPaleyFamily, k: int):
+    """Representative eta points inside supp psi_k: 3 radii times 4 angles."""
     eps = fam.eps
     if k == 0:
         radii = np.array([0.0, 0.3, 0.7]) * (1.0 - eps / 2.0)
     else:
         lo, hi = (1.0 + eps) / 2.0, 2.0 - eps
-        radii = 2.0 ** (k - 1) * np.linspace(lo, hi, n_radii + 2)[1:-1]
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False) + 0.3
+        radii = 2.0 ** (k - 1) * np.linspace(lo, hi, 5)[1:-1]
+    angles = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False) + 0.3
     return [
         np.array([rho * np.cos(t), rho * np.sin(t)]) for rho in radii for t in angles
     ]
@@ -162,7 +154,7 @@ def _check_band_resolution(spec: GridSpec, fam: LittlewoodPaleyFamily, k: int) -
     axis_max = np.pi * spec.N / spec.L
     if k > 0 and 2.0 ** (k - 1) * (1.0 + fam.eps) / 2.0 >= axis_max:
         return False
-    axis = np.abs(2.0 * np.pi * np.fft.fftfreq(spec.N, d=spec.dx))
+    axis = np.abs(lattice(spec).axis)
     count = int((fam.band_profile(k, axis) > 0).sum())
     if k > 0 and count < 5:
         raise ResolutionError(f"band {k} has only {count} lattice frequencies per axis")
@@ -194,11 +186,7 @@ def estimate_seminorms(
             for eta in etas:
                 rho = float(np.hypot(eta[0], eta[1]))
                 h = 0.02 * (1.0 + rho)
-                deriv = np.zeros(a.spec.shape, dtype=complex)
-                for o1, c1 in _FD_STENCILS[a1]:
-                    for o2, c2 in _FD_STENCILS[a2]:
-                        deriv += c1 * c2 * a.eval(eta + np.array([o1 * h, o2 * h]))
-                deriv /= h ** (a1 + a2)
+                deriv = _fd_derivative(a.eval, eta, a1, a2, h, h)
                 w = (1.0 + rho * rho) ** 0.5
                 point = float(np.abs(deriv).max()) * w ** (a1 + a2 - a.m)
                 zyg = (
@@ -215,23 +203,13 @@ def estimate_seminorms(
 # ---------------------------------------------------------------------------
 
 
-def _band_stack(f: GridField, fam: LittlewoodPaleyFamily) -> np.ndarray:
-    spectrum = forward_transform(f)
-    return np.stack(
-        [
-            inverse_transform(fam.values[j] * spectrum, f.spec).samples
-            for j in range(fam.J_max + 1)
-        ]
-    )
-
-
 def _paraproduct(b: GridField, f: GridField, fam, selector) -> GridField:
     if b.spec != f.spec:
         raise DimensionError("paraproduct operands on different grids")
     if fam is None:
         fam = LittlewoodPaleyFamily(b.spec)
-    bj = _band_stack(b, fam)
-    fk = _band_stack(f, fam)
+    bj = dict(fam.bands(b))
+    fk = dict(fam.bands(f))
     out = np.zeros(b.spec.shape, dtype=complex)
     for k in range(fam.J_max + 1):
         for j in range(fam.J_max + 1):
@@ -347,22 +325,17 @@ def to_separable(
         else:
             eta_star = np.array([2.0 ** (k - 1) * (1.0 + eps / 4.0), 0.0])
         bands[k] = GridField(a.spec, a.eval(eta_star))
-    residual = 0.0
+    sym = SeparableSymbol(a.spec, bands, chi, r=a.r, delta=a.delta)
+    approx = sym.densify()
     # The finite family sums to 1 only up to this radius; beyond it the
     # lattice has no content, so residual sampling stops there.
     cover = 2.0**chi.J_max * (1.0 + eps) / 2.0
     for k in range(chi.J_max + 1):
         for eta in _band_eta_samples(chi, k):
-            rho = float(np.hypot(eta[0], eta[1]))
-            if rho > cover:
-                continue
-            approx = np.zeros(a.spec.shape, dtype=complex)
-            for kk, a_kk in bands.items():
-                w = float(chi.band_profile(kk, rho))
-                if w != 0.0:
-                    approx += w * a_kk.samples
-            residual = max(residual, float(np.abs(a.eval(eta) - approx).max()))
-    return SeparableSymbol(a.spec, bands, chi, r=a.r, delta=a.delta, residual=residual)
+            if float(np.hypot(eta[0], eta[1])) <= cover:
+                diff = float(np.abs(a.eval(eta) - approx.eval(eta)).max())
+                sym.residual = max(sym.residual, diff)
+    return sym
 
 
 # ---------------------------------------------------------------------------

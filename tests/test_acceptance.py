@@ -7,6 +7,7 @@ Run with -s to see the per-criterion lines.
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import fiokit as fk
 
@@ -119,7 +120,7 @@ def test_criterion_02_calderon_normalization(frame64):
     worst = 0.0
     for rho in np.geomspace(0.03, 300.0, 20):
         s = np.linspace(np.log(0.5 / rho) - 0.05, np.log(2.0 / rho) + 0.05, 4096)
-        integral = float(np.trapezoid(psi(np.exp(s) * rho) ** 2, s))
+        integral = float(trapezoid(psi(np.exp(s) * rho) ** 2, s))
         worst = max(worst, abs(integral - 1.0))
     report_line(2, "Calderon normalization", worst <= 1e-10, f"worst={worst:.2e} at 20 radii")
 

@@ -124,3 +124,33 @@ def test_chi_family_window(aux64):
     assert float(chi.band_profile(1, 1.0)) > 0.0
     total = sum(chi.values)
     assert np.abs(total - 1.0).max() <= 1e-12
+
+
+def test_bands_equal_lp_project(spec64, fam64, rng):
+    f = random_field(spec64, rng)
+    every = list(fam64.bands(f))
+    assert [j for j, _ in every] == list(range(fam64.J_max + 1))
+    for j, samples in every:
+        assert samples.tobytes() == fk.lp_project(f, j, fam64).samples.tobytes()
+    js = (3, 0, 2)
+    picked = list(fam64.bands(f, js))
+    assert [j for j, _ in picked] == list(js)
+    for j, samples in picked:
+        assert samples.tobytes() == fk.lp_project(f, j, fam64).samples.tobytes()
+    for bad in (-1, fam64.J_max + 1):
+        with pytest.raises(fk.ParameterError):
+            list(fam64.bands(f, (bad,)))
+
+
+def test_square_function_norm_one_forward_fft(spec64, fam64, rng, monkeypatch):
+    f = random_field(spec64, rng)
+    calls = []
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    fk.square_function_norm(f, 0.5, 3.0, fam64)
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import fiokit as fk
 from conftest import random_field
@@ -46,7 +47,7 @@ def test_calderon_normalization(frame64):
     psi = frame64.geometry.psi
     for rho in np.geomspace(0.03, 300.0, 20):
         s = np.linspace(np.log(0.5 / rho) - 0.05, np.log(2.0 / rho) + 0.05, 4096)
-        integral = np.trapezoid(psi(np.exp(s) * rho) ** 2, s)
+        integral = trapezoid(psi(np.exp(s) * rho) ** 2, s)
         assert abs(integral - 1.0) <= 1e-10
 
 
