@@ -200,10 +200,13 @@ def read_fiof(path) -> GridField:
         magic = fh.read(4)
         if magic != _FIOF_MAGIC:
             raise InvalidInputError(f"{path}: not a FIOF file")
-        version, n, N, L = struct.unpack("<III d", fh.read(20))
-        if version != _FIOF_VERSION:
-            raise InvalidInputError(f"{path}: unsupported FIOF version {version}")
-        spec = GridSpec(n=n, N=N, L=L)
+        try:
+            version, n, N, L = struct.unpack("<III d", fh.read(20))
+            if version != _FIOF_VERSION:
+                raise InvalidInputError(f"{path}: unsupported FIOF version {version}")
+            spec = GridSpec(n=n, N=N, L=L)
+        except (struct.error, ParameterError) as exc:
+            raise InvalidInputError(f"{path}: bad header: {exc}") from None
         raw = np.frombuffer(fh.read(), dtype="<c16")
         if raw.size != N**n:
             raise InvalidInputError(f"{path}: truncated payload")

@@ -59,20 +59,20 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     """Directional-decomposition norm, computed from the frame's sparse
     direction spectra without a full-grid inverse FFT per direction.
 
-    With g_l = phi_l(D) <D>^s f, the direction terms ||g_l||_p^p are:
+    With g_l = phi_l(D) <D>^s f:
 
-    - p = 2: by Parseval, L^-n sum |g_l^|^2 over the direction's sparse
-      coefficients; ||q(D) f||_2 likewise.  No inverse FFT runs.
-    - p != 2: the coefficients are scattered into the lattice lines the
-      sector touches (frame.touched_lines, on whichever axis has fewer),
-      the first 1-D inverse pass runs on those lines only and the second
-      on the full grid.  A direction whose coefficients are all exactly
-      zero adds exactly 0 and is skipped.
-
-    Directions run on a thread pool sized to the CPUs this process may
-    use; each worker gathers its own direction's coefficients from the
-    shared spectrum.  The terms are summed in direction order, so the
-    result does not depend on thread scheduling.
+    - p = 2: by Parseval, sum_l w_l ||g_l||_2^2 = L^-n sum E |<xi>^s f^|^2
+      with E = frame.energy = sum_l w_l phi_l^2, and ||q(D) f||_2 likewise.
+      No direction is visited and no inverse FFT runs.
+    - p != 2: the coefficients of each direction are scattered into the
+      lattice lines the sector touches (frame.touched_lines, on whichever
+      axis has fewer), the first 1-D inverse pass runs on those lines only
+      and the second on the full grid.  A direction whose coefficients are
+      all exactly zero adds exactly 0 and is skipped.  Directions run on a
+      thread pool sized to the CPUs this process may use; each worker
+      gathers its own direction's coefficients from the shared spectrum.
+      The terms are summed in direction order, so the result does not
+      depend on thread scheduling.
     """
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
@@ -80,14 +80,14 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
         raise DimensionError("field and frame grids differ")
     spec = f.spec
     spectrum = forward_transform(f)
-    q = frame.q_values
+    low = frame.q_values * spectrum
+    weighted = bessel_values(spec, s) * spectrum
     if p == 2.0:
-        low = q * spectrum
-        low_part = np.sqrt(float(np.vdot(low, low).real) / spec.L**spec.n)
-    else:
-        low_part = lp_norm(inverse_transform(q * spectrum, spec), p)
-    bess = bessel_values(spec, s).ravel()
-    flat = spectrum.ravel()
+        volume = spec.L**spec.n
+        high = np.vdot(weighted, frame.energy * weighted).real
+        return np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume)
+    low_part = lp_norm(inverse_transform(low, spec), p)
+    flat = weighted.ravel()
 
     M = frame.n_directions
     W = min(_cpu_count(), M)
@@ -96,7 +96,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     work = np.empty((W, 2) + spec.shape, dtype=complex)
 
     def stride(w):
-        return _direction_powers(frame, range(w, M, W), bess, flat, p, work[w])
+        return _direction_powers(frame, range(w, M, W), flat, p, work[w])
 
     powers = np.empty(M)
     with ThreadPoolExecutor(max_workers=W) as pool:
@@ -108,18 +108,11 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     return low_part + total ** (1.0 / p)
 
 
-def _direction_powers(frame: ParabolicFrame, directions, bess, flat, p: float, work) -> list:
-    """||phi_l(D) <D>^s f||_p^p for each l in directions, from the
-    direction's sparse coefficients; flat is the spectrum of f and work
-    two complex grids of scratch space (unused at p = 2)."""
+def _direction_powers(frame: ParabolicFrame, directions, flat, p: float, work) -> list:
+    """||phi_l(D) <D>^s f||_p^p, p != 2, for each l in directions, from the
+    direction's sparse coefficients; flat is the spectrum of <D>^s f and
+    work two complex grids of scratch space."""
     N, L = frame.spec.N, frame.spec.L
-    out = []
-    if p == 2.0:
-        for l in directions:
-            idx, vals = frame.sparse(l)
-            coeffs = vals * bess[idx] * flat[idx]
-            out.append(float(np.vdot(coeffs, coeffs).real) / L**2)
-        return out
     # unscaled inverse passes give raw = L^2 g, so dx^2 sum |g|^p =
     # L^-2p (L/N)^2 sum |raw|^p
     scale = L ** (-2.0 * p) * (L / N) ** 2
@@ -127,9 +120,10 @@ def _direction_powers(frame: ParabolicFrame, directions, bess, flat, p: float, w
     # spare holds the touched lines, then |raw|^2 in its first N^2 floats
     mod2 = spare.view(np.float64).reshape(-1)[: N * N].reshape(N, N)
     slot = np.empty(N, dtype=np.intp)
+    out = []
     for l in directions:
         idx, vals = frame.sparse(l)
-        coeffs = vals * bess[idx] * flat[idx]
+        coeffs = vals * flat[idx]
         if not coeffs.any():
             out.append(0.0)
             continue

@@ -189,18 +189,12 @@ def power_iteration(
 
 
 def _frame_weight_multipliers(frame: ParabolicFrame):
-    """Phi = sqrt(q^2 + sum_l w_l phi_l^2), positive on the whole lattice,
-    and its reciprocal."""
-    spec = frame.spec
-    q = frame.q_values
-    w2 = np.zeros(spec.N**spec.n)
-    for l in range(frame.n_directions):
-        idx, vals = frame.sparse(l)
-        w2[idx] += frame.directions.weights[l] * vals**2
-    phi = np.sqrt(q.ravel() ** 2 + w2).reshape(spec.shape)
+    """Phi = sqrt(q^2 + frame.energy), with frame.energy = sum_l w_l phi_l^2,
+    positive on the whole lattice, and its reciprocal."""
+    phi = np.sqrt(frame.q_values**2 + frame.energy)
     if float(phi.min()) <= 0.0:
         raise ParameterError("frame weight vanishes somewhere; cannot conjugate")
-    return SpectralMultiplier(spec, phi), SpectralMultiplier(spec, 1.0 / phi)
+    return SpectralMultiplier(frame.spec, phi), SpectralMultiplier(frame.spec, 1.0 / phi)
 
 
 def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
@@ -208,7 +202,8 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
 
     With |||g|||^2 = ||q(D)g||_2^2 + sum_l w_l ||phi_l(D)g||_2^2, the
     reported norm N1 + N2 satisfies ||| . ||| <= N1 + N2 <= sqrt(2) ||| . |||,
-    and ||| . ||| = ||Phi(D) . ||_2 by Parseval.  Hence every probe ratio
+    and ||| . ||| = ||Phi(D) . ||_2 by Parseval, with Phi^2 = q^2 +
+    frame.energy (energy = sum_l w_l phi_l^2).  Hence every probe ratio
     is at most sqrt(2) times the L^2 spectral norm of Phi(D) T Phi(D)^{-1}.
 
     The returned number is not that bound itself.  Power iteration gives a

@@ -127,7 +127,6 @@ class AngularCalderonProfile:
 class PhiGeometry:
     """Everything needed to evaluate phi_omega at arbitrary points."""
 
-    profile: BumpProfile
     psi: AngularCalderonProfile
     ctable: CSigmaTable
 
@@ -166,7 +165,7 @@ class PhiGeometry:
             integrand = (
                 self.psi(tau * rho[sl, None])
                 * self.ctable(tau)
-                * self.profile(d[sl, None] / np.sqrt(tau))
+                * _BUMP(d[sl, None] / np.sqrt(tau))
             )
             out[sl] = (integrand * wt).sum(axis=1) * (lh - ls) / (n - 1)
         return out
@@ -228,6 +227,9 @@ class ParabolicFrame:
     """Directional frame: cutoffs phi_{omega_l} (stored sparsely on the
     lattice), the reproducing multiplier m and the low cutoff q.
 
+    The build also sums coverage = sum_l w_l phi_l, which m inverts, and
+    energy = sum_l w_l phi_l^2, from which every p = 2 quantity is read.
+
     Direction l is copied from an earlier direction l0 when a lattice
     symmetry g has g omega_l0 = omega_l: the point with integer frequency
     index k takes l0's value at g^-1 k.  Points on the Nyquist lines are
@@ -240,11 +242,12 @@ class ParabolicFrame:
             raise ParameterError("directional frame requires n = 2")
         self.spec = spec
         self.directions = DirectionSet(M_omega or default_direction_count(spec))
-        self.geometry = PhiGeometry(_BUMP, AngularCalderonProfile(), CSigmaTable(0.5 / spec.xi_max))
+        self.geometry = PhiGeometry(AngularCalderonProfile(), CSigmaTable(0.5 / spec.xi_max))
         N, half = spec.N, spec.N // 2
         pts = lattice(spec).points()
         nyquist = np.union1d(half * N + np.arange(N), np.arange(N) * N + half)
         coverage = np.zeros(len(pts))
+        energy = np.zeros(len(pts))
         self._sparse = []
         self._lines = []
         w = self.directions.weights[0]
@@ -270,7 +273,9 @@ class ParabolicFrame:
             self._sparse.append((idx, vals))
             self._lines.append(_touched_lines(idx, N))
             coverage[idx] += w * vals
+            energy[idx] += w * vals**2
         self.coverage = coverage.reshape(spec.shape)
+        self.energy = energy.reshape(spec.shape)
         self.m = build_reproducing_m(self)
         self.q_values = low_cutoff(lattice(spec).mags)
 

@@ -268,8 +268,6 @@ def coifman_meyer_decompose(
     P = 32
     while P < 4 * max(beta_max, 1):
         P *= 2
-    if beta_max >= P // 2:
-        raise ParameterError("beta_max exceeds the alias-free mode range")
     fam = aux.psi
     if bands is None:
         bands = range(fam.J_max + 1)
@@ -284,12 +282,15 @@ def coifman_meyer_decompose(
                 w = float(fam.band_profile(k, np.hypot(eta[0], eta[1])))
                 if w != 0.0:
                     g[i1, i2] = w * a.eval(eta)
-        ghat = np.fft.fft2(g, axes=(0, 1)) / P**2
+        ghat = np.fft.fft2(g, axes=(0, 1))
+        del g
+        # only the kept modes are normalized, so no second P^2 N^n array
         table = {}
         for b1 in range(-beta_max, beta_max + 1):
             for b2 in range(-beta_max, beta_max + 1):
                 sign = -1.0 if (b1 + b2) % 2 else 1.0
-                table[(b1, b2)] = sign * ghat[b1 % P, b2 % P]
+                table[(b1, b2)] = sign * (ghat[b1 % P, b2 % P] / P**2)
+        del ghat
         coeffs[k] = table
     return FourierModeDecomposition(a.spec, beta_max, P, coeffs, aux)
 

@@ -80,6 +80,14 @@ def test_norm_missing_field_exits_3(capsys):
     assert code == 3
 
 
+def test_norm_short_header_exits_1(tmp_path, capsys):
+    path = tmp_path / "short.fiof"
+    path.write_bytes(b"FIOF\x01\x00")
+    code = main(["norm", "--field", str(path)])
+    assert code == 1
+    assert "bad header" in capsys.readouterr().err
+
+
 def test_apply_identity_roundtrip(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,4 +179,19 @@ def test_fiof_rejects_garbage(tmp_path):
     path = tmp_path / "bad.fiof"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(fk.InvalidInputError):
+        fk.read_fiof(path)
+
+
+def test_fiof_rejects_short_header(tmp_path):
+    path = tmp_path / "short.fiof"
+    path.write_bytes(b"FIOF" + b"\x01\x00\x00\x00")
+    with pytest.raises(fk.InvalidInputError, match="bad header"):
+        fk.read_fiof(path)
+
+
+@pytest.mark.parametrize("n, N, L", [(2, 3, 1.0), (2, 64, float("nan"))])
+def test_fiof_rejects_invalid_grid_header(tmp_path, n, N, L):
+    path = tmp_path / "bad_grid.fiof"
+    path.write_bytes(b"FIOF" + struct.pack("<III d", 1, n, N, L))
+    with pytest.raises(fk.InvalidInputError, match="bad header"):
         fk.read_fiof(path)

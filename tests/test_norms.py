@@ -207,6 +207,19 @@ def test_hpfio_concurrent_callers_agree(frame64, rng):
     assert all(value == want[p] for p, value in got)
 
 
+def test_hpfio_p2_visits_no_direction(frame64, rng, monkeypatch):
+    f = random_field(frame64.spec, rng)
+    want = _hpfio_by_definition(f, 0.3, 2.0, frame64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("p = 2 must not run the per-direction path")
+
+    monkeypatch.setattr(fk.norms, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(fk.ParabolicFrame, "sparse", refuse)
+    monkeypatch.setattr(fk.ParabolicFrame, "touched_lines", refuse)
+    assert fk.hpfio_norm(f, 0.3, 2.0, frame64) == pytest.approx(want, rel=1e-12)
+
+
 def test_budget_worked_examples():
     b = fk.budget(2.0, 0.0, 4.0, 2)
     assert b.tau == 0.0

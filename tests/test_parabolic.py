@@ -240,3 +240,21 @@ def test_frame_build_is_deterministic(spec64, frame64):
 
 def test_frame_q_values_match_auxiliary_q(frame64, aux64):
     assert np.array_equal(frame64.q_values, aux64.q_values)
+
+
+@pytest.mark.parametrize("M", [None, 57])
+def test_frame_energy_is_weighted_square_sum(frame64, M):
+    from fiokit.operators import _frame_weight_multipliers
+
+    if M is None:
+        frame = frame64
+    else:
+        frame = fk.ParabolicFrame(fk.GridSpec(N=64, L=2.0 * np.pi), M_omega=M)
+    energy = np.zeros(frame.spec.N**2)
+    for l in range(frame.n_directions):
+        idx, vals = frame.sparse(l)
+        energy[idx] += frame.directions.weights[l] * vals**2
+    energy = energy.reshape(frame.spec.shape)
+    assert np.array_equal(frame.energy, energy)
+    phi, _ = _frame_weight_multipliers(frame)
+    assert np.array_equal(phi.values, np.sqrt(frame.q_values**2 + energy))
