@@ -284,6 +284,8 @@ def cmd_smooth(cfg: dict, args) -> int:
 
 
 def cmd_bench(cfg: dict, args) -> int:
+    if not isinstance(cfg["s_list"], list) or len(cfg["s_list"]) > 1:
+        raise ParameterError(f"s_list={cfg['s_list']!r}: one s serves every p, give [] or [s]")
     spec = _grid(cfg)
     frame = _frame(cfg, spec)
     fam = build_lp_family(spec, float(cfg["eps"]))
@@ -364,8 +366,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
-        spec_check = _grid(cfg)  # validates grid parameters early
-        del spec_check
+        _grid(cfg)  # validates grid parameters early
         if args.command == "calibrate":
             return cmd_calibrate(cfg)
         if args.command == "verify":

@@ -65,9 +65,7 @@ def plane_wave_member(spec: GridSpec, k: int) -> FamilyMember:
     return FamilyMember(f"plane_k{k}", k, _normalize(spec, spectrum))
 
 
-def packet_member(spec: GridSpec, k: int, omega) -> FamilyMember:
-    """Parabolic wave packet: spectral Gaussian centered at rho0*omega,
-    width rho0/4 along omega and sqrt(rho0)/2 across."""
+def _packet_spectrum(spec: GridSpec, k: int, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     rho0 = _band_center(spec, k)
     lat = lattice(spec)
@@ -75,8 +73,13 @@ def packet_member(spec: GridSpec, k: int, omega) -> FamilyMember:
     perp = -lat.mesh[0] * omega[1] + lat.mesh[1] * omega[0]
     s_par = rho0 / 4.0
     s_perp = np.sqrt(rho0) / 2.0
-    spectrum = np.exp(-(par**2) / (2 * s_par**2) - perp**2 / (2 * s_perp**2)).astype(complex)
-    return FamilyMember(f"packet_k{k}", k, _normalize(spec, spectrum))
+    return np.exp(-(par**2) / (2 * s_par**2) - perp**2 / (2 * s_perp**2)).astype(complex)
+
+
+def packet_member(spec: GridSpec, k: int, omega) -> FamilyMember:
+    """Parabolic wave packet: spectral Gaussian centered at rho0*omega,
+    width rho0/4 along omega and sqrt(rho0)/2 across."""
+    return FamilyMember(f"packet_k{k}", k, _normalize(spec, _packet_spectrum(spec, k, omega)))
 
 
 def random_band_member(
@@ -88,14 +91,12 @@ def random_band_member(
 
 
 def focusing_member(spec: GridSpec, k: int, frame: ParabolicFrame) -> FamilyMember:
-    """Superposition of packets over every fourth frame direction."""
-    acc = None
+    """Sum of unit-L^2 packets (Parseval-scaled spectra) over every fourth frame direction."""
+    spectrum = np.zeros(spec.shape, dtype=complex)
     for omega in frame.directions.omegas[::4]:
-        m = packet_member(spec, k, omega)
-        acc = m.field.samples if acc is None else acc + m.field.samples
-    spectrum = forward_transform(GridField(spec, acc))
-    out = FamilyMember(f"focus_k{k}", k, _normalize(spec, spectrum))
-    return out
+        g = _packet_spectrum(spec, k, omega)
+        spectrum += g * (spec.L ** (spec.n / 2) / np.linalg.norm(g))
+    return FamilyMember(f"focus_k{k}", k, _normalize(spec, spectrum))
 
 
 def build_test_family(

@@ -232,7 +232,6 @@ class BoundednessReport:
     rows: list = dc_field(default_factory=list)
     budget: ExponentBudget | None = None
     spectral_bound: float | None = None
-    frame_directions: int = 0
 
     def add(self, member, in_norm, out_norm):
         self.rows.append(
@@ -283,9 +282,7 @@ def operator_norm_probe(
         raise ParameterError(f"p={p} must lie in (1, inf)")
     if len(family) == 0:
         raise ParameterError("empty test family")
-    report = BoundednessReport(
-        frame.spec, p, s_in, s_out, budget=budget, frame_directions=frame.n_directions
-    )
+    report = BoundednessReport(frame.spec, p, s_in, s_out, budget=budget)
     for member in family:
         in_norm = hpfio_norm(member.field, s_in, p, frame)
         if in_norm < 1e-14:

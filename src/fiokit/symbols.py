@@ -259,8 +259,10 @@ def coifman_meyer_decompose(
     bands=None,
     aux: AuxiliaryFamilies | None = None,
 ) -> FourierModeDecomposition:
-    """Exact discrete Fourier coefficients of zeta -> a(x, 2^{k+1} pi zeta)
-    psi_k(2^{k+1} pi zeta) on a uniform sub-grid of [-1/2, 1/2)^n."""
+    """Fourier modes of the band-k symbol on a uniform P x P grid of zeta in [-1/2, 1/2)^n,
+    c_beta = P^-2 Sum_zeta (psi_k a)(., 2^{k+1} pi zeta) e^{-2 pi i beta.zeta},
+    summed directly for |beta|_inf <= beta_max.  Memory is (2 beta_max + 1)^2 N^n for
+    the kept modes plus P N^n for one zeta_1 row of symbol slices."""
     if beta_max < 0:
         raise ParameterError("beta_max must be >= 0")
     if aux is None:
@@ -271,27 +273,25 @@ def coifman_meyer_decompose(
     fam = aux.psi
     if bands is None:
         bands = range(fam.J_max + 1)
-    zeta_axis = (np.arange(P) - P / 2) / P
+    zeta = (np.arange(P) - P / 2) / P
+    Z1, Z2 = np.meshgrid(zeta, zeta, indexing="ij")
+    betas = range(-beta_max, beta_max + 1)
+    phase = np.exp(-2j * np.pi * np.outer(betas, zeta)) / P
+    row = np.empty((P,) + a.spec.shape, dtype=complex)
     coeffs = {}
     for k in bands:
         scale = 2.0 ** (k + 1) * np.pi
-        g = np.zeros((P, P) + a.spec.shape, dtype=complex)
-        for i1, z1 in enumerate(zeta_axis):
-            for i2, z2 in enumerate(zeta_axis):
-                eta = scale * np.array([z1, z2])
-                w = float(fam.band_profile(k, np.hypot(eta[0], eta[1])))
-                if w != 0.0:
-                    g[i1, i2] = w * a.eval(eta)
-        ghat = np.fft.fft2(g, axes=(0, 1))
-        del g
-        # only the kept modes are normalized, so no second P^2 N^n array
-        table = {}
-        for b1 in range(-beta_max, beta_max + 1):
-            for b2 in range(-beta_max, beta_max + 1):
-                sign = -1.0 if (b1 + b2) % 2 else 1.0
-                table[(b1, b2)] = sign * (ghat[b1 % P, b2 % P] / P**2)
-        del ghat
-        coeffs[k] = table
+        window = fam.band_profile(k, scale * np.hypot(Z1, Z2))
+        acc = np.zeros((len(betas), len(betas)) + a.spec.shape, dtype=complex)
+        for i1 in np.flatnonzero(window.any(axis=1)):
+            cols = np.flatnonzero(window[i1])
+            for j, i2 in enumerate(cols):
+                row[j] = window[i1, i2] * a.eval(scale * np.array([zeta[i1], zeta[i2]]))
+            inner = np.tensordot(phase[:, cols], row[: len(cols)], axes=1)
+            for j1 in range(len(betas)):
+                acc[j1] += phase[j1, i1] * inner
+        coeffs[k] = {(b1, b2): acc[j1, j2] for j1, b1 in enumerate(betas)
+                     for j2, b2 in enumerate(betas)}
     return FourierModeDecomposition(a.spec, beta_max, P, coeffs, aux)
 
 

@@ -169,6 +169,18 @@ def test_bench_csv_and_determinism(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "run.csv").read_bytes() == csv1
 
 
+@pytest.mark.parametrize("s_list", [[0.1, 0.2], 0.2])
+def test_bench_rejects_bad_s_list(tmp_path, capsys, monkeypatch, s_list):
+    # one s serves every p: a longer list or a bare number is a config error
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s_list": s_list}))
+    code = main(["--config", str(cfg), "bench-boundedness"])
+    assert code == 2
+    assert "s_list" in capsys.readouterr().err
+    assert not (tmp_path / "boundedness.csv").exists()
+
+
 def test_version_flag_matches_package():
     from fiokit.cli import DEFAULT_CONFIG, config_hash
 

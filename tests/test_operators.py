@@ -297,6 +297,19 @@ def test_family_members_unit_norm(spec64, frame64, fam64):
         assert fk.lp_norm(member.field, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_focusing_member_matches_x_domain_sum(spec64, frame64, k):
+    # definition: unit-L^2 packets over every fourth direction, summed in x
+    acc = sum(
+        fk.packet_member(spec64, k, omega).field.samples
+        for omega in frame64.directions.omegas[::4]
+    )
+    ref = acc / fk.lp_norm(fk.GridField(spec64, acc), 2.0)
+    got = fk.focusing_member(spec64, k, frame64).field
+    assert np.abs(got.samples - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert fk.lp_norm(got, 2.0) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_family_band_out_of_range(spec64, frame64, fam64):
     with pytest.raises(fk.ParameterError):
         fk.build_test_family(spec64, frame64, bands=(fam64.J_max + 1,), fam=fam64)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,69 @@ def test_mode_error_decreases_in_beta_max(spec_cm):
         ref = a.eval(eta) * float(aux.psi.band_profile(k, np.hypot(eta[0], eta[1])))
         errs.append(float(np.abs(fk.reconstruct_modes(d, k, eta) - ref).max()))
     assert errs[2] <= errs[1] <= errs[0] * (1 + 1e-12)
+
+
+def _fft2_modes(a, beta_max, k, aux, P):
+    """The earlier FFT formulation: transform the whole P x P sub-grid,
+    keep (2 beta_max + 1)^2 coefficients and undo the index offset."""
+    zeta = (np.arange(P) - P / 2) / P
+    scale = 2.0 ** (k + 1) * np.pi
+    g = np.zeros((P, P) + a.spec.shape, dtype=complex)
+    for i1, z1 in enumerate(zeta):
+        for i2, z2 in enumerate(zeta):
+            eta = scale * np.array([z1, z2])
+            w = float(aux.psi.band_profile(k, np.hypot(eta[0], eta[1])))
+            if w != 0.0:
+                g[i1, i2] = w * a.eval(eta)
+    ghat = np.fft.fft2(g, axes=(0, 1))
+    return {
+        (b1, b2): (-1.0) ** (b1 + b2) * ghat[b1 % P, b2 % P] / P**2
+        for b1 in range(-beta_max, beta_max + 1)
+        for b2 in range(-beta_max, beta_max + 1)
+    }
+
+
+def _assert_modes_match_fft2(a, beta_max, aux):
+    d = fk.coifman_meyer_decompose(a, beta_max, aux=aux)
+    assert sorted(d.coeffs) == list(range(aux.psi.J_max + 1))
+    for k, got in d.coeffs.items():
+        ref = _fft2_modes(a, beta_max, k, aux, d.subgrid)
+        assert sorted(got) == sorted(ref)
+        scale = max(float(np.abs(c).max()) for c in ref.values())
+        err = max(float(np.abs(got[b] - ref[b]).max()) for b in ref)
+        assert err <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("beta_max", [0, 2, 12])
+def test_modes_match_fft2_formula(spec_cm, beta_max):
+    # x-dependent and odd in eta, so c_beta and c_-beta differ
+    rngl = np.random.default_rng(8)
+    g, h = (random_field(spec_cm, rngl).samples for _ in range(2))
+
+    def fn(eta):
+        rho = np.hypot(eta[0], eta[1])
+        return g * np.exp(0.3j * (eta[0] - 0.5 * eta[1])) + h * eta[0] / (1.0 + rho)
+
+    _assert_modes_match_fft2(fk.DenseSymbol(spec_cm, fn), beta_max, fk.build_auxiliary(spec_cm))
+
+
+def test_modes_match_fft2_formula_on_chirp(spec_mid, fam_mid):
+    chirp = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=0, chi=fam_mid)
+    _assert_modes_match_fft2(chirp.densify(), 2, fk.build_auxiliary(spec_mid))
+
+
+def test_modes_memory_ceiling(rng):
+    # the sub-grid FFT held P^2 N^2 complex values per band, 1.07 GB here
+    spec = fk.GridSpec(N=256, L=2.0 * np.pi)
+    a = fk.preset_multiplication(random_field(spec, rng))
+    aux = fk.build_auxiliary(spec)
+    tracemalloc.start()
+    try:
+        fk.coifman_meyer_decompose(a, 2, bands=[3], aux=aux)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
 
 
 def test_mode_validation(spec_cm):
