@@ -59,13 +59,30 @@ DEFAULT_CONFIG = {
 }
 
 
+# the type of each config field; load_config converts every field once
+_GRID_TYPES = {"n": int, "N": int, "L": float}
+_FIELD_TYPES = {"eps": float, "seed": int, "r": float, "delta": float, "eps_slack": float}
+_LIST_TYPES = {"p_list": float, "s_list": float, "bands": int}
+
+
+def _convert(name: str, kind, val):
+    try:
+        return kind(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name}={val!r} is not {kind.__name__}") from None
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ParameterError("config must be a JSON object")
         for key, val in user.items():
             if key == "grid":
+                if not isinstance(val, dict):
+                    raise ParameterError(f"grid={val!r} must be an object")
                 cfg["grid"].update(val)
             else:
                 cfg[key] = val
@@ -76,6 +93,16 @@ def load_config(path: str | None, overrides: dict) -> dict:
             cfg["grid"][key] = val
         else:
             cfg[key] = val
+    for key, kind in _GRID_TYPES.items():
+        cfg["grid"][key] = _convert(f"grid.{key}", kind, cfg["grid"][key])
+    for key, kind in _FIELD_TYPES.items():
+        cfg[key] = _convert(key, kind, cfg[key])
+    if cfg["M_omega"] is not None:
+        cfg["M_omega"] = _convert("M_omega", int, cfg["M_omega"])
+    for key, kind in _LIST_TYPES.items():
+        if not isinstance(cfg[key], list):
+            raise ParameterError(f"{key}={cfg[key]!r} must be a list")
+        cfg[key] = [_convert(key, kind, v) for v in cfg[key]]
     return cfg
 
 
@@ -85,11 +112,11 @@ def config_hash(cfg: dict) -> str:
 
 def _grid(cfg: dict) -> GridSpec:
     g = cfg["grid"]
-    return GridSpec(n=int(g["n"]), N=int(g["N"]), L=float(g["L"]))
+    return GridSpec(n=g["n"], N=g["N"], L=g["L"])
 
 
 def _frame(cfg: dict, spec: GridSpec) -> ParabolicFrame:
-    return ParabolicFrame(spec, cfg["M_omega"] and int(cfg["M_omega"]))
+    return ParabolicFrame(spec, cfg["M_omega"])
 
 
 class CheckSuite:
@@ -108,9 +135,9 @@ class CheckSuite:
 
 def _calibration_checks(cfg: dict, suite: CheckSuite):
     spec = _grid(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    fam = build_lp_family(spec, float(cfg["eps"]))
-    aux = build_auxiliary(spec, float(cfg["eps"]))
+    rng = np.random.default_rng(cfg["seed"])
+    fam = build_lp_family(spec, cfg["eps"])
+    aux = build_auxiliary(spec, cfg["eps"])
 
     total = sum(fam.values)
     suite.check("partition-of-unity", float(np.abs(total - 1.0).max()), 1e-12)
@@ -198,7 +225,7 @@ def cmd_verify(cfg: dict) -> int:
         1e-12,
     )
 
-    chirp = preset_rough_chirp(spec, float(cfg["r"]), float(cfg["delta"]), seed=int(cfg["seed"]))
+    chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"])
     dense = chirp.densify()
     split = smooth_split(dense, 0.75, fam)
     eta = np.array([1.7, 0.4])
@@ -260,7 +287,7 @@ def cmd_smooth(cfg: dict, args) -> int:
     sym = load_symbol(args.symbol, spec=spec)
     if isinstance(sym, SeparableSymbol):
         sym = sym.densify()
-    fam = build_lp_family(sym.spec, float(cfg["eps"]))
+    fam = build_lp_family(sym.spec, cfg["eps"])
     split = smooth_split(sym, args.gamma, fam)
     etas = [np.array([rho, 0.3 * rho]) for rho in (0.5, 2.0, min(8.0, sym.spec.xi_max / 2))]
     worst = 0.0
@@ -284,20 +311,18 @@ def cmd_smooth(cfg: dict, args) -> int:
 
 
 def cmd_bench(cfg: dict, args) -> int:
-    if not isinstance(cfg["s_list"], list) or len(cfg["s_list"]) > 1:
+    if len(cfg["s_list"]) > 1:
         raise ParameterError(f"s_list={cfg['s_list']!r}: one s serves every p, give [] or [s]")
     spec = _grid(cfg)
     frame = _frame(cfg, spec)
-    fam = build_lp_family(spec, float(cfg["eps"]))
-    chirp = preset_rough_chirp(spec, float(cfg["r"]), float(cfg["delta"]),
-                               seed=int(cfg["seed"]), chi=fam)
-    family = build_test_family(spec, frame, cfg["bands"], seed=int(cfg["seed"]), fam=fam)
+    fam = build_lp_family(spec, cfg["eps"])
+    chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
+    family = build_test_family(spec, frame, cfg["bands"], seed=cfg["seed"], fam=fam)
     rows = []
     summary = {"config": config_hash(cfg), "version": __version__, "trends": {}}
     for p in cfg["p_list"]:
-        bud = budget(float(cfg["r"]), float(cfg["delta"]), float(p), spec.n,
-                     float(cfg["eps_slack"]))
-        s = bud.admissible_s() if not cfg["s_list"] else float(cfg["s_list"][0])
+        bud = budget(cfg["r"], cfg["delta"], p, spec.n, cfg["eps_slack"])
+        s = bud.admissible_s() if not cfg["s_list"] else cfg["s_list"][0]
         rep = operator_norm_probe(chirp, s + bud.tau, s, p, frame, family, budget=bud)
         rows.extend(rep.rows)
         entry = {
@@ -307,13 +332,13 @@ def cmd_bench(cfg: dict, args) -> int:
             "s": s,
             "tau": bud.tau,
         }
-        if float(p) == 2.0:
+        if p == 2.0:
             # spectral cross-check lives at s = 0, where the directional
             # norm is L^2-comparable
             rep0 = operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame, family)
             entry["spectral_bound"] = rep0.spectral_bound
             entry["l2_sup_ratio"] = rep0.sup_ratio
-        summary["trends"][repr(float(p))] = entry
+        summary["trends"][repr(p)] = entry
     header = "p,s_in,s_out,k,member,in_norm,out_norm,ratio"
     lines = [header]
     for row in rows:
@@ -379,7 +404,6 @@ def main(argv=None) -> int:
             return cmd_smooth(cfg, args)
         if args.command == "bench-boundedness":
             return cmd_bench(cfg, args)
-        return 2
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

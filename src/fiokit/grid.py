@@ -98,9 +98,6 @@ class GridField:
         if not np.all(np.isfinite(self.samples)):
             raise InvalidInputError("field contains non-finite samples")
 
-    def copy(self) -> "GridField":
-        return GridField(self.spec, self.samples.copy())
-
     def __add__(self, other: "GridField") -> "GridField":
         _check_specs(self.spec, other.spec)
         return GridField(self.spec, self.samples + other.samples)
@@ -205,6 +202,10 @@ def read_fiof(path) -> GridField:
             if version != _FIOF_VERSION:
                 raise InvalidInputError(f"{path}: unsupported FIOF version {version}")
             spec = GridSpec(n=n, N=N, L=L)
+            # N is a power of two, so N**n = 2**(n log2 N): check the
+            # exponent before building the number
+            if n * (N.bit_length() - 1) >= 63:
+                raise ParameterError(f"{N}**{n} samples exceed any file")
         except (struct.error, ParameterError) as exc:
             raise InvalidInputError(f"{path}: bad header: {exc}") from None
         raw = np.frombuffer(fh.read(), dtype="<c16")

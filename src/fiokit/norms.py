@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .dyadic import LittlewoodPaleyFamily, build_lp_family
 from .errors import DimensionError, ParameterError
@@ -56,23 +55,21 @@ def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = Non
 
 
 def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float:
-    """Directional-decomposition norm, computed from the frame's sparse
-    direction spectra without a full-grid inverse FFT per direction.
+    """Directional-decomposition norm, without a full-grid inverse FFT per
+    direction.
 
     With g_l = phi_l(D) <D>^s f:
 
     - p = 2: by Parseval, sum_l w_l ||g_l||_2^2 = L^-n sum E |<xi>^s f^|^2
       with E = frame.energy = sum_l w_l phi_l^2, and ||q(D) f||_2 likewise.
       No direction is visited and no inverse FFT runs.
-    - p != 2: the coefficients of each direction are scattered into the
-      lattice lines the sector touches (frame.touched_lines, on whichever
-      axis has fewer), the first 1-D inverse pass runs on those lines only
-      and the second on the full grid.  A direction whose coefficients are
-      all exactly zero adds exactly 0 and is skipped.  Directions run on a
-      thread pool sized to the CPUs this process may use; each worker
-      gathers its own direction's coefficients from the shared spectrum.
-      The terms are summed in direction order, so the result does not
-      depend on thread scheduling.
+    - p != 2: frame.parts returns each g_l to x with line-pruned inverse
+      passes, and _direction_powers reduces it to ||g_l||_p^p.  A
+      direction whose coefficients are all exactly zero adds exactly 0
+      and is skipped.  Directions run on a thread pool sized to the CPUs
+      this process may use; each worker walks its own directions with
+      its own scratch grids.  The terms are summed in direction order,
+      so the result does not depend on thread scheduling.
     """
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
@@ -87,7 +84,6 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
         high = np.vdot(weighted, frame.energy * weighted).real
         return np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume)
     low_part = lp_norm(inverse_transform(low, spec), p)
-    flat = weighted.ravel()
 
     M = frame.n_directions
     W = min(_cpu_count(), M)
@@ -96,7 +92,8 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     work = np.empty((W, 2) + spec.shape, dtype=complex)
 
     def stride(w):
-        return _direction_powers(frame, range(w, M, W), flat, p, work[w])
+        parts = frame.parts(weighted, range(w, M, W), work[w])
+        return _direction_powers(parts, p, spec, work[w, 1])
 
     powers = np.empty(M)
     with ThreadPoolExecutor(max_workers=W) as pool:
@@ -108,39 +105,23 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     return low_part + total ** (1.0 / p)
 
 
-def _direction_powers(frame: ParabolicFrame, directions, flat, p: float, work) -> list:
-    """||phi_l(D) <D>^s f||_p^p, p != 2, for each l in directions, from the
-    direction's sparse coefficients; flat is the spectrum of <D>^s f and
-    work two complex grids of scratch space."""
-    N, L = frame.spec.N, frame.spec.L
-    # unscaled inverse passes give raw = L^2 g, so dx^2 sum |g|^p =
-    # L^-2p (L/N)^2 sum |raw|^p
+def _direction_powers(parts, p: float, spec, spare) -> list:
+    """||g_l||_p^p, p != 2, for each array that frame.parts yields (0 for
+    None); spare is a complex grid that is free between yields."""
+    N, L = spec.N, spec.L
+    # the yielded raw = L^2 g, so dx^2 sum |g|^p = L^-2p (L/N)^2 sum |raw|^p
     scale = L ** (-2.0 * p) * (L / N) ** 2
-    grid, spare = work
-    # spare holds the touched lines, then |raw|^2 in its first N^2 floats
-    mod2 = spare.view(np.float64).reshape(-1)[: N * N].reshape(N, N)
-    slot = np.empty(N, dtype=np.intp)
+    # spare holds |raw|^2 in its first N^2 floats
+    mod2 = spare.view(np.float64).reshape(-1)[: N * N]
     out = []
-    for l in directions:
-        idx, vals = frame.sparse(l)
-        coeffs = vals * flat[idx]
-        if not coeffs.any():
+    for raw in parts:
+        if raw is None:
             out.append(0.0)
             continue
-        axis, lines = frame.touched_lines(l)
-        line, pos = np.divmod(idx, N)
-        if axis == 1:
-            # work on the transpose: the sum of |g|^p does not change
-            line, pos = pos, line
-        slot[lines] = np.arange(lines.size)
-        part = spare[: lines.size]
-        part.fill(0.0)
-        part[slot[line], pos] = coeffs
-        grid.fill(0.0)
-        grid[lines] = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True)
-        raw = sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True).view(np.float64)
-        np.square(raw, out=raw)
-        np.add(raw[:, 0::2], raw[:, 1::2], out=mod2)
+        # raw may be a transposed view; the sum runs in memory order
+        pairs = raw.ravel(order="K").view(np.float64)
+        np.square(pairs, out=pairs)
+        np.add(pairs[0::2], pairs[1::2], out=mod2)
         np.power(mod2, p / 2.0, out=mod2)
         out.append(float(mod2.sum()) * scale)
     return out

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -44,8 +45,8 @@ from .grid import (
     GridField,
     GridSpec,
     SpectralMultiplier,
+    apply_multiplier,
     forward_transform,
-    inverse_transform,
     lattice,
 )
 from .profiles import BumpProfile
@@ -298,6 +299,41 @@ class ParabolicFrame:
         direction l's support meets, on the axis with fewer such lines."""
         return self._lines[l]
 
+    def parts(self, spectrum: np.ndarray, directions, work):
+        """Yield L^n phi_l(D) f on the x-grid for each l in directions, with
+        spectrum = forward_transform(f), or None when all of direction l's
+        coefficients are exactly zero.
+
+        The coefficients are scattered into the lattice lines the sector
+        touches (touched_lines); the first 1-D inverse pass runs on those
+        lines only and the second on the full grid.  On columns the passes
+        run on the transpose, whose transposed view is yielded.  work is
+        two complex scratch grids; a yielded array is overwritten by the
+        next step, and work[1] is free until then.
+        """
+        N = self.spec.N
+        flat = spectrum.ravel()
+        grid, spare = work
+        slot = np.empty(N, dtype=np.intp)
+        for l in directions:
+            idx, vals = self._sparse[l]
+            coeffs = vals * flat[idx]
+            if not coeffs.any():
+                yield None
+                continue
+            axis, lines = self._lines[l]
+            line, pos = np.divmod(idx, N)
+            if axis == 1:
+                line, pos = pos, line
+            slot[lines] = np.arange(lines.size)
+            part = spare[: lines.size]
+            part.fill(0.0)
+            part[slot[line], pos] = coeffs
+            grid.fill(0.0)
+            grid[lines] = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True)
+            raw = sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True)
+            yield raw.T if axis == 1 else raw
+
 
 def _touched_lines(idx: np.ndarray, N: int):
     rows, cols = np.divmod(idx, N)
@@ -328,28 +364,34 @@ def build_phi_omega(omega, spec: GridSpec, geometry: PhiGeometry) -> SpectralMul
 
 
 def frame_analyze(f: GridField, frame: ParabolicFrame) -> list:
-    """[phi_{omega_l}(D) f for every frame direction l]."""
+    """[phi_{omega_l}(D) f for every frame direction l], from one forward
+    transform and the line-pruned inverse passes of frame.parts.  A
+    direction whose coefficients are all exactly zero gives exact zeros."""
     if f.spec != frame.spec:
         raise ParameterError("field and frame grids differ")
-    flat = forward_transform(f).ravel()
+    spec = frame.spec
+    work = np.empty((2,) + spec.shape, dtype=complex)
+    scale = spec.L**-spec.n
     out = []
-    for idx, vals in frame._sparse:
-        g = np.zeros(flat.shape, dtype=complex)
-        g[idx] = vals * flat[idx]
-        out.append(inverse_transform(g.reshape(frame.spec.shape), frame.spec))
+    for raw in frame.parts(forward_transform(f), range(frame.n_directions), work):
+        samples = np.zeros(spec.shape) if raw is None else np.multiply(raw, scale, order="C")
+        out.append(GridField(spec, samples))
     return out
 
 
 def frame_synthesize(collection, frame: ParabolicFrame) -> GridField:
-    """Sum_l w_l m(D) g_l — inverts frame_analyze on |zeta| >= 1/2 spectra."""
+    """Sum_l w_l m(D) g_l — inverts frame_analyze on |zeta| >= 1/2 spectra.
+
+    By linearity this is m(D) applied to Sum_l w_l g_l, so the weighted
+    sum is taken in x and one transform pair runs."""
     if len(collection) != frame.n_directions:
         raise ParameterError("collection size does not match frame directions")
     acc = np.zeros(frame.spec.shape, dtype=complex)
     for w, g in zip(frame.directions.weights, collection):
         if g.spec != frame.spec:
             raise ParameterError("collection member grid differs from frame grid")
-        acc += w * forward_transform(g)
-    return inverse_transform(frame.m.values * acc, frame.spec)
+        acc += w * g.samples
+    return apply_multiplier(GridField(frame.spec, acc), frame.m)
 
 
 _FD_STENCILS = {

@@ -10,6 +10,7 @@ table is never materialized.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,18 +110,14 @@ def smooth_split(a: DenseSymbol, gamma: float, fam: LittlewoodPaleyFamily | None
     mags = lattice(a.spec).mags
 
     def sharp_fn(eta):
+        # Sum_k w_k ifft(h_k fft(a)) = ifft((Sum_k w_k h_k) fft(a)): one pair
         rho = float(np.hypot(eta[0], eta[1]))
-        out = np.zeros(a.spec.shape, dtype=complex)
-        spectrum = None
+        cut = np.zeros(a.spec.shape)
         for k in range(fam.J_max + 1):
             w = float(fam.band_profile(k, rho))
-            if w == 0.0:
-                continue
-            if spectrum is None:
-                spectrum = np.fft.fftn(a.eval(eta))
-            cut = fam.lowpass_profile(2.0 ** (-gamma * k) * mags)
-            out += w * np.fft.ifftn(cut * spectrum)
-        return out
+            if w != 0.0:
+                cut += w * fam.lowpass_profile(2.0 ** (-gamma * k) * mags)
+        return np.fft.ifftn(cut * np.fft.fftn(a.eval(eta)))
 
     sharp = DenseSymbol(a.spec, sharp_fn, r=a.r, m=a.m, delta=gamma)
     flat = DenseSymbol(
@@ -248,9 +245,6 @@ class FourierModeDecomposition:
     subgrid: int
     coeffs: dict
     aux: AuxiliaryFamilies
-
-    def modes(self, k: int):
-        return sorted(self.coeffs[k].keys())
 
 
 def coifman_meyer_decompose(
@@ -406,10 +400,17 @@ def load_symbol(path, spec: GridSpec | None = None):
     "dense" (named preset with parameters; "dense" forces the dense
     representation).
     """
-    import os
-
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path}: symbol descriptor is not a JSON object")
+    try:
+        return _symbol_from_descriptor(doc, path, spec)
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: symbol descriptor lacks {exc}") from None
+
+
+def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
     kind = doc.get("kind")
     base = os.path.dirname(os.path.abspath(path))
     if spec is None and "grid" in doc:

@@ -187,3 +187,68 @@ def test_version_flag_matches_package():
     h1 = config_hash(DEFAULT_CONFIG)
     h2 = config_hash(json.loads(json.dumps(DEFAULT_CONFIG)))
     assert h1 == h2 and len(h1) == 16
+
+
+@pytest.mark.parametrize("doc", [
+    {"grid": {"N": "x"}},
+    {"seed": "a"},
+    {"M_omega": "z"},
+    {"grid": 64},
+    {"p_list": 4.0},
+    [1, 2],
+])
+def test_malformed_config_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["--config", str(cfg), "calibrate"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_fields_are_converted_once(tmp_path):
+    from fiokit.cli import load_config
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"N": "32"}, "r": 2, "seed": "7", "bands": ["1", 2]}))
+    cfg = load_config(str(path), {"seed": None})
+    assert cfg["grid"] == {"n": 2, "N": 32, "L": 2.0 * np.pi * 16.0}
+    assert type(cfg["r"]) is float and cfg["r"] == 2.0
+    assert cfg["seed"] == 7 and cfg["bands"] == [1, 2] and cfg["M_omega"] is None
+
+
+def _apply_with_symbol(tmp_path, symbol_doc, f):
+    field_path = tmp_path / "f.fiof"
+    fk.write_fiof(field_path, f)
+    sym_path = tmp_path / "sym.json"
+    sym_path.write_text(json.dumps(symbol_doc))
+    return main(["apply", "--symbol", str(sym_path), "--field", str(field_path),
+                 "--output", str(tmp_path / "out.fiof")])
+
+
+@pytest.mark.parametrize("symbol_doc", [
+    ["identity"],
+    {"kind": "analytic-preset"},
+    {"kind": "separable"},
+    {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {}},
+])
+def test_apply_malformed_symbol_exits_1(tmp_path, capsys, symbol_doc):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    assert _apply_with_symbol(tmp_path, symbol_doc, fk.GridField(spec, np.ones(spec.shape))) == 1
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and "symbol descriptor" in err
+    assert not (tmp_path / "out.fiof").exists()
+
+
+def test_apply_multiplication_preset(tmp_path, capsys):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    rng = np.random.default_rng(5)
+    b, f = (fk.GridField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+            for _ in range(2))
+    fk.write_fiof(tmp_path / "b.fiof", b)
+    doc = {"kind": "analytic-preset", "preset": "multiplication", "params": {"b_file": "b.fiof"}}
+    assert _apply_with_symbol(tmp_path, doc, f) == 0
+    capsys.readouterr()
+    # a(x, eta) = b(x) is the operator f -> b f
+    want = b.samples * f.samples
+    out = fk.read_fiof(tmp_path / "out.fiof")
+    assert np.abs(out.samples - want).max() <= 1e-11 * np.abs(want).max()

@@ -195,3 +195,11 @@ def test_fiof_rejects_invalid_grid_header(tmp_path, n, N, L):
     path.write_bytes(b"FIOF" + struct.pack("<III d", 1, n, N, L))
     with pytest.raises(fk.InvalidInputError, match="bad header"):
         fk.read_fiof(path)
+
+
+def test_fiof_rejects_huge_dimension_before_sizing(tmp_path):
+    # N**n with n = 2**32 - 1 would be an integer of about 2 GB
+    path = tmp_path / "huge_n.fiof"
+    path.write_bytes(b"FIOF" + struct.pack("<III d", 1, 2**32 - 1, 16, 1.0))
+    with pytest.raises(fk.InvalidInputError, match="bad header"):
+        fk.read_fiof(path)
