@@ -67,9 +67,12 @@ _LIST_TYPES = {"p_list": float, "s_list": float, "bands": int}
 
 def _convert(name: str, kind, val):
     try:
-        return kind(val)
+        out = kind(val)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name}={val!r} is not {kind.__name__}") from None
+    if kind is int and isinstance(val, float) and out != val:  # int() truncates
+        raise ParameterError(f"{name}={val!r} is not an integer")
+    return out
 
 
 def load_config(path: str | None, overrides: dict) -> dict:

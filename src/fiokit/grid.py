@@ -4,16 +4,19 @@ Conventions match the continuum: the forward transform carries the
 cell volume (L/N)^n, the inverse carries (2pi)^(-n) times the
 frequency-cell volume (2pi/L)^n.  A plane wave exp(i xi0.x) on the
 lattice therefore has a single spectral entry of value L^n, and the
-round trip is the identity to roundoff.
+round trip is the identity to roundoff.  Every full-grid transform runs here.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import DimensionError, InvalidInputError, ParameterError
 
@@ -27,6 +30,12 @@ class GridSpec:
     L: float = 2.0 * np.pi * 16.0
 
     def __post_init__(self):
+        for name in ("n", "N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name}={value!r} must be an integer")
+        if isinstance(self.L, bool) or not isinstance(self.L, numbers.Real):
+            raise ParameterError(f"period L={self.L!r} must be a real number")
         if self.n < 1:
             raise ParameterError(f"dimension n={self.n} must be >= 1")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
@@ -133,8 +142,8 @@ def _check_specs(a: GridSpec, b: GridSpec):
 
 
 def forward_transform(f: GridField) -> np.ndarray:
-    """Continuum-normalized DFT: hat f(xi) = (L/N)^n sum_x e^{-i x.xi} f(x)."""
-    return np.fft.fftn(f.samples) * f.spec.cell_volume
+    """Continuum-normalized DFT (scipy.fft): hat f(xi) = (L/N)^n sum_x e^{-i x.xi} f(x)."""
+    return sfft.fftn(f.samples) * f.spec.cell_volume
 
 
 def inverse_transform(spectrum: np.ndarray, spec: GridSpec) -> GridField:
@@ -143,7 +152,7 @@ def inverse_transform(spectrum: np.ndarray, spec: GridSpec) -> GridField:
     spectrum = np.asarray(spectrum, dtype=complex)
     if spectrum.shape != spec.shape:
         raise InvalidInputError("spectrum shape does not match grid")
-    return GridField(spec, np.fft.ifftn(spectrum) * (spec.N / spec.L) ** spec.n)
+    return GridField(spec, sfft.ifftn(spectrum, norm="forward") * spec.L**-spec.n)
 
 
 def apply_multiplier(f: GridField, m: SpectralMultiplier) -> GridField:
@@ -208,7 +217,11 @@ def read_fiof(path) -> GridField:
                 raise ParameterError(f"{N}**{n} samples exceed any file")
         except (struct.error, ParameterError) as exc:
             raise InvalidInputError(f"{path}: bad header: {exc}") from None
-        raw = np.frombuffer(fh.read(), dtype="<c16")
-        if raw.size != N**n:
-            raise InvalidInputError(f"{path}: truncated payload")
+        # the payload's length is checked before any of it is read
+        size, left = 16 * N**n, os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
+            raise InvalidInputError(f"{path}: truncated payload: {left} of {size} bytes")
+        if left > size:
+            raise InvalidInputError(f"{path}: {left - size} bytes after the {size}-byte payload")
+        raw = np.frombuffer(fh.read(size), dtype="<c16")
         return GridField(spec, raw.reshape(spec.shape).astype(complex))

@@ -106,24 +106,22 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
 
 
 def _direction_powers(parts, p: float, spec, spare) -> list:
-    """||g_l||_p^p, p != 2, for each array that frame.parts yields (0 for
-    None); spare is a complex grid that is free between yields."""
-    N, L = spec.N, spec.L
-    # the yielded raw = L^2 g, so dx^2 sum |g|^p = L^-2p (L/N)^2 sum |raw|^p
-    scale = L ** (-2.0 * p) * (L / N) ** 2
-    # spare holds |raw|^2 in its first N^2 floats
-    mod2 = spare.view(np.float64).reshape(-1)[: N * N]
+    """||g_l||_p^p = dx^n sum |g_l|^p, p != 2, for each g_l = phi_l(D) f
+    that frame.parts yields (0 for None); spare is a complex grid that is
+    free between yields."""
+    # spare holds |g|^2 in its first N^n floats
+    mod2 = spare.view(np.float64).reshape(-1)[: spare.size]
     out = []
-    for raw in parts:
-        if raw is None:
+    for g in parts:
+        if g is None:
             out.append(0.0)
             continue
-        # raw may be a transposed view; the sum runs in memory order
-        pairs = raw.ravel(order="K").view(np.float64)
+        # g may be a transposed view; the sum runs in memory order
+        pairs = g.ravel(order="K").view(np.float64)
         np.square(pairs, out=pairs)
         np.add(pairs[0::2], pairs[1::2], out=mod2)
         np.power(mod2, p / 2.0, out=mod2)
-        out.append(float(mod2.sum()) * scale)
+        out.append(float(mod2.sum()) * spec.cell_volume)
     return out
 
 

@@ -300,18 +300,18 @@ class ParabolicFrame:
         return self._lines[l]
 
     def parts(self, spectrum: np.ndarray, directions, work):
-        """Yield L^n phi_l(D) f on the x-grid for each l in directions, with
+        """Yield phi_l(D) f on the x-grid for each l in directions, with
         spectrum = forward_transform(f), or None when all of direction l's
         coefficients are exactly zero.
 
-        The coefficients are scattered into the lattice lines the sector
-        touches (touched_lines); the first 1-D inverse pass runs on those
-        lines only and the second on the full grid.  On columns the passes
-        run on the transpose, whose transposed view is yielded.  work is
-        two complex scratch grids; a yielded array is overwritten by the
-        next step, and work[1] is free until then.
+        The coefficients, times L^-n, are scattered into the lattice lines
+        the sector touches (touched_lines); the first 1-D scipy.fft inverse
+        pass runs on those lines only and the second on the full grid.  On
+        columns the passes run on the transpose, whose transposed view is
+        yielded.  work is two complex scratch grids; a yielded array is
+        overwritten by the next step, and work[1] is free until then.
         """
-        N = self.spec.N
+        N, scale = self.spec.N, self.spec.L**-self.spec.n
         flat = spectrum.ravel()
         grid, spare = work
         slot = np.empty(N, dtype=np.intp)
@@ -321,6 +321,7 @@ class ParabolicFrame:
             if not coeffs.any():
                 yield None
                 continue
+            coeffs *= scale
             axis, lines = self._lines[l]
             line, pos = np.divmod(idx, N)
             if axis == 1:
@@ -331,8 +332,8 @@ class ParabolicFrame:
             part[slot[line], pos] = coeffs
             grid.fill(0.0)
             grid[lines] = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True)
-            raw = sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True)
-            yield raw.T if axis == 1 else raw
+            g = sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True)
+            yield g.T if axis == 1 else g
 
 
 def _touched_lines(idx: np.ndarray, N: int):
@@ -371,11 +372,9 @@ def frame_analyze(f: GridField, frame: ParabolicFrame) -> list:
         raise ParameterError("field and frame grids differ")
     spec = frame.spec
     work = np.empty((2,) + spec.shape, dtype=complex)
-    scale = spec.L**-spec.n
     out = []
-    for raw in frame.parts(forward_transform(f), range(frame.n_directions), work):
-        samples = np.zeros(spec.shape) if raw is None else np.multiply(raw, scale, order="C")
-        out.append(GridField(spec, samples))
+    for g in frame.parts(forward_transform(f), range(frame.n_directions), work):
+        out.append(GridField(spec, np.zeros(spec.shape) if g is None else g.copy()))
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily, build_auxiliary
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
-from .grid import GridField, GridSpec, lattice, read_fiof
+from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .norms import zygmund_norm
 from .parabolic import _fd_derivative
 
@@ -117,7 +117,7 @@ def smooth_split(a: DenseSymbol, gamma: float, fam: LittlewoodPaleyFamily | None
             w = float(fam.band_profile(k, rho))
             if w != 0.0:
                 cut += w * fam.lowpass_profile(2.0 ** (-gamma * k) * mags)
-        return np.fft.ifftn(cut * np.fft.fftn(a.eval(eta)))
+        return apply_multiplier(GridField(a.spec, a.eval(eta)), SpectralMultiplier(a.spec, cut)).samples
 
     sharp = DenseSymbol(a.spec, sharp_fn, r=a.r, m=a.m, delta=gamma)
     flat = DenseSymbol(
@@ -375,12 +375,11 @@ def preset_rough_chirp(
             continue
         j_top = min(chi.J_max, max(1, int(np.ceil(k * delta))))
         noise = rng.standard_normal(spec.shape)
-        spectrum = np.fft.fftn(noise)
         mask = np.zeros(spec.shape)
         for j in range(1, j_top + 1):
             amp = min(1.0, 2.0 ** ((k * delta - j) * r))
             mask += amp * chi.values[j]
-        v = np.real(np.fft.ifftn(mask * spectrum))
+        v = apply_multiplier(GridField(spec, noise), SpectralMultiplier(spec, mask)).samples.real
         v_field = GridField(spec, v.astype(complex))
         size = max(
             float(np.abs(v).max()),

@@ -80,6 +80,18 @@ def test_norm_missing_field_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("cut", [5, -32])
+def test_norm_bad_payload_length_exits_1(tmp_path, capsys, cut):
+    path = tmp_path / "cut.fiof"
+    fk.write_fiof(path, fk.GridField(fk.GridSpec(N=16, L=1.0), np.ones((16, 16))))
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut] if cut > 0 else data + bytes(-cut))
+    code = main(["norm", "--field", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "invariant failure" in err and "Traceback" not in err
+
+
 def test_norm_short_header_exits_1(tmp_path, capsys):
     path = tmp_path / "short.fiof"
     path.write_bytes(b"FIOF\x01\x00")
@@ -214,6 +226,29 @@ def test_config_fields_are_converted_once(tmp_path):
     assert cfg["grid"] == {"n": 2, "N": 32, "L": 2.0 * np.pi * 16.0}
     assert type(cfg["r"]) is float and cfg["r"] == 2.0
     assert cfg["seed"] == 7 and cfg["bands"] == [1, 2] and cfg["M_omega"] is None
+
+
+@pytest.mark.parametrize("doc", [{"seed": 1.5}, {"grid": {"N": 64.9}}, {"bands": [1, 2.5]}])
+def test_config_rejects_fractional_integers(tmp_path, doc):
+    from fiokit.cli import load_config
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fk.ParameterError, match="not an integer"):
+        load_config(str(path), {})
+
+
+def test_config_accepts_integral_floats(tmp_path, capsys):
+    from fiokit.cli import load_config
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 3.0, "grid": {"N": 64.0}}))
+    cfg = load_config(str(path), {})
+    assert cfg["seed"] == 3 and cfg["grid"]["N"] == 64
+    # a truncated value would have loaded; the fractional one exits 2
+    path.write_text(json.dumps({"grid": {"N": 64.9}}))
+    assert main(["--config", str(path), "calibrate"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def _apply_with_symbol(tmp_path, symbol_doc, f):

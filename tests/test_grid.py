@@ -7,6 +7,16 @@ import fiokit as fk
 from conftest import plane_wave, random_field
 
 
+@pytest.mark.parametrize("kwargs", [{"N": 64.0}, {"n": 2.0}, {"n": True}, {"L": "1"}, {"L": 1j}])
+def test_grid_spec_rejects_wrong_types(kwargs):
+    with pytest.raises(fk.ParameterError):
+        fk.GridSpec(**kwargs)
+
+
+def test_grid_spec_accepts_numpy_integers():
+    assert fk.GridSpec(n=np.int64(2), N=np.int32(64), L=np.float32(1.0)) == fk.GridSpec(N=64, L=1.0)
+
+
 def test_grid_spec_validation():
     with pytest.raises(fk.ParameterError):
         fk.GridSpec(N=48)
@@ -202,4 +212,31 @@ def test_fiof_rejects_huge_dimension_before_sizing(tmp_path):
     path = tmp_path / "huge_n.fiof"
     path.write_bytes(b"FIOF" + struct.pack("<III d", 1, 2**32 - 1, 16, 1.0))
     with pytest.raises(fk.InvalidInputError, match="bad header"):
+        fk.read_fiof(path)
+
+
+def _fiof_with_payload(tmp_path, spec, payload: bytes):
+    path = tmp_path / "payload.fiof"
+    path.write_bytes(b"FIOF" + struct.pack("<III d", 1, spec.n, spec.N, spec.L) + payload)
+    return path
+
+
+def test_fiof_rejects_payload_cut_mid_sample(tmp_path, spec64):
+    whole = bytes(16 * spec64.N**2)
+    path = _fiof_with_payload(tmp_path, spec64, whole[:-5])
+    with pytest.raises(fk.InvalidInputError, match="truncated payload"):
+        fk.read_fiof(path)
+
+
+def test_fiof_rejects_extra_samples(tmp_path, spec64):
+    path = _fiof_with_payload(tmp_path, spec64, bytes(16 * (spec64.N**2 + 2)))
+    with pytest.raises(fk.InvalidInputError, match="bytes after the"):
+        fk.read_fiof(path)
+
+
+def test_fiof_huge_grid_header_reads_nothing_large(tmp_path):
+    # 2**40 samples would be 16 TiB; the short file is rejected before any read
+    spec = fk.GridSpec(N=2**20, L=1.0)
+    path = _fiof_with_payload(tmp_path, spec, bytes(32))
+    with pytest.raises(fk.InvalidInputError, match="truncated payload"):
         fk.read_fiof(path)

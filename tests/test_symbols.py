@@ -97,6 +97,13 @@ def test_smooth_split_band_thresholds(spec_mid, fam_mid):
     assert np.abs(split.sharp.eval(eta1)).max() <= 1e-12
 
 
+def test_smooth_split_rejects_non_finite_slice(spec_mid, fam_mid):
+    a = fk.DenseSymbol(spec_mid, lambda eta: np.full(spec_mid.shape, np.nan))
+    split = fk.smooth_split(a, 0.75, fam_mid)
+    with pytest.raises(fk.InvalidInputError):
+        split.sharp.eval(np.array([1.0, 0.0]))
+
+
 def test_smooth_split_gamma_below_delta(spec_mid, fam_mid):
     chirp = fk.preset_rough_chirp(spec_mid, 1.0, 0.5, chi=fam_mid)
     with pytest.raises(fk.ParameterError):
@@ -432,3 +439,11 @@ def test_symbol_file_presets(tmp_path, spec_mid, rng):
     bad.write_text(json.dumps({"kind": "nope"}))
     with pytest.raises(fk.InvalidInputError):
         fk.load_symbol(bad)
+
+
+def test_symbol_file_grid_must_be_integral(tmp_path):
+    doc = {"kind": "analytic-preset", "preset": "identity", "grid": {"N": 64.0, "L": 1.0}}
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fk.ParameterError):
+        fk.load_symbol(path)
