@@ -61,6 +61,14 @@ class LittlewoodPaleyFamily:
             return self.lowpass_profile(rho)
         return self.lowpass_profile(rho * 2.0**-j) - self.lowpass_profile(rho * 2.0 ** (1 - j))
 
+    def band_weights(self, rho: float) -> np.ndarray:
+        """[psi_0(rho), ..., psi_J_max(rho)] for a scalar rho from one low-pass
+        call: h(2^{-j} rho) telescoped.  Scaling by 2^{-j} is exact, so entry j
+        equals band_profile(j, rho) bit for bit."""
+        h = self.lowpass_profile(np.ldexp(float(rho), -np.arange(self.J_max + 1)))
+        h[1:] -= h[:-1]
+        return h
+
     def multiplier(self, j: int) -> SpectralMultiplier:
         if not (0 <= j <= self.J_max):
             raise ParameterError(f"band index j={j} outside 0..{self.J_max}")

@@ -69,12 +69,11 @@ class SeparableSymbol:
 
     def densify(self) -> DenseSymbol:
         def fn(eta):
-            rho = float(np.hypot(eta[0], eta[1]))
+            w = self.chi.band_weights(np.hypot(eta[0], eta[1])).tolist()
             out = np.zeros(self.spec.shape, dtype=complex)
             for k, a_k in self.bands.items():
-                w = float(self.chi.band_profile(k, rho))
-                if w != 0.0:
-                    out += w * a_k.samples
+                if w[k] != 0.0:
+                    out += w[k] * a_k.samples
             return out
 
         return DenseSymbol(self.spec, fn, r=self.r, m=0.0, delta=self.delta)
@@ -109,20 +108,22 @@ def smooth_split(a: DenseSymbol, gamma: float, fam: LittlewoodPaleyFamily | None
         fam = LittlewoodPaleyFamily(a.spec)
     mags = lattice(a.spec).mags
 
-    def sharp_fn(eta):
-        # Sum_k w_k ifft(h_k fft(a)) = ifft((Sum_k w_k h_k) fft(a)): one pair
-        rho = float(np.hypot(eta[0], eta[1]))
+    def smoothed(s, eta):
+        # Sum_k w_k ifft(h_k fft(s)) = ifft((Sum_k w_k h_k) fft(s)): one pair
         cut = np.zeros(a.spec.shape)
-        for k in range(fam.J_max + 1):
-            w = float(fam.band_profile(k, rho))
+        for k, w in enumerate(fam.band_weights(np.hypot(eta[0], eta[1])).tolist()):
             if w != 0.0:
                 cut += w * fam.lowpass_profile(2.0 ** (-gamma * k) * mags)
-        return apply_multiplier(GridField(a.spec, a.eval(eta)), SpectralMultiplier(a.spec, cut)).samples
+        return apply_multiplier(GridField(a.spec, s), SpectralMultiplier(a.spec, cut)).samples
 
-    sharp = DenseSymbol(a.spec, sharp_fn, r=a.r, m=a.m, delta=gamma)
+    def flat_fn(eta):
+        s = a.eval(eta)
+        return s - smoothed(s, eta)
+
+    sharp = DenseSymbol(a.spec, lambda eta: smoothed(a.eval(eta), eta), r=a.r, m=a.m, delta=gamma)
     flat = DenseSymbol(
         a.spec,
-        lambda eta: a.eval(eta) - sharp_fn(eta),
+        flat_fn,
         r=a.r,
         m=a.m - (gamma - a.delta) * a.r,
         delta=gamma,

@@ -155,3 +155,22 @@ def test_square_function_norm_one_forward_fft(spec64, fam64, rng, monkeypatch):
     monkeypatch.setattr(scipy.fft, "fftn", counted)
     fk.square_function_norm(f, 0.5, 3.0, fam64)
     assert len(calls) == 1
+
+
+def _assert_weights_match_profiles(fam, rho):
+    want = np.array([fam.band_profile(j, rho) for j in range(fam.J_max + 1)])
+    assert fam.band_weights(rho).tobytes() == want.tobytes()
+
+
+def test_band_weights_equal_band_profile(fam64):
+    eps = fam64.eps
+    edges = [0.0, 1.0 - eps / 2.0]
+    for j in range(fam64.J_max + 1):
+        edges += [2.0**j * (1.0 - eps) / 2.0, 2.0**j * (1.0 + eps) / 2.0, 2.0**j * (2.0 - eps)]
+    edges += [2.0**fam64.J_max * 1.5, 2.0 ** (fam64.J_max + 4)]
+    for rho in edges:
+        for r in (np.nextafter(rho, -np.inf), rho, np.nextafter(rho, np.inf)):
+            if r >= 0.0:
+                _assert_weights_match_profiles(fam64, r)
+    for rho in np.linspace(0.0, 2.0 ** (fam64.J_max + 1), 1001):
+        _assert_weights_match_profiles(fam64, rho)

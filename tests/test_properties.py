@@ -1,10 +1,12 @@
 """Construction invariants as properties: the Littlewood-Paley partition
-of unity, the frame's hard-zero sector supports, its coverage and energy
-sums, paraproduct completeness and the band split against lp_project.
+of unity, the off-lattice band weights, the frame's hard-zero sector
+supports, its coverage and energy sums, paraproduct completeness and the
+band split against lp_project.
 
 Grids and frames are drawn as in test_directional.py (N in {16, 32, 64},
 L in [2 pi, 32 pi], M in [4, 64]), with eps in (0, 1/4) for the
-Littlewood-Paley families, under the same Hypothesis settings.
+Littlewood-Paley families, under the same Hypothesis settings.  The band
+weights are also drawn at N = 128.
 """
 
 import functools
@@ -24,8 +26,8 @@ def _family(N, L, eps):
 
 
 @st.composite
-def families(draw):
-    N = draw(st.sampled_from([16, 32, 64]))
+def families(draw, sizes=(16, 32, 64)):
+    N = draw(st.sampled_from(sizes))
     L = draw(st.floats(2.0 * np.pi, 32.0 * np.pi))
     eps = draw(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True))
     try:
@@ -43,6 +45,18 @@ def test_property_partition_of_unity(fam):
         assert values.min() >= 0.0
         # each band vanishes exactly where its analytic profile does
         assert not values[fam.band_profile(j, mags) == 0.0].any()
+
+
+@PROPERTY_SETTINGS
+@given(fam=families(sizes=(16, 32, 64, 128)), t=st.floats(0.0, 2.0))
+def test_property_band_weights(fam, t):
+    cover = 2.0**fam.J_max * (1.0 + fam.eps) / 2.0
+    rho = t * cover
+    weights = fam.band_weights(rho)
+    want = np.array([fam.band_profile(j, rho) for j in range(fam.J_max + 1)])
+    assert weights.tobytes() == want.tobytes()
+    if rho <= cover:
+        assert abs(weights.sum() - 1.0) <= 1e-15
 
 
 @PROPERTY_SETTINGS

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import fiokit as fk
 from conftest import plane_wave, random_field
@@ -75,6 +76,37 @@ def test_smooth_split_exactness(spec_mid, fam_mid, rng):
             ref = a.eval(eta)
             resid = split.sharp.eval(eta) + split.flat.eval(eta) - ref
             assert np.abs(resid).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+
+def test_smooth_split_flat_is_closure_of_sharp(spec_mid, fam_mid):
+    a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid).densify()
+    split = fk.smooth_split(a, 0.75, fam_mid)
+    for eta in (np.array([0.3, 0.1]), np.array([1.9, 0.8]), np.array([5.0, -2.0])):
+        want = a.eval(eta) - split.sharp.eval(eta)
+        assert split.flat.eval(eta).tobytes() == want.tobytes()
+
+
+def test_smooth_split_flat_evaluates_symbol_once(spec_mid, fam_mid, monkeypatch):
+    a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid).densify()
+    field = a.field
+    evals, calls = [], []
+
+    def counted_field(eta):
+        evals.append(1)
+        return field(eta)
+
+    a.field = counted_field
+    split = fk.smooth_split(a, 0.75, fam_mid)
+    fftn = scipy.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", counted)
+    split.flat.eval(np.array([1.9, 0.8]))
+    assert len(evals) == 1
+    assert len(calls) == 1
 
 
 def test_smooth_split_x_independent_has_zero_flat(spec_mid, fam_mid):
@@ -348,6 +380,20 @@ def test_mode_validation(spec_cm):
 # ---------------------------------------------------------------------------
 # separable conversion and presets
 # ---------------------------------------------------------------------------
+
+
+def test_densify_eval_runs_one_lowpass_call(spec_mid, fam_mid, monkeypatch):
+    a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid).densify()
+    calls = []
+    lowpass = fk.LittlewoodPaleyFamily.lowpass_profile
+
+    def counted(self, t):
+        calls.append(1)
+        return lowpass(self, t)
+
+    monkeypatch.setattr(fk.LittlewoodPaleyFamily, "lowpass_profile", counted)
+    a.eval(np.array([1.9, 0.8]))
+    assert len(calls) == 1
 
 
 def test_to_separable_recovers_separable(spec_mid, fam_mid, rng):
