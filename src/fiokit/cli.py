@@ -118,10 +118,6 @@ def _grid(cfg: dict) -> GridSpec:
     return GridSpec(n=g["n"], N=g["N"], L=g["L"])
 
 
-def _frame(cfg: dict, spec: GridSpec) -> ParabolicFrame:
-    return ParabolicFrame(spec, cfg["M_omega"])
-
-
 class CheckSuite:
     def __init__(self):
         self.failures = 0
@@ -166,7 +162,7 @@ def _calibration_checks(cfg: dict, suite: CheckSuite):
         1e-8,
     )
 
-    frame = _frame(cfg, spec)
+    frame = ParabolicFrame(spec, cfg["M_omega"])
     psi = frame.geometry.psi
     worst = 0.0
     for rho in np.geomspace(0.05, spec.xi_max, 20):
@@ -199,14 +195,14 @@ def _calibration_checks(cfg: dict, suite: CheckSuite):
     return spec, fam, aux, frame, rng
 
 
-def cmd_calibrate(cfg: dict) -> int:
+def cmd_calibrate(cfg: dict, args) -> int:
     suite = CheckSuite()
     print(f"# calibrate  config={config_hash(cfg)}  version={__version__}")
     _calibration_checks(cfg, suite)
     return suite.exit_code()
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict, args) -> int:
     suite = CheckSuite()
     print(f"# verify  config={config_hash(cfg)}  version={__version__}")
     spec, fam, aux, frame, rng = _calibration_checks(cfg, suite)
@@ -228,7 +224,7 @@ def cmd_verify(cfg: dict) -> int:
         1e-12,
     )
 
-    chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"])
+    chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
     dense = chirp.densify()
     split = smooth_split(dense, 0.75, fam)
     eta = np.array([1.7, 0.4])
@@ -260,11 +256,11 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_norm(cfg: dict, args) -> int:
     field = read_fiof(args.field)
-    frame = _frame(cfg, field.spec)
+    frame = ParabolicFrame(field.spec, cfg["M_omega"])
     out = {
         "lp": lp_norm(field, args.p),
         "sobolev": classical_norm(field, args.s, args.p),
-        "zygmund": zygmund_norm(field, args.r),
+        "zygmund": zygmund_norm(field, args.r, build_lp_family(field.spec, cfg["eps"])),
         "hpfio": hpfio_norm(field, args.s, args.p, frame),
         "p": args.p,
         "s": args.s,
@@ -297,10 +293,11 @@ def cmd_smooth(cfg: dict, args) -> int:
     flat_sup = 0.0
     for eta in etas:
         ref = sym.eval(eta)
-        resid = split.sharp.eval(eta) + split.flat.eval(eta) - ref
+        flat = split.flat.eval(eta)
+        resid = split.sharp.eval(eta) + flat - ref
         scale = max(float(np.abs(ref).max()), 1e-300)
         worst = max(worst, float(np.abs(resid).max()) / scale)
-        flat_sup = max(flat_sup, float(np.abs(split.flat.eval(eta)).max()))
+        flat_sup = max(flat_sup, float(np.abs(flat).max()))
     out = {
         "gamma": args.gamma,
         "split_residual": worst,
@@ -317,7 +314,7 @@ def cmd_bench(cfg: dict, args) -> int:
     if len(cfg["s_list"]) > 1:
         raise ParameterError(f"s_list={cfg['s_list']!r}: one s serves every p, give [] or [s]")
     spec = _grid(cfg)
-    frame = _frame(cfg, spec)
+    frame = ParabolicFrame(spec, cfg["M_omega"])
     fam = build_lp_family(spec, cfg["eps"])
     chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
     family = build_test_family(spec, frame, cfg["bands"], seed=cfg["seed"], fam=fam)
@@ -342,13 +339,8 @@ def cmd_bench(cfg: dict, args) -> int:
             entry["spectral_bound"] = rep0.spectral_bound
             entry["l2_sup_ratio"] = rep0.sup_ratio
         summary["trends"][repr(p)] = entry
-    header = "p,s_in,s_out,k,member,in_norm,out_norm,ratio"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['p']!r},{row['s_in']!r},{row['s_out']!r},{row['k']},"
-            f"{row['member']},{row['in_norm']!r},{row['out_norm']!r},{row['ratio']!r}"
-        )
+    keys = ("p", "s_in", "s_out", "k", "member", "in_norm", "out_norm", "ratio")
+    lines = [",".join(keys)] + [",".join(str(row[key]) for key in keys) for row in rows]
     with open(cfg["csv_out"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(cfg["json_out"], "w") as fh:
@@ -366,47 +358,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--M-omega", dest="M_omega", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("calibrate")
-    sub.add_parser("verify")
+    sub.add_parser("calibrate").set_defaults(run=cmd_calibrate)
+    sub.add_parser("verify").set_defaults(run=cmd_verify)
     p_norm = sub.add_parser("norm")
+    p_norm.set_defaults(run=cmd_norm)
     p_norm.add_argument("--field", required=True)
     p_norm.add_argument("--p", type=float, default=2.0)
     p_norm.add_argument("--s", type=float, default=0.0)
     p_norm.add_argument("--r", type=float, default=1.0)
     p_apply = sub.add_parser("apply")
+    p_apply.set_defaults(run=cmd_apply)
     p_apply.add_argument("--symbol", required=True)
     p_apply.add_argument("--field", required=True)
     p_apply.add_argument("--output", required=True)
     p_smooth = sub.add_parser("smooth")
+    p_smooth.set_defaults(run=cmd_smooth)
     p_smooth.add_argument("--symbol", required=True)
     p_smooth.add_argument("--gamma", type=float, default=0.75)
-    sub.add_parser("bench-boundedness")
+    sub.add_parser("bench-boundedness").set_defaults(run=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "N": args.N,
-        "L": args.L,
-        "seed": args.seed,
-        "M_omega": args.M_omega,
-    }
+    overrides = {key: getattr(args, key) for key in ("N", "L", "seed", "M_omega")}
     try:
         cfg = load_config(args.config, overrides)
         _grid(cfg)  # validates grid parameters early
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "norm":
-            return cmd_norm(cfg, args)
-        if args.command == "apply":
-            return cmd_apply(cfg, args)
-        if args.command == "smooth":
-            return cmd_smooth(cfg, args)
-        if args.command == "bench-boundedness":
-            return cmd_bench(cfg, args)
+        return args.run(cfg, args)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -57,9 +57,8 @@ def plane_wave_member(spec: GridSpec, k: int) -> FamilyMember:
     """e^{i xi0 x} at the lattice point nearest the band-k center."""
     h = spec.xi_spacing
     target = _band_center(spec, k)
+    # _band_center keeps i <= 3N/8, inside the axis Nyquist range
     i = max(1, int(round(target / h)))
-    if i >= spec.N // 2:
-        raise ParameterError(f"band {k} exceeds the grid frequency range")
     spectrum = np.zeros(spec.shape, dtype=complex)
     spectrum[i, 0] = spec.L**spec.n
     return FamilyMember(f"plane_k{k}", k, _normalize(spec, spectrum))

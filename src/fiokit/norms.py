@@ -82,7 +82,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     if p == 2.0:
         volume = spec.L**spec.n
         high = np.vdot(weighted, frame.energy * weighted).real
-        return np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume)
+        return float(np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume))
     low_part = lp_norm(inverse_transform(low, spec), p)
 
     M = frame.n_directions
@@ -102,7 +102,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     total = 0.0
     for weight, power in zip(frame.directions.weights, powers):
         total += weight * power
-    return low_part + total ** (1.0 / p)
+    return float(low_part + total ** (1.0 / p))
 
 
 def _direction_powers(parts, p: float, spec, spare) -> list:

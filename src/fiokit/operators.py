@@ -44,36 +44,30 @@ from .symbols import DenseSymbol, SeparableSymbol
 MAX_DENSE_N = 128
 
 
-def _phase_table(spec: GridSpec) -> np.ndarray:
-    """E[l, i] = e^{i x_l xi_i} for the axis grid and axis frequencies."""
-    return np.exp(1j * np.outer(spec.x_axis(), lattice(spec).axis))
-
-
-def _check_dense(a: DenseSymbol, spec: GridSpec):
+def _lattice_walk(a: DenseSymbol, spec: GridSpec, f: GridField | None = None):
+    """Yield (i, c_i, a(., eta_i), e^{ix.eta_i}) for the lattice indices
+    i = (i1, i2) in C order, eta_i = (xi_i1, xi_i2): every i with c_i = 1
+    when f is None, else the i with c_i = f^(eta_i) != 0.  The grid and
+    size checks run first, before the transform or any evaluation."""
     if a.spec != spec:
         raise DimensionError("symbol and field grids differ")
     if spec.N > MAX_DENSE_N:
         raise ResolutionError(f"dense application restricted to N <= {MAX_DENSE_N}")
+    coef = np.ones(spec.shape) if f is None else forward_transform(f)
+    etas = lattice(spec).points().reshape(spec.shape + (spec.n,))
+    E = np.exp(1j * np.outer(spec.x_axis(), lattice(spec).axis))
+    for i in zip(*np.nonzero(coef)):
+        yield i, coef[i], a.eval(etas[i]), E[:, i[0], None] * E[None, :, i[1]]
 
 
 def apply_dense(a: DenseSymbol, f: GridField) -> GridField:
     """Direct frequency sum: (a(x,D)f)(x) = L^{-n} sum_eta a(x,eta) f^(eta) e^{ix.eta},
     for N <= MAX_DENSE_N."""
     spec = f.spec
-    _check_dense(a, spec)
-    spectrum = forward_transform(f)
-    E = _phase_table(spec)
     out = np.zeros(spec.shape, dtype=complex)
     scale = spec.L ** -spec.n
-    axis = lattice(spec).axis
-    for i1 in range(spec.N):
-        col = E[:, i1][:, None]
-        for i2 in range(spec.N):
-            coef = spectrum[i1, i2]
-            if coef == 0.0:
-                continue
-            eta = np.array([axis[i1], axis[i2]])
-            out += a.eval(eta) * (coef * scale) * (col * E[:, i2][None, :])
+    for _, coef, slice_, wave in _lattice_walk(a, spec, f):
+        out += slice_ * (coef * scale) * wave
     return GridField(spec, out)
 
 
@@ -81,17 +75,10 @@ def apply_dense_adjoint(a: DenseSymbol, g: GridField) -> GridField:
     """Adjoint of apply_dense on the grid inner product, computed exactly:
     (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n."""
     spec = g.spec
-    _check_dense(a, spec)
-    E = _phase_table(spec)
-    axis = lattice(spec).axis
     spectrum = np.zeros(spec.shape, dtype=complex)
     dv = spec.cell_volume
-    for i1 in range(spec.N):
-        row = np.conj(E[:, i1])[:, None]
-        for i2 in range(spec.N):
-            eta = np.array([axis[i1], axis[i2]])
-            phase = row * np.conj(E[:, i2])[None, :]
-            spectrum[i1, i2] = (np.conj(a.eval(eta)) * g.samples * phase).sum() * dv
+    for i, _, slice_, wave in _lattice_walk(a, spec):
+        spectrum[i] = (np.conj(slice_) * g.samples * np.conj(wave)).sum() * dv
     return inverse_transform(spectrum, spec)
 
 
@@ -220,7 +207,7 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     def conj_adjoint(v):
         return apply_multiplier(adj(a, apply_multiplier(v, phi)), phi_inv)
 
-    return np.sqrt(2.0) * power_iteration(conj_apply, conj_adjoint, frame.spec, seed=seed)
+    return float(np.sqrt(2.0) * power_iteration(conj_apply, conj_adjoint, frame.spec, seed=seed))
 
 
 @dataclass

@@ -287,3 +287,34 @@ def test_apply_multiplication_preset(tmp_path, capsys):
     want = b.samples * f.samples
     out = fk.read_fiof(tmp_path / "out.fiof")
     assert np.abs(out.samples - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_bench_csv_fields_are_plain_numbers(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 64, "L": 32 * np.pi}, "bands": [1, 2],
+                               "p_list": [2.0, 4.0], "csv_out": "run.csv"}))
+    code, _ = run(["--config", str(cfg), "bench-boundedness"], capsys)
+    assert code == 0
+    lines = (tmp_path / "run.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        for name, value in zip(header, line.split(","), strict=True):
+            if name != "member":
+                float(value)
+
+
+def test_norm_uses_configured_eps(tmp_path, capsys):
+    spec = fk.GridSpec(N=64, L=32 * np.pi)
+    rng = np.random.default_rng(0)
+    f = fk.GridField(spec, rng.standard_normal(spec.shape) + 0j)
+    path = tmp_path / "f.fiof"
+    fk.write_fiof(path, f)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.2}))
+    code, out = run(["--config", str(cfg), "--N", "64", "norm", "--field", str(path),
+                     "--r", "1.5"], capsys)
+    assert code == 0
+    zygmund = json.loads(out)["zygmund"]
+    assert zygmund == fk.zygmund_norm(f, 1.5, fk.build_lp_family(spec, 0.2))
+    assert zygmund != fk.zygmund_norm(f, 1.5)

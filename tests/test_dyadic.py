@@ -174,3 +174,9 @@ def test_band_weights_equal_band_profile(fam64):
                 _assert_weights_match_profiles(fam64, r)
     for rho in np.linspace(0.0, 2.0 ** (fam64.J_max + 1), 1001):
         _assert_weights_match_profiles(fam64, rho)
+
+
+def test_tilde_multiplier_rejects_band_outside_range(aux64):
+    for k in (-1, aux64.J_max + 1):
+        with pytest.raises(fk.ParameterError, match="outside 0.."):
+            aux64.tilde_multiplier(k)

@@ -240,3 +240,37 @@ def test_fiof_huge_grid_header_reads_nothing_large(tmp_path):
     path = _fiof_with_payload(tmp_path, spec, bytes(32))
     with pytest.raises(fk.InvalidInputError, match="truncated payload"):
         fk.read_fiof(path)
+
+
+SPEC16 = fk.GridSpec(N=16, L=1.0)
+
+
+def _fiof_with_version(path, version):
+    fk.write_fiof(path, fk.GridField(SPEC16, np.zeros(SPEC16.shape)))
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", version)
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda tmp: fk.GridField(SPEC16, np.zeros((8, 8))), fk.InvalidInputError, "sample shape"),
+        (lambda tmp: fk.SpectralMultiplier(SPEC16, np.ones((8, 8))), fk.InvalidInputError,
+         "multiplier shape"),
+        (lambda tmp: fk.SpectralMultiplier(SPEC16, np.full(SPEC16.shape, np.inf)),
+         fk.InvalidInputError, "non-finite"),
+        (lambda tmp: fk.inverse_transform(np.zeros((8, 8)), SPEC16), fk.InvalidInputError,
+         "spectrum shape"),
+        (lambda tmp: fk.bessel_potential(fk.GridField(SPEC16, np.ones(SPEC16.shape)), np.nan),
+         fk.ParameterError, "must be finite"),
+        (lambda tmp: fk.read_fiof(_fiof_with_version(tmp / "v2.fiof", 2)), fk.InvalidInputError,
+         "unsupported FIOF version 2"),
+    ],
+    ids=["field-shape", "multiplier-shape", "multiplier-non-finite", "inverse-shape",
+         "bessel-non-finite-s", "fiof-version"],
+)
+def test_grid_input_checks(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)

@@ -265,3 +265,16 @@ def test_budget_validation():
         fk.budget(-1.0, 0.0, 4.0, 2)
     with pytest.raises(fk.ParameterError):
         fk.budget(2.0, 0.0, 1.0, 2)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: fk.sobolev_s(0.5, 2), "out of range"),
+        (lambda: fk.budget(2.0, 0.5, 4.0, 2, eps_slack=0.0), "eps_slack"),
+    ],
+    ids=["sobolev-s-p", "budget-eps-slack"],
+)
+def test_norms_input_checks(call, match):
+    with pytest.raises(fk.ParameterError, match=match):
+        call()

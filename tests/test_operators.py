@@ -77,6 +77,47 @@ def test_apply_dense_adjointness(spec_op, chirp_op, rng):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
+@pytest.mark.parametrize("op", [fk.apply_dense, fk.apply_dense_adjoint])
+def test_dense_guards_fire_before_any_work(spec_op, op, monkeypatch):
+    # an all-zero input has no coefficient to visit; the checks still run,
+    # before any transform or symbol evaluation
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the dense guards")
+
+    monkeypatch.setattr(fk.operators, "forward_transform", refuse)
+    monkeypatch.setattr(fk.operators, "inverse_transform", refuse)
+    big = fk.GridSpec(N=256, L=2.0 * np.pi)
+    other = fk.GridSpec(N=64, L=8.0 * np.pi)
+    for spec, field_spec, error in [
+        (big, big, fk.ResolutionError),
+        (spec_op, other, fk.DimensionError),
+    ]:
+        a = fk.DenseSymbol(spec, refuse)
+        with pytest.raises(error):
+            op(a, fk.GridField(field_spec, np.zeros(field_spec.shape)))
+
+
+def counted(a):
+    """a with a(., eta) wrapped to record every evaluation."""
+    calls = []
+    inner = a.field
+    a.field = lambda eta: calls.append(eta) or inner(eta)
+    return a, calls
+
+
+def test_apply_dense_zero_field_evaluates_no_symbol(spec_op, chirp_op):
+    a, calls = counted(chirp_op.densify())
+    out = fk.apply_dense(a, fk.GridField(spec_op, np.zeros(spec_op.shape)))
+    assert len(calls) == 0
+    assert np.all(out.samples == 0)
+
+
+def test_apply_dense_adjoint_evaluates_every_eta(spec_op):
+    a, calls = counted(fk.preset_identity(spec_op))
+    fk.apply_dense_adjoint(a, fk.GridField(spec_op, np.zeros(spec_op.shape)))
+    assert len(calls) == spec_op.N**2
+
+
 # ---------------------------------------------------------------------------
 # separable application
 # ---------------------------------------------------------------------------
@@ -116,6 +157,13 @@ def test_apply_separable_adjointness(spec_op, chirp_op, rng):
     lhs = fk.l2_inner(fk.apply_separable(chirp_op, f), g)
     rhs = fk.l2_inner(f, fk.apply_separable_adjoint(chirp_op, g))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("op", [fk.apply_separable, fk.apply_separable_adjoint])
+def test_separable_grid_mismatch(chirp_op, op, rng):
+    other = fk.GridSpec(N=64, L=8.0 * np.pi)
+    with pytest.raises(fk.DimensionError, match="grids differ"):
+        op(chirp_op, random_field(other, rng))
 
 
 def test_apply_symbol_dispatch(spec_op, chirp_op, rng):

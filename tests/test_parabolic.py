@@ -258,3 +258,22 @@ def test_frame_energy_is_weighted_square_sum(frame64, M):
     assert np.array_equal(frame.energy, energy)
     phi, _ = _frame_weight_multipliers(frame)
     assert np.array_equal(phi.values, np.sqrt(frame.q_values**2 + energy))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda frame, other: fk.DirectionSet(3), "too small"),
+        (lambda frame, other: fk.frame_analyze(other, frame), "grids differ"),
+        (lambda frame, other: fk.frame_synthesize([], frame), "collection size"),
+        (lambda frame, other: fk.frame_synthesize([other] * frame.n_directions, frame),
+         "member grid differs"),
+        (lambda frame, other: fk.anisotropic_bound_check(frame, alpha_max=4), "alpha_max"),
+    ],
+    ids=["directions-M<4", "analyze-grid", "synthesize-count", "synthesize-grid",
+         "anisotropic-alpha>3"],
+)
+def test_parabolic_input_checks(frame64, call, match):
+    other = fk.GridField(fk.GridSpec(N=32), np.zeros((32, 32)))
+    with pytest.raises(fk.ParameterError, match=match):
+        call(frame64, other)

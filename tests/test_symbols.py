@@ -493,3 +493,52 @@ def test_symbol_file_grid_must_be_integral(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(fk.ParameterError):
         fk.load_symbol(path)
+
+
+def test_dense_symbol_broadcasts_scalar_slice(spec_mid):
+    out = fk.DenseSymbol(spec_mid, lambda eta: 2.0).eval([1.0, 0.0])
+    assert out.dtype == complex
+    assert out.shape == spec_mid.shape
+    assert np.all(out == 2.0)
+
+
+def _descriptor(tmp, doc):
+    path = tmp / "sym.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: 1.0, r=0.0),
+         fk.ParameterError, "r=0.0"),
+        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: 1.0, delta=1.5),
+         fk.ParameterError, "delta=1.5"),
+        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: np.ones((8, 8))).eval([1.0, 0.0]),
+         fk.InvalidInputError, "slice shape"),
+        (lambda spec, fam, tmp: fk.SeparableSymbol(
+            spec, {fam.J_max + 1: fk.GridField(spec, np.ones(spec.shape))}, fam),
+         fk.ParameterError, "outside family range"),
+        (lambda spec, fam, tmp: fk.SeparableSymbol(
+            spec, {1: fk.GridField(fk.GridSpec(N=16), np.ones((16, 16)))}, fam),
+         fk.DimensionError, "grid differs"),
+        (lambda spec, fam, tmp: fk.estimate_seminorms(fk.preset_identity(spec), 4, fam),
+         fk.ParameterError, "alpha_max"),
+        (lambda spec, fam, tmp: fk.paraproduct_hh(
+            fk.GridField(spec, np.ones(spec.shape)),
+            fk.GridField(fk.GridSpec(N=16), np.ones((16, 16))), fam),
+         fk.DimensionError, "different grids"),
+        (lambda spec, fam, tmp: fk.load_symbol(
+            _descriptor(tmp, {"kind": "analytic-preset", "preset": "identity"})),
+         fk.InvalidInputError, "lacks a grid"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(
+            tmp, {"kind": "dense", "preset": "nope", "grid": {"N": 16, "L": 1.0}})),
+         fk.InvalidInputError, "unknown preset 'nope'"),
+    ],
+    ids=["dense-r", "dense-delta", "slice-shape", "separable-band-range", "separable-grid",
+         "seminorms-alpha>3", "paraproduct-grid", "descriptor-without-grid", "unknown-preset"],
+)
+def test_symbols_input_checks(spec_mid, fam_mid, tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(spec_mid, fam_mid, tmp_path)
