@@ -127,12 +127,19 @@ def build_test_family(
 
 def embed(f: GridField, fine: GridSpec) -> GridField:
     """Exact embedding of a band-limited field on a finer grid with the
-    same period: lattice spectra agree frequency-by-frequency."""
+    same period: lattice spectra agree frequency-by-frequency, except that
+    Nyquist-line content is shared evenly between its aliases +-N/2."""
     coarse = f.spec
     if fine.L != coarse.L or fine.n != coarse.n or fine.N < coarse.N:
         raise ParameterError("target grid must refine the source grid (same period)")
     src = np.fft.fftshift(forward_transform(f))
+    if fine.N > coarse.N:
+        # a coarse Nyquist coefficient at -N/2 aliases +N/2 too: split it
+        # evenly over both (a corner over four), so a real field stays real
+        for axis in range(coarse.n):
+            half = 0.5 * np.take(src, [0], axis=axis)
+            src = np.concatenate([half, np.take(src, range(1, coarse.N), axis=axis), half], axis)
     dst = np.zeros(fine.shape, dtype=complex)
     off = (fine.N - coarse.N) // 2
-    dst[off : off + coarse.N, off : off + coarse.N] = src
+    dst[(slice(off, off + src.shape[0]),) * fine.n] = src
     return inverse_transform(np.fft.ifftshift(dst), fine)

@@ -4,7 +4,8 @@ Conventions match the continuum: the forward transform carries the
 cell volume (L/N)^n, the inverse carries (2pi)^(-n) times the
 frequency-cell volume (2pi/L)^n.  A plane wave exp(i xi0.x) on the
 lattice therefore has a single spectral entry of value L^n, and the
-round trip is the identity to roundoff.  Every full-grid transform runs here.
+round trip is the identity to roundoff.  Every full-grid transform runs
+here, except the per-band ones of the separable operator cores.
 """
 
 from __future__ import annotations

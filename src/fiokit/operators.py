@@ -15,8 +15,10 @@ stop at its iteration cap before it converges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import (
     DegenerateInputError,
@@ -29,7 +31,6 @@ from .grid import (
     GridField,
     GridSpec,
     SpectralMultiplier,
-    apply_multiplier,
     forward_transform,
     inverse_transform,
     lattice,
@@ -82,25 +83,37 @@ def apply_dense_adjoint(a: DenseSymbol, g: GridField) -> GridField:
     return inverse_transform(spectrum, spec)
 
 
+def _synth(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
+    """Samples of Sum_k a_k(x) (chi_k(D) f)(x) from spectrum = forward_transform(f);
+    each band's inverse runs on scipy.fft directly, as in ParabolicFrame.parts."""
+    scale = a.spec.L ** -a.spec.n
+    out = np.zeros(a.spec.shape, dtype=complex)
+    for k, a_k in a.bands.items():
+        out += a_k.samples * (sfft.ifftn(a.chi.values[k] * spectrum, norm="forward") * scale)
+    return out
+
+
+def _analyze(a: SeparableSymbol, samples: np.ndarray) -> np.ndarray:
+    """Spectrum Sum_k chi_k F(conj(a_k) g) of the adjoint on g's samples."""
+    dv = a.spec.cell_volume
+    out = np.zeros(a.spec.shape, dtype=complex)
+    for k, a_k in a.bands.items():
+        out += a.chi.values[k] * (sfft.fftn(np.conj(a_k.samples) * samples) * dv)
+    return out
+
+
 def apply_separable(a: SeparableSymbol, f: GridField) -> GridField:
     """Sum_k a_k(x) (chi_k(D) f)(x)."""
     if a.spec != f.spec:
         raise DimensionError("symbol and field grids differ")
-    out = np.zeros(f.spec.shape, dtype=complex)
-    for k, fk in a.chi.bands(f, a.bands):
-        out += a.bands[k].samples * fk
-    return GridField(f.spec, out)
+    return GridField(f.spec, _synth(a, forward_transform(f)))
 
 
 def apply_separable_adjoint(a: SeparableSymbol, g: GridField) -> GridField:
     """Sum_k chi_k(D) (conj(a_k) g)."""
     if a.spec != g.spec:
         raise DimensionError("symbol and field grids differ")
-    acc = np.zeros(g.spec.shape, dtype=complex)
-    for k, a_k in a.bands.items():
-        prod = GridField(g.spec, np.conj(a_k.samples) * g.samples)
-        acc += a.chi.values[k] * forward_transform(prod)
-    return inverse_transform(acc, g.spec)
+    return inverse_transform(_analyze(a, g.samples), g.spec)
 
 
 def apply_symbol(a, f: GridField) -> GridField:
@@ -193,21 +206,38 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     frame.energy (energy = sum_l w_l phi_l^2).  Hence every probe ratio
     is at most sqrt(2) times the L^2 spectral norm of Phi(D) T Phi(D)^{-1}.
 
+    Power iteration runs on B*B = (T Phi^{-1})* Phi^2 (T Phi^{-1}), with
+    B = Phi T Phi^{-1}: apply_fn = T Phi^{-1} and adjoint_fn = Phi^{-1} T* Phi^2.
+    T starts from Phi^{-1} F v and T* ends in a spectrum, so a step runs four
+    grid transforms (F v; F, F^{-1} around Phi^2; the last F^{-1}), plus, for a
+    separable symbol, one scipy.fft transform per band in each of T and T*.
+
     The returned number is not that bound itself.  Power iteration gives a
     lower estimate of the spectral norm, and it returns after 200
     applies whether or not it has converged, without saying which; so
     the result may sit below the true sqrt(2) ||Phi T Phi^{-1}||_2.
     """
+    if a.spec != frame.spec:
+        raise DimensionError("symbol and frame grids differ")
     phi, phi_inv = _frame_weight_multipliers(frame)
-    adj = apply_separable_adjoint if isinstance(a, SeparableSymbol) else apply_dense_adjoint
+    spec, phi_inv, phi_sq = frame.spec, phi_inv.values, phi.values**2
+    if isinstance(a, SeparableSymbol):
+        synth, analyze = partial(_synth, a), partial(_analyze, a)
+    else:  # one more transform pair each way; the N^2 lattice walk dominates
+        def synth(spectrum):
+            return apply_dense(a, inverse_transform(spectrum, spec)).samples
 
-    def conj_apply(v):
-        return apply_multiplier(apply_symbol(a, apply_multiplier(v, phi_inv)), phi)
+        def analyze(samples):
+            return forward_transform(apply_dense_adjoint(a, GridField(spec, samples)))
 
-    def conj_adjoint(v):
-        return apply_multiplier(adj(a, apply_multiplier(v, phi)), phi_inv)
+    def apply_fn(v):
+        return GridField(spec, synth(phi_inv * forward_transform(v)))
 
-    return float(np.sqrt(2.0) * power_iteration(conj_apply, conj_adjoint, frame.spec, seed=seed))
+    def adjoint_fn(u):
+        g = inverse_transform(phi_sq * forward_transform(u), spec)
+        return inverse_transform(phi_inv * analyze(g.samples), spec)
+
+    return float(np.sqrt(2.0) * power_iteration(apply_fn, adjoint_fn, spec, seed=seed))
 
 
 @dataclass

@@ -10,3 +10,16 @@ def test_plane_wave_member_clips_high_bands(N, L):
     spec = fk.GridSpec(N=N, L=L)
     spectrum = np.abs(fk.forward_transform(fk.plane_wave_member(spec, 40).field))
     assert np.unravel_index(np.argmax(spectrum), spec.shape) == (3 * N // 8, 0)
+
+
+def test_embed_keeps_a_real_field_with_nyquist_content_real():
+    # white noise carries content on the Nyquist lines and corners; the
+    # embedded field must stay real and interpolate the coarse samples
+    coarse = fk.GridSpec(N=64, L=2.0 * np.pi)
+    f = fk.GridField(coarse, np.random.default_rng(0).standard_normal(coarse.shape))
+    assert np.abs(fk.forward_transform(f)[coarse.N // 2]).max() > 1e-3
+    for N in (128, 256):
+        g = fk.embed(f, fk.GridSpec(N=N, L=coarse.L)).samples
+        assert np.abs(g.imag).max() <= 1e-13
+        step = N // coarse.N
+        assert np.abs(g[::step, ::step] - f.samples).max() <= 1e-13

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import fiokit as fk
 from conftest import random_field
@@ -269,6 +270,94 @@ def test_certified_bound_dominates_multiplier_norm(spec64, frame64):
     sym = fk.SeparableSymbol(spec64, bands, fam)  # identity operator
     bound = fk.certified_l2_bound(sym, frame64)
     assert bound == pytest.approx(np.sqrt(2.0), rel=1e-6)
+
+
+def identity_bands(spec, fam):
+    return {k: fk.GridField(spec, np.ones(spec.shape, complex)) for k in range(fam.J_max + 1)}
+
+
+def capture_power_iteration(monkeypatch):
+    """Wrap fiokit.operators.power_iteration: record each call's
+    (apply_fn, adjoint_fn) pair and the number of apply_fn calls."""
+    calls = []
+    original = fk.operators.power_iteration
+
+    def wrapped(apply_fn, adjoint_fn, spec, **kwargs):
+        calls.append({"pair": (apply_fn, adjoint_fn), "applies": 0})
+
+        def counted(v):
+            calls[-1]["applies"] += 1
+            return apply_fn(v)
+
+        return original(counted, adjoint_fn, spec, **kwargs)
+
+    monkeypatch.setattr(fk.operators, "power_iteration", wrapped)
+    return calls
+
+
+def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, monkeypatch):
+    # oracle: Phi T Phi^{-1} and its adjoint, composed from the public
+    # multiplier and separable applies
+    chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
+    phi = np.sqrt(frame64.q_values**2 + frame64.energy)
+    phi_m = fk.SpectralMultiplier(spec64, phi)
+    phi_inv = fk.SpectralMultiplier(spec64, 1.0 / phi)
+    oracle_applies = 0
+
+    def conj_apply(v):
+        nonlocal oracle_applies
+        oracle_applies += 1
+        inner = fk.apply_separable(chirp, fk.apply_multiplier(v, phi_inv))
+        return fk.apply_multiplier(inner, phi_m)
+
+    def conj_adjoint(v):
+        inner = fk.apply_separable_adjoint(chirp, fk.apply_multiplier(v, phi_m))
+        return fk.apply_multiplier(inner, phi_inv)
+
+    oracle = np.sqrt(2.0) * fk.power_iteration(conj_apply, conj_adjoint, spec64)
+    calls = capture_power_iteration(monkeypatch)
+    bound = fk.certified_l2_bound(chirp, frame64)
+    assert bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert calls[0]["applies"] == oracle_applies
+
+    # one power step: 4 grid transforms plus one per band in each of T, T*
+    apply_fn, adjoint_fn = calls[0]["pair"]
+    count = {"n": 0}
+
+    def counting(fn):
+        def run(*args, **kwargs):
+            count["n"] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+    v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
+    adjoint_fn(apply_fn(v))
+    assert count["n"] == 2 * len(chirp.bands) + 4
+
+
+def test_certified_bound_rejects_other_grid(spec64, frame64, monkeypatch):
+    # equal shapes, different periods: nothing downstream would notice
+    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
+    fam = fk.build_lp_family(spec)
+    sym = fk.SeparableSymbol(spec, identity_bands(spec, fam), fam)
+    calls = capture_power_iteration(monkeypatch)
+    with pytest.raises(fk.DimensionError, match="grids differ"):
+        fk.certified_l2_bound(sym, frame64)
+    assert calls == []
+
+
+def test_certified_bound_dense_branch(spec64, frame64, fam64, monkeypatch):
+    # the identity commutes with Phi, so B*B = I and the iteration stops
+    # after its second step
+    sym = fk.SeparableSymbol(spec64, identity_bands(spec64, fam64), fam64)
+    calls = capture_power_iteration(monkeypatch)
+    dense = fk.certified_l2_bound(sym.densify(), frame64)
+    assert calls[0]["applies"] == 2
+    assert dense == pytest.approx(np.sqrt(2.0), rel=0.0, abs=1e-10)
+    assert dense == pytest.approx(fk.certified_l2_bound(sym, frame64), rel=0.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
