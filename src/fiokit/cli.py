@@ -18,7 +18,7 @@ from scipy.integrate import trapezoid
 
 from . import __version__
 from .dyadic import build_auxiliary, build_lp_family
-from .errors import ParameterError, ToolkitError
+from .errors import ParameterError, ToolkitError, _convert
 from .families import build_test_family
 from .grid import (
     GridField,
@@ -63,16 +63,6 @@ DEFAULT_CONFIG = {
 _GRID_TYPES = {"n": int, "N": int, "L": float}
 _FIELD_TYPES = {"eps": float, "seed": int, "r": float, "delta": float, "eps_slack": float}
 _LIST_TYPES = {"p_list": float, "s_list": float, "bands": int}
-
-
-def _convert(name: str, kind, val):
-    try:
-        out = kind(val)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"{name}={val!r} is not {kind.__name__}") from None
-    if kind is int and isinstance(val, float) and out != val:  # int() truncates
-        raise ParameterError(f"{name}={val!r} is not an integer")
-    return out
 
 
 def load_config(path: str | None, overrides: dict) -> dict:

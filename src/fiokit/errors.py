@@ -1,4 +1,5 @@
-"""Exception hierarchy for the toolkit."""
+"""Exception hierarchy for the toolkit, and the checked conversion of
+values read from outside it."""
 
 
 class ToolkitError(Exception):
@@ -27,3 +28,14 @@ class ResolutionError(ToolkitError):
 
 class DegenerateInputError(ToolkitError):
     """An input field is numerically zero where a ratio is required."""
+
+
+def _convert(name: str, kind, val):
+    """kind(val), or ParameterError; a float that int() would truncate is refused."""
+    try:
+        out = kind(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name}={val!r} is not {kind.__name__}") from None
+    if kind is int and isinstance(val, float) and out != val:  # int() truncates
+        raise ParameterError(f"{name}={val!r} is not an integer")
+    return out

@@ -1,10 +1,12 @@
 """Application of rough pseudodifferential operators and empirical
 operator-norm probing.
 
-The dense path is the literal frequency-sum definition (quadratic in
-the number of lattice points, restricted to small grids); the
-separable path is a short sum of band projections and pointwise
-multiplications and scales to large grids.  Probing reports
+One seam, _pair, decides the operator's kind once: a dense symbol (the
+literal frequency sum, quadratic in the lattice size, for small grids),
+a separable one (a short sum of band projections times pointwise
+factors, for large grids) or a SpectralMultiplier.  Applying, adjoints
+and the p = 2 certificate all run its spectrum-level pair, so a dense
+certificate step takes the 4 grid transforms of a separable one.  Probing reports
 norm ratios over a test family; at p = 2 it also records sqrt(2) times
 a power-iteration estimate of the L^2 norm of a conjugated operator.
 That number is what the probe ratios are compared against, but it is not
@@ -45,42 +47,31 @@ from .symbols import DenseSymbol, SeparableSymbol
 MAX_DENSE_N = 128
 
 
-def _lattice_walk(a: DenseSymbol, spec: GridSpec, f: GridField | None = None):
+def _lattice_walk(a: DenseSymbol, coef: np.ndarray):
     """Yield (i, c_i, a(., eta_i), e^{ix.eta_i}) for the lattice indices
-    i = (i1, i2) in C order, eta_i = (xi_i1, xi_i2): every i with c_i = 1
-    when f is None, else the i with c_i = f^(eta_i) != 0.  The grid and
-    size checks run first, before the transform or any evaluation."""
-    if a.spec != spec:
-        raise DimensionError("symbol and field grids differ")
-    if spec.N > MAX_DENSE_N:
-        raise ResolutionError(f"dense application restricted to N <= {MAX_DENSE_N}")
-    coef = np.ones(spec.shape) if f is None else forward_transform(f)
-    etas = lattice(spec).points().reshape(spec.shape + (spec.n,))
-    E = np.exp(1j * np.outer(spec.x_axis(), lattice(spec).axis))
+    i = (i1, i2) in C order with c_i = coef[i] != 0, eta_i = (xi_i1, xi_i2)."""
+    etas = lattice(a.spec).points().reshape(a.spec.shape + (a.spec.n,))
+    E = np.exp(1j * np.outer(a.spec.x_axis(), lattice(a.spec).axis))
     for i in zip(*np.nonzero(coef)):
         yield i, coef[i], a.eval(etas[i]), E[:, i[0], None] * E[None, :, i[1]]
 
 
-def apply_dense(a: DenseSymbol, f: GridField) -> GridField:
-    """Direct frequency sum: (a(x,D)f)(x) = L^{-n} sum_eta a(x,eta) f^(eta) e^{ix.eta},
-    for N <= MAX_DENSE_N."""
-    spec = f.spec
-    out = np.zeros(spec.shape, dtype=complex)
-    scale = spec.L ** -spec.n
-    for _, coef, slice_, wave in _lattice_walk(a, spec, f):
+def _dense_synth(a: DenseSymbol, spectrum: np.ndarray) -> np.ndarray:
+    """Samples of L^{-n} sum_eta a(x,eta) s(eta) e^{ix.eta}; s(eta) = 0 evaluates no slice."""
+    out = np.zeros(a.spec.shape, dtype=complex)
+    scale = a.spec.L ** -a.spec.n
+    for _, coef, slice_, wave in _lattice_walk(a, spectrum):
         out += slice_ * (coef * scale) * wave
-    return GridField(spec, out)
+    return out
 
 
-def apply_dense_adjoint(a: DenseSymbol, g: GridField) -> GridField:
-    """Adjoint of apply_dense on the grid inner product, computed exactly:
-    (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n."""
-    spec = g.spec
-    spectrum = np.zeros(spec.shape, dtype=complex)
-    dv = spec.cell_volume
-    for i, _, slice_, wave in _lattice_walk(a, spec):
-        spectrum[i] = (np.conj(slice_) * g.samples * np.conj(wave)).sum() * dv
-    return inverse_transform(spectrum, spec)
+def _dense_analyze(a: DenseSymbol, samples: np.ndarray) -> np.ndarray:
+    """Spectrum (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n, every eta."""
+    spectrum = np.zeros(a.spec.shape, dtype=complex)
+    dv = a.spec.cell_volume
+    for i, _, slice_, wave in _lattice_walk(a, np.ones(a.spec.shape)):
+        spectrum[i] = (np.conj(slice_) * samples * np.conj(wave)).sum() * dv
+    return spectrum
 
 
 def _synth(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
@@ -102,24 +93,51 @@ def _analyze(a: SeparableSymbol, samples: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair(a, spec: GridSpec):
+    """(synth, analyze) for a on spec: synth(F f) = samples of a(x,D)f, analyze(samples of g)
+    = spectrum of a(x,D)*g.  Its checks and choice of kind precede any transform or evaluation."""
+    if a.spec != spec:
+        raise DimensionError("symbol and field grids differ")
+    if isinstance(a, SpectralMultiplier):
+        return (lambda s: inverse_transform(a.values * s, spec).samples,
+                lambda x: np.conj(a.values) * forward_transform(GridField(spec, x)))
+    if isinstance(a, SeparableSymbol):
+        return partial(_synth, a), partial(_analyze, a)
+    if spec.N > MAX_DENSE_N:
+        raise ResolutionError(f"dense application restricted to N <= {MAX_DENSE_N}")
+    return partial(_dense_synth, a), partial(_dense_analyze, a)
+
+
+def apply_symbol(a, f: GridField) -> GridField:
+    """a(x,D)f for a SeparableSymbol, a DenseSymbol or a SpectralMultiplier a."""
+    synth, _ = _pair(a, f.spec)
+    return GridField(f.spec, synth(forward_transform(f)))
+
+
+def _adjoint(a, g: GridField) -> GridField:
+    """a(x,D)*g on the grid inner product, for every kind apply_symbol takes."""
+    _, analyze = _pair(a, g.spec)
+    return inverse_transform(analyze(g.samples), g.spec)
+
+
+def apply_dense(a: DenseSymbol, f: GridField) -> GridField:
+    """Direct frequency sum L^{-n} sum_eta a(x,eta) f^(eta) e^{ix.eta}, for N <= MAX_DENSE_N."""
+    return apply_symbol(a, f)
+
+
+def apply_dense_adjoint(a: DenseSymbol, g: GridField) -> GridField:
+    """Exact adjoint of apply_dense: (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n."""
+    return _adjoint(a, g)
+
+
 def apply_separable(a: SeparableSymbol, f: GridField) -> GridField:
     """Sum_k a_k(x) (chi_k(D) f)(x)."""
-    if a.spec != f.spec:
-        raise DimensionError("symbol and field grids differ")
-    return GridField(f.spec, _synth(a, forward_transform(f)))
+    return apply_symbol(a, f)
 
 
 def apply_separable_adjoint(a: SeparableSymbol, g: GridField) -> GridField:
     """Sum_k chi_k(D) (conj(a_k) g)."""
-    if a.spec != g.spec:
-        raise DimensionError("symbol and field grids differ")
-    return inverse_transform(_analyze(a, g.samples), g.spec)
-
-
-def apply_symbol(a, f: GridField) -> GridField:
-    if isinstance(a, SeparableSymbol):
-        return apply_separable(a, f)
-    return apply_dense(a, f)
+    return _adjoint(a, g)
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +226,19 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
 
     Power iteration runs on B*B = (T Phi^{-1})* Phi^2 (T Phi^{-1}), with
     B = Phi T Phi^{-1}: apply_fn = T Phi^{-1} and adjoint_fn = Phi^{-1} T* Phi^2.
-    T starts from Phi^{-1} F v and T* ends in a spectrum, so a step runs four
-    grid transforms (F v; F, F^{-1} around Phi^2; the last F^{-1}), plus, for a
-    separable symbol, one scipy.fft transform per band in each of T and T*.
+    T and T* come from _pair for every kind: T starts from Phi^{-1} F v and T*
+    ends in a spectrum, so a step runs four grid transforms (F v; F, F^{-1}
+    around Phi^2; the last F^{-1}), a dense step too; T and T* each add one
+    scipy.fft transform per band of a separable symbol, or one for a multiplier.
 
     The returned number is not that bound itself.  Power iteration gives a
     lower estimate of the spectral norm, and it returns after 200
     applies whether or not it has converged, without saying which; so
     the result may sit below the true sqrt(2) ||Phi T Phi^{-1}||_2.
     """
-    if a.spec != frame.spec:
-        raise DimensionError("symbol and frame grids differ")
+    synth, analyze = _pair(a, frame.spec)
     phi, phi_inv = _frame_weight_multipliers(frame)
     spec, phi_inv, phi_sq = frame.spec, phi_inv.values, phi.values**2
-    if isinstance(a, SeparableSymbol):
-        synth, analyze = partial(_synth, a), partial(_analyze, a)
-    else:  # one more transform pair each way; the N^2 lattice walk dominates
-        def synth(spectrum):
-            return apply_dense(a, inverse_transform(spectrum, spec)).samples
-
-        def analyze(samples):
-            return forward_transform(apply_dense_adjoint(a, GridField(spec, samples)))
 
     def apply_fn(v):
         return GridField(spec, synth(phi_inv * forward_transform(v)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily, build_auxiliary
-from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
+from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError, _convert
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .norms import zygmund_norm
 from .parabolic import _fd_derivative
@@ -418,9 +418,17 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
         spec = GridSpec(n=g.get("n", 2), N=g["N"], L=g["L"])
     if kind == "separable":
         fields = {}
+        if not isinstance(doc["bands"], list):
+            raise InvalidInputError(f"{path}: symbol descriptor bands are not a list")
         for entry in doc["bands"]:
+            if not isinstance(entry, dict):
+                raise InvalidInputError(f"{path}: symbol descriptor band {entry!r} is not an object")
+            try:
+                k = _convert("k", int, entry["k"])
+            except ParameterError as exc:
+                raise InvalidInputError(f"{path}: symbol descriptor band {exc}") from None
             f = read_fiof(os.path.join(base, entry["file"]))
-            fields[int(entry["k"])] = f
+            fields[k] = f
             spec = f.spec
         chi = LittlewoodPaleyFamily(spec, doc.get("eps", 0.125))
         return SeparableSymbol(

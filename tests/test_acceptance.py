@@ -1,4 +1,4 @@
-"""Acceptance suite: ten criteria, one printed PASS/FAIL line each.
+"""Acceptance suite: eleven criteria, one printed PASS/FAIL line each.
 
 Grids are chosen per criterion so that every frequency annulus involved
 is lattice-resolvable and no spectral product wraps around the torus.
@@ -335,3 +335,35 @@ def test_criterion_10_budget_arithmetic():
         10, "budget arithmetic (unit equalities)", ok,
         f"supercritical={case1} p2={case2} subcritical={case3}"
     )
+
+
+# ---------------------------------------------------------------------------
+# 11. invariance under the half-wave group
+# ---------------------------------------------------------------------------
+
+
+def lp_ratio_slope(op, family, p):
+    """Least-squares slope of log2(||op f||_p / ||f||_p) against band index."""
+    ratios = [fk.lp_norm(fk.apply_symbol(op, m.field), p) / fk.lp_norm(m.field, p) for m in family]
+    return float(np.polyfit([m.band for m in family], np.log2(ratios), 1)[0])
+
+
+def test_criterion_11_half_wave_invariance(stack_2pi):
+    # FIOs of order 0, with e^{it|D|} the model case, act boundedly on
+    # H^p_FIO, while on L^p the half-wave group loses (n-1)|1/2-1/p|
+    # derivatives.  The Schrodinger group has a phase of degree 2, is not
+    # such an FIO, and must move the directional ratios.
+    spec, frame = stack_2pi[2]
+    family = fk.build_test_family(spec, frame, bands=(3, 4, 5, 6, 7), kinds=("focus",))
+    mags = fk.lattice(spec).mags
+    wave = fk.SpectralMultiplier(spec, np.exp(-0.5j * mags))
+    schrodinger = fk.SpectralMultiplier(spec, np.exp(-4e-3j * mags**2))
+    ok, parts = True, []
+    for p in (4.0 / 3.0, 4.0):
+        wave_slope = fk.operator_norm_probe(wave, 0.0, 0.0, p, frame, family).trend_slope()
+        lp_slope = lp_ratio_slope(wave, family, p)
+        schr_slope = fk.operator_norm_probe(schrodinger, 0.0, 0.0, p, frame, family).trend_slope()
+        ok = ok and abs(wave_slope) <= 0.05 and abs(lp_slope) >= 0.1 and abs(schr_slope) > 0.05
+        parts.append(f"p={p:.3g}: wave hpfio={wave_slope:+.3f} L^p={lp_slope:+.3f} "
+                     f"schrodinger hpfio={schr_slope:+.3f}")
+    report_line(11, "half-wave invariance (N=256, focus k=3..7, t=1/2)", ok, "  ".join(parts))

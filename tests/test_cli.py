@@ -274,6 +274,23 @@ def test_apply_malformed_symbol_exits_1(tmp_path, capsys, symbol_doc):
     assert not (tmp_path / "out.fiof").exists()
 
 
+@pytest.mark.parametrize("bands", [
+    [{"k": "x", "file": "b.fiof"}],
+    [{"k": 2.7, "file": "b.fiof"}],
+    ["b.fiof"],
+    5,
+])
+def test_apply_malformed_band_entry_exits_1(tmp_path, capsys, bands):
+    # the band index follows the config's integer rule: no truncation
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    fk.write_fiof(tmp_path / "b.fiof", fk.GridField(spec, np.ones(spec.shape)))
+    doc = {"kind": "separable", "bands": bands}
+    assert _apply_with_symbol(tmp_path, doc, fk.GridField(spec, np.ones(spec.shape))) == 1
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and "symbol descriptor band" in err
+    assert not (tmp_path / "out.fiof").exists()
+
+
 def test_apply_multiplication_preset(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     rng = np.random.default_rng(5)

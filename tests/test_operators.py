@@ -361,6 +361,67 @@ def test_certified_bound_dense_branch(spec64, frame64, fam64, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the operator seam: multipliers, the generic adjoint, one dense step
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def half_wave(spec64):
+    # U = e^{-i|D|/2} is unitary and commutes with the frame weight Phi(D)
+    return fk.SpectralMultiplier(spec64, np.exp(-0.5j * fk.lattice(spec64).mags))
+
+
+def test_certified_bound_of_half_wave_is_sqrt2(frame64, half_wave):
+    assert fk.certified_l2_bound(half_wave, frame64) == pytest.approx(np.sqrt(2.0), rel=0.0, abs=1e-15)
+
+
+def test_apply_symbol_takes_a_multiplier(spec64, half_wave, rng):
+    f = random_field(spec64, rng)
+    out = fk.apply_symbol(half_wave, f)
+    assert out.samples.tobytes() == fk.apply_multiplier(f, half_wave).samples.tobytes()
+
+
+def test_probe_takes_a_multiplier(spec64, frame64, fam64, half_wave):
+    family = fk.build_test_family(spec64, frame64, bands=(1, 2, 3), fam=fam64)
+    report = fk.operator_norm_probe(half_wave, 0.0, 0.0, 2.0, frame64, family)
+    for row in report.rows:
+        assert abs(row["ratio"] - 1.0) <= 1e-14
+    assert report.spectral_bound == pytest.approx(np.sqrt(2.0), rel=0.0, abs=1e-15)
+
+
+def test_multiplier_adjointness(spec64, half_wave, rng):
+    f = random_field(spec64, rng)
+    g = random_field(spec64, rng)
+    lhs = fk.l2_inner(fk.apply_symbol(half_wave, f), g)
+    rhs = fk.l2_inner(f, fk.operators._adjoint(half_wave, g))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_dense_certificate_step_runs_four_transforms(spec64, frame64, monkeypatch):
+    # the dense lattice walk runs no transform, so a step costs the
+    # four grid transforms of the conjugation alone
+    calls = capture_power_iteration(monkeypatch)
+    fk.certified_l2_bound(fk.preset_identity(spec64), frame64)
+    apply_fn, adjoint_fn = calls[0]["pair"]
+    count = {"n": 0}
+
+    def counting(fn):
+        def run(*args, **kwargs):
+            count["n"] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+    v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
+    w = adjoint_fn(apply_fn(v))
+    assert count["n"] == 4
+    # the identity commutes with Phi, so the step returns v
+    assert np.abs(w.samples - v.samples).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # operator-norm probing
 # ---------------------------------------------------------------------------
 
