@@ -108,6 +108,11 @@ def _grid(cfg: dict) -> GridSpec:
     return GridSpec(n=g["n"], N=g["N"], L=g["L"])
 
 
+def _rel(got, want) -> float:
+    """Relative residual max|got - want| / max|want|."""
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
 class CheckSuite:
     def __init__(self):
         self.failures = 0
@@ -125,25 +130,20 @@ class CheckSuite:
 def _calibration_checks(cfg: dict, suite: CheckSuite):
     spec = _grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    fam = build_lp_family(spec, cfg["eps"])
-    aux = build_auxiliary(spec, cfg["eps"])
+    fam = build_auxiliary(spec, cfg["eps"])
 
     total = sum(fam.values)
     suite.check("partition-of-unity", float(np.abs(total - 1.0).max()), 1e-12)
 
     f = GridField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
     back = inverse_transform(forward_transform(f), spec)
-    suite.check(
-        "transform-round-trip",
-        float(np.abs(back.samples - f.samples).max() / np.abs(f.samples).max()),
-        1e-12,
-    )
+    suite.check("transform-round-trip", _rel(back.samples, f.samples), 1e-12)
 
     for k in (0, 1, min(2, fam.J_max)):
-        prod = aux.tilde_multiplier(k).values * fam.values[k]
+        prod = fam.tilde_multiplier(k).values * fam.values[k]
         suite.check(f"wide-cutoff-band-{k}", float(np.abs(prod - fam.values[k]).max()), 0.0)
     suite.check(
-        "low-cutoff-caps-band-0", float(np.abs(aux.q_values * fam.values[0] - fam.values[0]).max()), 0.0
+        "low-cutoff-caps-band-0", float(np.abs(fam.q_values * fam.values[0] - fam.values[0]).max()), 0.0
     )
 
     suite.check(
@@ -177,12 +177,8 @@ def _calibration_checks(cfg: dict, suite: CheckSuite):
     high = np.where(mags >= 0.5, 1.0, 0.0).reshape(spec.shape)
     g = inverse_transform(high * forward_transform(f), spec)
     recon = frame_synthesize(frame_analyze(g, frame), frame)
-    suite.check(
-        "frame-reconstruction",
-        float(np.abs(recon.samples - g.samples).max() / np.abs(g.samples).max()),
-        1e-10,
-    )
-    return spec, fam, aux, frame, rng
+    suite.check("frame-reconstruction", _rel(recon.samples, g.samples), 1e-10)
+    return spec, fam, frame, rng
 
 
 def cmd_calibrate(cfg: dict, args) -> int:
@@ -195,7 +191,7 @@ def cmd_calibrate(cfg: dict, args) -> int:
 def cmd_verify(cfg: dict, args) -> int:
     suite = CheckSuite()
     print(f"# verify  config={config_hash(cfg)}  version={__version__}")
-    spec, fam, aux, frame, rng = _calibration_checks(cfg, suite)
+    spec, fam, frame, rng = _calibration_checks(cfg, suite)
 
     low = fam.values[0] + fam.values[1]
     b = inverse_transform(low * forward_transform(
@@ -207,34 +203,19 @@ def cmd_verify(cfg: dict, args) -> int:
         + paraproduct_hl(b, f, fam).samples
         + paraproduct_lh(b, f, fam).samples
     )
-    prod = b.samples * f.samples
-    suite.check(
-        "paraproduct-completeness",
-        float(np.abs(total - prod).max() / max(np.abs(prod).max(), 1e-300)),
-        1e-12,
-    )
+    suite.check("paraproduct-completeness", _rel(total, b.samples * f.samples), 1e-12)
 
     chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
     dense = chirp.densify()
     split = smooth_split(dense, 0.75, fam)
     eta = np.array([1.7, 0.4])
-    slice_a = dense.eval(eta)
-    resid = split.sharp.eval(eta) + split.flat.eval(eta) - slice_a
-    suite.check(
-        "smoothing-split-exactness",
-        float(np.abs(resid).max() / max(np.abs(slice_a).max(), 1e-300)),
-        1e-12,
-    )
+    got = split.sharp.eval(eta) + split.flat.eval(eta)
+    suite.check("smoothing-split-exactness", _rel(got, dense.eval(eta)), 1e-12)
 
     g = GridField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
     dense_out = apply_dense(dense, g)
     sep_out = apply_separable(chirp, g)
-    suite.check(
-        "dense-separable-agreement",
-        float(np.abs(dense_out.samples - sep_out.samples).max()
-              / np.abs(sep_out.samples).max()),
-        1e-10,
-    )
+    suite.check("dense-separable-agreement", _rel(dense_out.samples, sep_out.samples), 1e-10)
 
     bud = budget(2.0, 0.5, 4.0, 2)
     suite.check("budget-tau-supercritical", abs(bud.tau), 0.0)
@@ -282,11 +263,8 @@ def cmd_smooth(cfg: dict, args) -> int:
     worst = 0.0
     flat_sup = 0.0
     for eta in etas:
-        ref = sym.eval(eta)
         flat = split.flat.eval(eta)
-        resid = split.sharp.eval(eta) + flat - ref
-        scale = max(float(np.abs(ref).max()), 1e-300)
-        worst = max(worst, float(np.abs(resid).max()) / scale)
+        worst = max(worst, _rel(split.sharp.eval(eta) + flat, sym.eval(eta)))
         flat_sup = max(flat_sup, float(np.abs(flat).max()))
     out = {
         "gamma": args.gamma,

@@ -90,18 +90,15 @@ def low_cutoff(rho) -> np.ndarray:
     return falling(np.asarray(rho, dtype=float), 2.0, 4.0)
 
 
-class AuxiliaryFamilies:
-    """Wide cutoffs psi~_k with psi~_k psi_k = psi_k, the chi band family
-    (the same multipliers as psi) and the low cutoff q."""
+class AuxiliaryFamilies(LittlewoodPaleyFamily):
+    """The family psi_j, which is also the chi band family, with the wide
+    cutoffs psi~_k, psi~_k psi_k = psi_k, and the low cutoff q."""
 
     q_profile = staticmethod(low_cutoff)
+    psi = chi = property(lambda self: self)
 
     def __init__(self, spec: GridSpec, eps: float = 0.125):
-        self.spec = spec
-        self.eps = eps
-        self.psi = LittlewoodPaleyFamily(spec, eps)
-        self.chi = self.psi
-        self.J_max = self.psi.J_max
+        super().__init__(spec, eps)
         mags = lattice(spec).mags
         self._tilde_values = [self.tilde_profile(k, mags) for k in range(self.J_max + 1)]
         self.q_values = self.q_profile(mags)

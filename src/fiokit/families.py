@@ -106,6 +106,9 @@ def build_test_family(
     seed: int = 0,
     fam: LittlewoodPaleyFamily | None = None,
 ) -> TestFamily:
+    unknown = set(kinds) - {"plane", "packet", "random", "focus"}
+    if unknown:
+        raise ParameterError(f"unknown member kinds {sorted(unknown)}")
     if fam is None:
         fam = LittlewoodPaleyFamily(spec)
     rng = np.random.default_rng(seed)

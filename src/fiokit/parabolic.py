@@ -414,6 +414,19 @@ def _fd_derivative(fun, pts, a1, a2, h1, h2) -> np.ndarray:
     return out / (h1**a1 * h2**a2)
 
 
+def _derivative_table(fun, samples, alpha_max: int, measure) -> dict:
+    """{(a1, a2): max(0, measure(pts, a1, a2, d))} over the samples (pts, h1, h2)
+    for |alpha| <= alpha_max, with d = _fd_derivative(fun, pts, a1, a2, h1, h2)."""
+    if alpha_max > 3:
+        raise ParameterError("alpha_max must be <= 3")
+    return {
+        (a1, a2): max([0.0] + [measure(pts, a1, a2, _fd_derivative(fun, pts, a1, a2, h1, h2))
+                               for pts, h1, h2 in samples])
+        for a1 in range(alpha_max + 1)
+        for a2 in range(alpha_max + 1 - a1)
+    }
+
+
 def anisotropic_bound_check(frame: ParabolicFrame, alpha_max: int = 2) -> dict:
     """Sampled suprema of |xi^alpha d^alpha (<xi>^{-1/4} phi_{e1})(xi)|
     over 20 radii and 15 angles per radius.
@@ -422,8 +435,6 @@ def anisotropic_bound_check(frame: ParabolicFrame, alpha_max: int = 2) -> dict:
     at off-lattice points, with steps matched to the parabolic scaling
     (radial scale ~ rho, angular scale ~ sqrt(rho)).
     """
-    if alpha_max > 3:
-        raise ParameterError("alpha_max must be <= 3")
     geom = frame.geometry
     e1 = np.array([1.0, 0.0])
 
@@ -431,19 +442,14 @@ def anisotropic_bound_check(frame: ParabolicFrame, alpha_max: int = 2) -> dict:
         w = (1.0 + (pts**2).sum(axis=-1)) ** -0.125
         return w * geom.phi_values(pts, e1)
 
-    radii = np.geomspace(0.25, frame.spec.xi_max, 20)
-    report = {}
-    for a1 in range(alpha_max + 1):
-        for a2 in range(alpha_max + 1 - a1):
-            best = 0.0
-            for rho in radii:
-                span = min(np.pi, 2.5 / np.sqrt(rho))
-                theta = np.linspace(-span, span, 15)
-                pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-                h1 = 1e-3 * max(1.0, rho)
-                h2 = 1e-3 * max(1.0, np.sqrt(rho))
-                deriv = _fd_derivative(fun, pts, a1, a2, h1, h2)
-                weight = np.abs(pts[:, 0]) ** a1 * np.abs(pts[:, 1]) ** a2
-                best = max(best, float((weight * np.abs(deriv)).max()))
-            report[(a1, a2)] = best
-    return report
+    def measure(pts, a1, a2, deriv):
+        weight = np.abs(pts[:, 0]) ** a1 * np.abs(pts[:, 1]) ** a2
+        return float((weight * np.abs(deriv)).max())
+
+    samples = []
+    for rho in np.geomspace(0.25, frame.spec.xi_max, 20):
+        span = min(np.pi, 2.5 / np.sqrt(rho))
+        theta = np.linspace(-span, span, 15)
+        pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        samples.append((pts, 1e-3 * max(1.0, rho), 1e-3 * max(1.0, np.sqrt(rho))))
+    return _derivative_table(fun, samples, alpha_max, measure)

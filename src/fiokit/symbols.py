@@ -19,7 +19,14 @@ from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily, build_auxiliary
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError, _convert
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .norms import zygmund_norm
-from .parabolic import _fd_derivative
+from .parabolic import _derivative_table
+
+
+def _check_class(r, delta):
+    if not r > 0:
+        raise ParameterError(f"r={r} must be positive")
+    if not (0.0 <= delta <= 1.0):
+        raise ParameterError(f"delta={delta} must lie in [0, 1]")
 
 
 @dataclass
@@ -33,10 +40,7 @@ class DenseSymbol:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ParameterError(f"r={self.r} must be positive")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ParameterError(f"delta={self.delta} must lie in [0, 1]")
+        _check_class(self.r, self.delta)
 
     def eval(self, eta) -> np.ndarray:
         """x-grid slice a(., eta), always a full complex array."""
@@ -61,6 +65,7 @@ class SeparableSymbol:
     residual: float = 0.0
 
     def __post_init__(self):
+        _check_class(self.r, self.delta)
         for k, a_k in self.bands.items():
             if not (0 <= k <= self.chi.J_max):
                 raise ParameterError(f"band index {k} outside family range")
@@ -169,31 +174,26 @@ def estimate_seminorms(
     the pointwise one |d^alpha a| <eta>^{|alpha|-m} and the x-Zygmund
     one ||d^alpha a(., eta)||_{C^r_*} <eta>^{|alpha|-m-r delta}.
     """
-    if alpha_max > 3:
-        raise ParameterError("alpha_max must be <= 3")
     if fam is None:
         fam = LittlewoodPaleyFamily(a.spec)
-    report = {}
-    etas = []
+
+    def measure(eta, a1, a2, deriv):
+        rho = float(np.hypot(eta[0], eta[1]))
+        w = (1.0 + rho * rho) ** 0.5
+        point = float(np.abs(deriv).max()) * w ** (a1 + a2 - a.m)
+        zyg = (
+            zygmund_norm(GridField(a.spec, deriv), a.r, fam)
+            * w ** (a1 + a2 - a.m - a.r * a.delta)
+        )
+        return max(point, zyg)
+
+    samples = []
     for k in range(fam.J_max + 1):
         if _check_band_resolution(a.spec, fam, k):
-            etas.extend(_band_eta_samples(fam, k))
-    for a1 in range(alpha_max + 1):
-        for a2 in range(alpha_max + 1 - a1):
-            best = 0.0
-            for eta in etas:
-                rho = float(np.hypot(eta[0], eta[1]))
-                h = 0.02 * (1.0 + rho)
-                deriv = _fd_derivative(a.eval, eta, a1, a2, h, h)
-                w = (1.0 + rho * rho) ** 0.5
-                point = float(np.abs(deriv).max()) * w ** (a1 + a2 - a.m)
-                zyg = (
-                    zygmund_norm(GridField(a.spec, deriv), a.r, fam)
-                    * w ** (a1 + a2 - a.m - a.r * a.delta)
-                )
-                best = max(best, point, zyg)
-            report[(a1, a2)] = best
-    return report
+            for eta in _band_eta_samples(fam, k):
+                h = 0.02 * (1.0 + float(np.hypot(eta[0], eta[1])))
+                samples.append((eta, h, h))
+    return _derivative_table(a.eval, samples, alpha_max, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +410,14 @@ def load_symbol(path, spec: GridSpec | None = None):
         raise InvalidInputError(f"{path}: symbol descriptor lacks {exc}") from None
 
 
+def _scalar(path, name: str, kind, val):
+    """A descriptor field through errors._convert; failing, an InvalidInputError naming it."""
+    try:
+        return _convert(name, kind, val)
+    except ParameterError as exc:
+        raise InvalidInputError(f"{path}: symbol descriptor {exc}") from None
+
+
 def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
     kind = doc.get("kind")
     base = os.path.dirname(os.path.abspath(path))
@@ -423,36 +431,34 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
         for entry in doc["bands"]:
             if not isinstance(entry, dict):
                 raise InvalidInputError(f"{path}: symbol descriptor band {entry!r} is not an object")
-            try:
-                k = _convert("k", int, entry["k"])
-            except ParameterError as exc:
-                raise InvalidInputError(f"{path}: symbol descriptor band {exc}") from None
-            f = read_fiof(os.path.join(base, entry["file"]))
-            fields[k] = f
-            spec = f.spec
-        chi = LittlewoodPaleyFamily(spec, doc.get("eps", 0.125))
-        return SeparableSymbol(
-            spec, fields, chi, r=doc.get("r", 1.0), delta=doc.get("delta", 0.0)
+            k = _scalar(path, "band k", int, entry["k"])
+            fields[k] = read_fiof(os.path.join(base, entry["file"]))
+            spec = fields[k].spec
+    elif kind not in ("analytic-preset", "dense"):
+        raise InvalidInputError(f"{path}: unknown symbol kind {kind!r}")
+    if spec is None:
+        raise InvalidInputError(f"{path}: symbol descriptor lacks a grid")
+    r = _scalar(path, "r", float, doc.get("r", 1.0))
+    if kind == "separable":
+        eps = _scalar(path, "eps", float, doc.get("eps", 0.125))
+        delta = _scalar(path, "delta", float, doc.get("delta", 0.0))
+        return SeparableSymbol(spec, fields, LittlewoodPaleyFamily(spec, eps), r=r, delta=delta)
+    name = doc["preset"]
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"{path}: symbol descriptor params {params!r} are not an object")
+    if name == "identity":
+        return preset_identity(spec, r=r)
+    if name == "multiplier_bessel":
+        return preset_multiplier_bessel(spec, _scalar(path, "params.m", float, params["m"]), r=r)
+    if name == "multiplication":
+        return preset_multiplication(read_fiof(os.path.join(base, params["b_file"])), r=r)
+    if name == "rough_chirp":
+        sym = preset_rough_chirp(
+            spec,
+            _scalar(path, "params.r", float, params["r"]),
+            _scalar(path, "params.delta", float, params["delta"]),
+            seed=_scalar(path, "params.seed", int, params.get("seed", 0)),
         )
-    if kind in ("analytic-preset", "dense"):
-        if spec is None:
-            raise InvalidInputError(f"{path}: symbol descriptor lacks a grid")
-        name = doc["preset"]
-        params = doc.get("params", {})
-        if name == "identity":
-            sym = preset_identity(spec, r=doc.get("r", 1.0))
-        elif name == "multiplier_bessel":
-            sym = preset_multiplier_bessel(spec, params["m"], r=doc.get("r", 1.0))
-        elif name == "multiplication":
-            b = read_fiof(os.path.join(base, params["b_file"]))
-            sym = preset_multiplication(b, r=doc.get("r", 1.0))
-        elif name == "rough_chirp":
-            sym = preset_rough_chirp(
-                spec, params["r"], params["delta"], seed=params.get("seed", 0)
-            )
-            if kind == "dense":
-                sym = sym.densify()
-        else:
-            raise InvalidInputError(f"{path}: unknown preset {name!r}")
-        return sym
-    raise InvalidInputError(f"{path}: unknown symbol kind {kind!r}")
+        return sym.densify() if kind == "dense" else sym
+    raise InvalidInputError(f"{path}: unknown preset {name!r}")

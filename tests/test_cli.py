@@ -291,6 +291,33 @@ def test_apply_malformed_band_entry_exits_1(tmp_path, capsys, bands):
     assert not (tmp_path / "out.fiof").exists()
 
 
+_SEPARABLE = {"kind": "separable", "bands": [{"k": 1, "file": "b.fiof"}]}
+_CHIRP = {"kind": "analytic-preset", "preset": "rough_chirp", "params": {"r": 2.0, "delta": 0.5}}
+_BESSEL = {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {"m": 1.0}}
+
+
+@pytest.mark.parametrize("symbol_doc, field", [
+    ({"kind": "analytic-preset", "preset": "identity", "r": "x"}, "r="),
+    ({**_SEPARABLE, "eps": "x"}, "eps="),
+    ({**_SEPARABLE, "r": "x"}, "r="),
+    ({**_SEPARABLE, "delta": "x"}, "delta="),
+    ({**_CHIRP, "params": {"r": "x", "delta": 0.5}}, "params.r="),
+    ({**_CHIRP, "params": {"r": 2.0, "delta": 0.5, "seed": 1.7}}, "params.seed="),
+    ({**_BESSEL, "params": {"m": "x"}}, "params.m="),
+    ({**_BESSEL, "params": [1]}, "params [1]"),
+], ids=["identity-r", "separable-eps", "separable-r", "separable-delta", "chirp-r",
+        "chirp-seed", "bessel-m", "params-list"])
+def test_apply_malformed_descriptor_field_exits_1(tmp_path, capsys, symbol_doc, field):
+    # every scalar of a descriptor follows the config's conversion rule
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    fk.write_fiof(tmp_path / "b.fiof", fk.GridField(spec, np.ones(spec.shape)))
+    assert _apply_with_symbol(tmp_path, symbol_doc, fk.GridField(spec, np.ones(spec.shape))) == 1
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and f"symbol descriptor {field}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.fiof").exists()
+
+
 def test_apply_multiplication_preset(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     rng = np.random.default_rng(5)

@@ -23,3 +23,15 @@ def test_embed_keeps_a_real_field_with_nyquist_content_real():
         assert np.abs(g.imag).max() <= 1e-13
         step = N // coarse.N
         assert np.abs(g[::step, ::step] - f.samples).max() <= 1e-13
+
+
+def test_build_test_family_rejects_unknown_kinds(monkeypatch):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    frame = fk.ParabolicFrame(spec)
+
+    def built(*args):
+        raise AssertionError("a member was built before the kinds were checked")
+
+    monkeypatch.setattr(fk.families, "plane_wave_member", built)
+    with pytest.raises(fk.ParameterError, match="pakcet"):
+        fk.build_test_family(spec, frame, bands=(1, 2), kinds=("plane", "pakcet"))

@@ -542,3 +542,16 @@ def _descriptor(tmp, doc):
 def test_symbols_input_checks(spec_mid, fam_mid, tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(spec_mid, fam_mid, tmp_path)
+
+
+def test_separable_descriptor_without_grid(tmp_path):
+    with pytest.raises(fk.InvalidInputError, match="lacks a grid"):
+        fk.load_symbol(_descriptor(tmp_path, {"kind": "separable", "bands": []}))
+
+
+@pytest.mark.parametrize("kwargs, match", [({"r": 0.0}, "r=0.0"), ({"delta": 1.5}, "delta=1.5")])
+def test_separable_symbol_checks_its_class(spec_mid, fam_mid, kwargs, match):
+    bands = {1: fk.GridField(spec_mid, np.ones(spec_mid.shape))}
+    with pytest.raises(fk.ParameterError, match=match):
+        fk.SeparableSymbol(spec_mid, bands, fam_mid, **kwargs)
+
