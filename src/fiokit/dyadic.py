@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ParameterError
 from .grid import (
     GridField,
     GridSpec,
@@ -31,8 +31,10 @@ class LittlewoodPaleyFamily:
 
     psi_0 caps |xi| <= 1 - eps/2, psi_1 lives on ((1+eps)/2, 2-eps), and
     psi_j(xi) = psi_1(2^{1-j} xi) for j >= 2.  The family telescopes a
-    low-pass profile h: psi_j = h(2^{-j}|xi|) - h(2^{1-j}|xi|), so the
-    lattice sum collapses to h(2^{-J_max}|xi|) = 1.
+    low-pass profile h: psi_j = h(2^{-j}|xi|) - h(2^{1-j}|xi|), unnormalized,
+    and the lattice sum is h(2^{-J_max}|xi|) = 1 exactly in floating point:
+    h leaves {0, 1} on less than an octave, so at any radius at most one
+    h(2^{-j} rho) is fractional and the sum is fl(h + fl(1 - h)) = 1.
     """
 
     def __init__(self, spec: GridSpec, eps: float = 0.125):
@@ -42,11 +44,7 @@ class LittlewoodPaleyFamily:
         self.eps = eps
         self.J_max = int(np.ceil(np.log2(spec.xi_max))) + 1
         mags = lattice(spec).mags
-        raw = [self.band_profile(j, mags) for j in range(self.J_max + 1)]
-        total = sum(raw)
-        if float(total.min()) < 1e-8:
-            raise ConstructionError("partition-of-unity denominator vanishes on the lattice")
-        self.values = [b / total for b in raw]
+        self.values = [self.band_profile(j, mags) for j in range(self.J_max + 1)]
 
     def lowpass_profile(self, t) -> np.ndarray:
         """h(t): 1 for t <= (1+eps)/2, 0 for t >= 1 - eps/2."""
@@ -99,9 +97,7 @@ class AuxiliaryFamilies(LittlewoodPaleyFamily):
 
     def __init__(self, spec: GridSpec, eps: float = 0.125):
         super().__init__(spec, eps)
-        mags = lattice(spec).mags
-        self._tilde_values = [self.tilde_profile(k, mags) for k in range(self.J_max + 1)]
-        self.q_values = self.q_profile(mags)
+        self.q_values = self.q_profile(lattice(spec).mags)
 
     def tilde_profile(self, k: int, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -113,7 +109,7 @@ class AuxiliaryFamilies(LittlewoodPaleyFamily):
     def tilde_multiplier(self, k: int) -> SpectralMultiplier:
         if not (0 <= k <= self.J_max):
             raise ParameterError(f"band index k={k} outside 0..{self.J_max}")
-        return SpectralMultiplier(self.spec, self._tilde_values[k])
+        return SpectralMultiplier(self.spec, self.tilde_profile(k, lattice(self.spec).mags))
 
 
 def build_lp_family(spec: GridSpec, eps: float = 0.125) -> LittlewoodPaleyFamily:

@@ -24,7 +24,7 @@ from .errors import DimensionError, InvalidInputError, ParameterError
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic grid on [0, L)^n with N samples per axis."""
+    """Periodic grid on [0, L)^n, N samples per axis; n = 2 is checked here only."""
 
     n: int = 2
     N: int = 128
@@ -37,8 +37,8 @@ class GridSpec:
                 raise ParameterError(f"{name}={value!r} must be an integer")
         if isinstance(self.L, bool) or not isinstance(self.L, numbers.Real):
             raise ParameterError(f"period L={self.L!r} must be a real number")
-        if self.n < 1:
-            raise ParameterError(f"dimension n={self.n} must be >= 1")
+        if self.n != 2:
+            raise ParameterError(f"dimension n={self.n} must be 2: fiokit computes in the plane")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
             raise ParameterError(f"N={self.N} must be a power of two >= 16")
         if not (self.L > 0 and np.isfinite(self.L)):
@@ -212,10 +212,6 @@ def read_fiof(path) -> GridField:
             if version != _FIOF_VERSION:
                 raise InvalidInputError(f"{path}: unsupported FIOF version {version}")
             spec = GridSpec(n=n, N=N, L=L)
-            # N is a power of two, so N**n = 2**(n log2 N): check the
-            # exponent before building the number
-            if n * (N.bit_length() - 1) >= 63:
-                raise ParameterError(f"{N}**{n} samples exceed any file")
         except (struct.error, ParameterError) as exc:
             raise InvalidInputError(f"{path}: bad header: {exc}") from None
         # the payload's length is checked before any of it is read

@@ -239,8 +239,6 @@ class ParabolicFrame:
     """
 
     def __init__(self, spec: GridSpec, M_omega: int | None = None):
-        if spec.n != 2:
-            raise ParameterError("directional frame requires n = 2")
         self.spec = spec
         self.directions = DirectionSet(M_omega or default_direction_count(spec))
         self.geometry = PhiGeometry(AngularCalderonProfile(), CSigmaTable(0.5 / spec.xi_max))

@@ -423,6 +423,8 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
     base = os.path.dirname(os.path.abspath(path))
     if spec is None and "grid" in doc:
         g = doc["grid"]
+        if not isinstance(g, dict):
+            raise InvalidInputError(f"{path}: symbol descriptor grid {g!r} is not an object")
         spec = GridSpec(n=g.get("n", 2), N=g["N"], L=g["L"])
     if kind == "separable":
         fields = {}

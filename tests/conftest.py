@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,11 @@ def random_field(spec, rng, real=False):
 def plane_wave(spec, xi0):
     x1, x2 = spec.x_mesh()
     return fk.GridField(spec, np.exp(1j * (xi0[0] * x1 + xi0[1] * x2)))
+
+
+def write_fiof_n3(path):
+    """A well-formed FIOF file of a constant field on an n = 3, N = 16 grid,
+    which GridSpec refuses, so it is written from the header format directly."""
+    header = struct.pack("<III d", 1, 3, 16, 2.0 * np.pi)
+    path.write_bytes(b"FIOF" + header + np.ones(16**3, dtype="<c16").tobytes())
+    return path

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
+from conftest import write_fiof_n3
 from fiokit.cli import main
 
 
@@ -100,6 +101,28 @@ def test_norm_short_header_exits_1(tmp_path, capsys):
     assert "bad header" in capsys.readouterr().err
 
 
+def test_calibrate_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr("fiokit.cli.c_sigma", lambda sigma: 0.0)
+    code, out = run(["--N", "32", "calibrate"], capsys)
+    assert code == 1
+    assert "FAIL c-sigma-closed-form" in out
+    assert out.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("command", ["apply", "norm"])
+def test_three_dimensional_field_exits_1(tmp_path, capsys, command):
+    # fiokit computes in the plane, so an n = 3 file is a bad header
+    field = write_fiof_n3(tmp_path / "n3.fiof")
+    sym = tmp_path / "ident.json"
+    sym.write_text(json.dumps({"kind": "analytic-preset", "preset": "identity"}))
+    out = tmp_path / "out.fiof"
+    argv = {"apply": ["apply", "--symbol", str(sym), "--output", str(out)], "norm": ["norm"]}
+    assert main(argv[command] + ["--field", str(field)]) == 1
+    err = capsys.readouterr().err
+    assert "bad header: dimension n=3" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_apply_identity_roundtrip(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     rng = np.random.default_rng(1)
@@ -143,6 +166,19 @@ def test_smooth_command(tmp_path, capsys):
     assert doc["split_residual"] <= 1e-12
     assert doc["gamma"] == 0.75
     assert doc["flat_declared_order"] == pytest.approx(-(0.75 - 0.5) * 1.5)
+
+
+def test_smooth_densifies_a_separable_symbol(tmp_path, capsys):
+    outs = []
+    for kind in ("analytic-preset", "dense"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(
+            {"kind": kind, "preset": "rough_chirp", "params": {"r": 1.5, "delta": 0.5, "seed": 3}}
+        ))
+        code, out = run(["--N", "32", "--L", str(8 * np.pi), "smooth", "--symbol", str(path)], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_bench_csv_and_determinism(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
-from conftest import plane_wave, random_field
+from conftest import plane_wave, random_field, write_fiof_n3
 
 
 @pytest.mark.parametrize("kwargs", [{"N": 64.0}, {"n": 2.0}, {"n": True}, {"L": "1"}, {"L": 1j}])
@@ -26,6 +26,12 @@ def test_grid_spec_validation():
         fk.GridSpec(L=-1.0)
     with pytest.raises(fk.ParameterError):
         fk.GridSpec(n=0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_grid_spec_is_planar(n):
+    with pytest.raises(fk.ParameterError, match=f"dimension n={n} must be 2"):
+        fk.GridSpec(n=n)
 
 
 def test_constant_spectrum_is_delta_at_zero(spec64):
@@ -212,6 +218,12 @@ def test_fiof_rejects_huge_dimension_before_sizing(tmp_path):
     path = tmp_path / "huge_n.fiof"
     path.write_bytes(b"FIOF" + struct.pack("<III d", 1, 2**32 - 1, 16, 1.0))
     with pytest.raises(fk.InvalidInputError, match="bad header"):
+        fk.read_fiof(path)
+
+
+def test_fiof_rejects_three_dimensional_field(tmp_path):
+    path = write_fiof_n3(tmp_path / "n3.fiof")
+    with pytest.raises(fk.InvalidInputError, match="bad header: dimension n=3"):
         fk.read_fiof(path)
 
 

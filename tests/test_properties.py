@@ -48,6 +48,16 @@ def test_property_partition_of_unity(fam):
 
 
 @PROPERTY_SETTINGS
+@given(fam=families())
+def test_property_partition_is_exact(fam):
+    # psi_j is its profile, and the profiles sum to 1 in floating point
+    mags = fk.lattice(fam.spec).mags
+    for j, values in enumerate(fam.values):
+        assert values.tobytes() == fam.band_profile(j, mags).tobytes()
+    assert np.all(sum(fam.values) == 1.0)
+
+
+@PROPERTY_SETTINGS
 @given(fam=families(sizes=(16, 32, 64, 128)), t=st.floats(0.0, 2.0))
 def test_property_band_weights(fam, t):
     cover = 2.0**fam.J_max * (1.0 + fam.eps) / 2.0

@@ -495,6 +495,15 @@ def test_symbol_file_grid_must_be_integral(tmp_path):
         fk.load_symbol(path)
 
 
+@pytest.mark.parametrize("grid", [[64], 64, "64"], ids=["list", "int", "str"])
+def test_symbol_file_grid_must_be_an_object(tmp_path, grid):
+    doc = {"kind": "analytic-preset", "preset": "identity", "grid": grid}
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fk.InvalidInputError, match="symbol descriptor grid"):
+        fk.load_symbol(path)
+
+
 def test_dense_symbol_broadcasts_scalar_slice(spec_mid):
     out = fk.DenseSymbol(spec_mid, lambda eta: 2.0).eval([1.0, 0.0])
     assert out.dtype == complex
