@@ -6,12 +6,15 @@ literal frequency sum, quadratic in the lattice size, for small grids),
 a separable one (a short sum of band projections times pointwise
 factors, for large grids) or a SpectralMultiplier.  Applying, adjoints
 and the p = 2 certificate all run its spectrum-level pair, so a dense
-certificate step takes the 4 grid transforms of a separable one.  Probing reports
-norm ratios over a test family; at p = 2 it also records sqrt(2) times
-a power-iteration estimate of the L^2 norm of a conjugated operator.
-That number is what the probe ratios are compared against, but it is not
-a rigorous bound: power iteration estimates the norm from below and may
-stop at its iteration cap before it converges.
+certificate step takes the 4 grid transforms of a separable one.  The
+cores allocate no grid per band or frequency: one scratch grid per call
+takes every band transform or lattice row, and each sum is scaled, and
+in an adjoint conjugated, once.  Probing reports norm ratios over a
+test family; at p = 2 it also records sqrt(2) times a power-iteration
+estimate of the L^2 norm of a conjugated operator.  That number is what
+the probe ratios are compared against, but it is not a rigorous bound:
+power iteration estimates the norm from below and may stop at its
+iteration cap before it converges.
 """
 
 from __future__ import annotations
@@ -48,48 +51,78 @@ MAX_DENSE_N = 128
 
 
 def _lattice_walk(a: DenseSymbol, coef: np.ndarray):
-    """Yield (i, c_i, a(., eta_i), e^{ix.eta_i}) for the lattice indices
-    i = (i1, i2) in C order with c_i = coef[i] != 0, eta_i = (xi_i1, xi_i2)."""
+    """Yield (i1, e^{ix1.xi_i1}, row) for each lattice row i1 that holds a c_i = coef[i] != 0,
+    eta_i = (xi_i1, xi_i2); row yields (i2, c_i, a(., eta_i), e^{ix2.xi_i2}) over those i2.
+    The phase factors broadcast along x1 (axis 0) and x2 (axis 1) of a grid."""
     etas = lattice(a.spec).points().reshape(a.spec.shape + (a.spec.n,))
     E = np.exp(1j * np.outer(a.spec.x_axis(), lattice(a.spec).axis))
-    for i in zip(*np.nonzero(coef)):
-        yield i, coef[i], a.eval(etas[i]), E[:, i[0], None] * E[None, :, i[1]]
+
+    def row(i1):
+        for i2 in np.flatnonzero(coef[i1]):
+            yield i2, coef[i1, i2], a.eval(etas[i1, i2]), E[:, i2]
+
+    for i1 in np.flatnonzero(coef.any(axis=1)):
+        yield i1, E[:, i1, None], row(i1)
 
 
 def _dense_synth(a: DenseSymbol, spectrum: np.ndarray) -> np.ndarray:
-    """Samples of L^{-n} sum_eta a(x,eta) s(eta) e^{ix.eta}; s(eta) = 0 evaluates no slice."""
+    """Samples of L^{-n} sum_eta a(x,eta) s(eta) e^{ix.eta}; s(eta) = 0 evaluates no slice.
+    Each row sums a(., eta) s(eta) e^{ix2.eta2} in one scratch grid, then applies e^{ix1.eta1}."""
     out = np.zeros(a.spec.shape, dtype=complex)
-    scale = a.spec.L ** -a.spec.n
-    for _, coef, slice_, wave in _lattice_walk(a, spectrum):
-        out += slice_ * (coef * scale) * wave
+    acc, term = np.empty_like(out), np.empty_like(out)
+    for _, e1, row in _lattice_walk(a, spectrum):
+        acc.fill(0.0)
+        for _, coef, slice_, e2 in row:
+            acc += np.multiply(slice_, coef * e2, out=term)
+        acc *= e1
+        out += acc
+    out *= a.spec.L ** -a.spec.n
     return out
 
 
 def _dense_analyze(a: DenseSymbol, samples: np.ndarray) -> np.ndarray:
-    """Spectrum (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n, every eta."""
-    spectrum = np.zeros(a.spec.shape, dtype=complex)
-    dv = a.spec.cell_volume
-    for i, _, slice_, wave in _lattice_walk(a, np.ones(a.spec.shape)):
-        spectrum[i] = (np.conj(slice_) * samples * np.conj(wave)).sum() * dv
+    """Spectrum (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n, every eta, as
+    conj(sum_x2 e^{ix2.eta2} sum_x1 a(x,eta) h(x)) with h = conj(g) e^{ix1.eta1} once per row."""
+    spectrum = np.empty(a.spec.shape, dtype=complex)
+    g, h, term = np.conj(samples), np.empty_like(spectrum), np.empty_like(spectrum)
+    for i1, e1, row in _lattice_walk(a, np.ones(a.spec.shape)):
+        np.multiply(g, e1, out=h)
+        for i2, _, slice_, e2 in row:
+            spectrum[i1, i2] = (np.multiply(slice_, h, out=term).sum(axis=0) * e2).sum()
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= a.spec.cell_volume
     return spectrum
 
 
+def _band_sum(terms, x: np.ndarray) -> np.ndarray:
+    """Sum of w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised scipy.fft
+    inverse.  Every transform runs on one scratch grid, which scipy.fft may overwrite;
+    the array it returns is weighted and summed in place."""
+    out = np.zeros(x.shape, dtype=complex)
+    scratch = np.empty_like(out)
+    for u, w in terms:
+        part = sfft.ifftn(np.multiply(u, x, out=scratch), norm="forward", overwrite_x=True)
+        part *= w
+        out += part
+    return out
+
+
 def _synth(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
-    """Samples of Sum_k a_k(x) (chi_k(D) f)(x) from spectrum = forward_transform(f);
-    each band's inverse runs on scipy.fft directly, as in ParabolicFrame.parts."""
-    scale = a.spec.L ** -a.spec.n
-    out = np.zeros(a.spec.shape, dtype=complex)
-    for k, a_k in a.bands.items():
-        out += a_k.samples * (sfft.ifftn(a.chi.values[k] * spectrum, norm="forward") * scale)
+    """Samples of Sum_k a_k(x) (chi_k(D) f)(x) from spectrum = forward_transform(f),
+    scaled by L^{-n} once."""
+    out = _band_sum(((a.chi.values[k], a_k.samples) for k, a_k in a.bands.items()), spectrum)
+    out *= a.spec.L ** -a.spec.n
     return out
 
 
 def _analyze(a: SeparableSymbol, samples: np.ndarray) -> np.ndarray:
-    """Spectrum Sum_k chi_k F(conj(a_k) g) of the adjoint on g's samples."""
-    dv = a.spec.cell_volume
-    out = np.zeros(a.spec.shape, dtype=complex)
-    for k, a_k in a.bands.items():
-        out += a.chi.values[k] * (sfft.fftn(np.conj(a_k.samples) * samples) * dv)
+    """Spectrum Sum_k chi_k F(conj(a_k) g) of the adjoint on g's samples.  chi_k is real,
+    so it equals conj(Sum_k chi_k F^{-1}(a_k conj(g))): g and the sum are conjugated once,
+    no a_k is, and dx^n scales the sum once."""
+    out = _band_sum(((a_k.samples, a.chi.values[k]) for k, a_k in a.bands.items()),
+                    np.conj(samples))
+    np.conjugate(out, out=out)
+    out *= a.spec.cell_volume
     return out
 
 

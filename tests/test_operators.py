@@ -160,6 +160,87 @@ def test_apply_separable_adjointness(spec_op, chirp_op, rng):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
+@pytest.fixture(scope="module")
+def complex_sym(spec_op, fam_op):
+    # complex band factors: a conjugation slip in the adjoint shows here,
+    # where the chirp's real a_k would hide it
+    rng = np.random.default_rng(11)
+    bands = {k: random_field(spec_op, rng) for k in range(1, fam_op.J_max + 1, 2)}
+    return fk.SeparableSymbol(spec_op, bands, fam_op)
+
+
+def test_apply_separable_adjointness_complex_factors(spec_op, complex_sym, rng):
+    f = random_field(spec_op, rng)
+    g = random_field(spec_op, rng)
+    lhs = fk.l2_inner(fk.apply_separable(complex_sym, f), g)
+    rhs = fk.l2_inner(f, fk.apply_separable_adjoint(complex_sym, g))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_separable_cores_match_band_definitions(spec_op, complex_sym, rng):
+    # T f = sum_k a_k chi_k(D) f and T* g = sum_k chi_k(D)(conj(a_k) g),
+    # one public multiplier apply per band
+    f = random_field(spec_op, rng)
+    g = random_field(spec_op, rng)
+    synth = np.zeros(spec_op.shape, complex)
+    analyze = np.zeros(spec_op.shape, complex)
+    for k, a_k in complex_sym.bands.items():
+        chi_k = fk.SpectralMultiplier(spec_op, complex_sym.chi.values[k])
+        synth += a_k.samples * fk.apply_multiplier(f, chi_k).samples
+        conj_g = fk.GridField(spec_op, np.conj(a_k.samples) * g.samples)
+        analyze += fk.apply_multiplier(conj_g, chi_k).samples
+    for out, ref in [
+        (fk.apply_separable(complex_sym, f).samples, synth),
+        (fk.apply_separable_adjoint(complex_sym, g).samples, analyze),
+    ]:
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_separable_cores_read_only_returned_arrays(
+    spec_op, spec64, frame64, fam64, complex_sym, rng, monkeypatch
+):
+    # scipy.fft's overwrite_x permits destroying the input; it does not
+    # promise the output lands there.  Model the strictest reading: each
+    # transform returns a fresh array and, where allowed, fills its
+    # argument with NaN.  The results must not change, and the caller's
+    # samples and spectrum must come back untouched.
+    f = random_field(spec_op, rng)
+    spectrum = fk.forward_transform(f)
+    chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
+    steps = []
+    monkeypatch.setattr(fk.operators, "power_iteration", lambda *args, **kw: steps.append(args) or 0.0)
+    fk.certified_l2_bound(chirp, frame64)
+    apply_fn, adjoint_fn = steps[0][:2]
+    v = random_field(spec64, rng)
+    runs = {
+        "apply": lambda: fk.apply_separable(complex_sym, f).samples,
+        "adjoint": lambda: fk.apply_separable_adjoint(complex_sym, f).samples,
+        "synth": lambda: fk.operators._synth(complex_sym, spectrum),
+        "analyze": lambda: fk.operators._analyze(complex_sym, f.samples),
+        "step": lambda: adjoint_fn(apply_fn(v)).samples,
+    }
+    expected = {name: run() for name, run in runs.items()}
+
+    def fresh_output(transform):
+        def run(x, *args, overwrite_x=False, **kwargs):
+            out = transform(np.array(x, copy=True), *args, **kwargs)
+            if overwrite_x:
+                x[...] = np.nan
+            return out
+
+        return run
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(scipy.fft, name, fresh_output(getattr(scipy.fft, name)))
+    inputs = {"f": f.samples, "spectrum": spectrum, "v": v.samples}
+    before = {name: x.tobytes() for name, x in inputs.items()}
+    for name, run in runs.items():
+        out = run()
+        assert np.abs(out - expected[name]).max() <= 1e-13 * np.abs(expected[name]).max(), name
+        for key, x in inputs.items():
+            assert x.tobytes() == before[key], (name, key)
+
+
 @pytest.mark.parametrize("op", [fk.apply_separable, fk.apply_separable_adjoint])
 def test_separable_grid_mismatch(chirp_op, op, rng):
     other = fk.GridSpec(N=64, L=8.0 * np.pi)
