@@ -72,7 +72,12 @@ def _packet_spectrum(spec: GridSpec, k: int, omega) -> np.ndarray:
     perp = -lat.mesh[0] * omega[1] + lat.mesh[1] * omega[0]
     s_par = rho0 / 4.0
     s_perp = np.sqrt(rho0) / 2.0
-    return np.exp(-(par**2) / (2 * s_par**2) - perp**2 / (2 * s_perp**2)).astype(complex)
+    arg = -(par**2) / (2 * s_par**2) - perp**2 / (2 * s_perp**2)
+    # exp is exactly +0.0 below -746 (under half the least subnormal), and
+    # numpy's exp runs a slow underflow path there: leave those zeros as made
+    spectrum = np.zeros(spec.shape, dtype=complex)
+    np.exp(arg, out=spectrum.real, where=arg >= -746.0)
+    return spectrum
 
 
 def packet_member(spec: GridSpec, k: int, omega) -> FamilyMember:

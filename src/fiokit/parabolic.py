@@ -28,6 +28,15 @@ direction evaluates its 2N - 1 points there directly.  The copied
 supports are those of direct evaluation exactly, and the values agree
 with it to roundoff (about 1e-13: the computed omega_l are symmetric
 only to rounding).
+
+The build computes the direction-free polar data of the lattice (rho,
+the rho > 1/8 candidates, unit vectors and the omega-free ends of the scale
+interval) once, and runs the 96-node scale quadrature over blocks of
+points whose (block x nodes) float64 temporaries fit in cache.  A (points
+x nodes) array per direction is megabytes at N >= 256, and each one is a
+fresh mapping whose pages the kernel must fault in and zero; that churn,
+not arithmetic, would be most of the build.  Each point's row is
+evaluated and summed on its own, so the blocking changes no bit.
 """
 
 from __future__ import annotations
@@ -51,10 +60,11 @@ from .grid import (
 )
 from .profiles import BumpProfile
 
-_CHUNK = 1 << 16
 # the directional bump u and the node count of the scale quadrature
 _BUMP = BumpProfile()
 _N_TAU = 96
+# points per quadrature block: a (block x _N_TAU) float64 temporary is 192 KB
+_BLOCK = 256
 
 
 def c_sigma(sigma: float, nodes: int | None = None) -> float:
@@ -134,32 +144,34 @@ class PhiGeometry:
     def phi_values(self, points, omega) -> np.ndarray:
         """phi_omega at points of shape (..., 2); hard zeros off support."""
         pts = np.asarray(points, dtype=float)
-        shape = pts.shape[:-1]
-        pts = pts.reshape(-1, 2)
+        return self._phi(_Polar(pts.reshape(-1, 2)), omega).reshape(pts.shape[:-1])
+
+    def _phi(self, polar: _Polar, omega) -> np.ndarray:
+        """phi_omega at the points polar was built from, as a flat array."""
         omega = np.asarray(omega, dtype=float)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        out = np.zeros(len(pts))
-        cand = rho > 0.125
-        if cand.any():
-            r = rho[cand]
-            unit = pts[cand] / r[:, None]
-            d = np.hypot(unit[:, 0] - omega[0], unit[:, 1] - omega[1])
-            lo = np.maximum(0.5 / r, d * d)
-            hi = np.minimum(2.0 / r, 4.0)
-            act = lo < hi
-            vals = np.zeros(len(r))
-            vals[act] = self._windows(r[act], d[act], lo[act], hi[act])
-            out[cand] = vals
-        return out.reshape(shape)
+        d = np.hypot(polar.unit[:, 0] - omega[0], polar.unit[:, 1] - omega[1])
+        lo = np.maximum(polar.lo, d * d)
+        act = lo < polar.hi
+        out = np.zeros(polar.size)
+        out[polar.cand[act]] = self._windows(polar.rho[act], d[act], lo[act], polar.hi[act])
+        return out
 
     def _windows(self, rho, d, lo, hi) -> np.ndarray:
+        """Trapezoid rule in log tau over [lo, hi] with _N_TAU nodes per point.
+
+        The points run in blocks of _BLOCK, so every temporary stays within
+        256 KB and is reused from memory the allocator already holds, where
+        one (points x nodes) array would fault in fresh pages on each call.
+        Each row is evaluated and summed on its own, so the block size
+        changes no bit of the result.
+        """
         n = _N_TAU
         t = np.linspace(0.0, 1.0, n)
         wt = np.full(n, 1.0)
         wt[0] = wt[-1] = 0.5
         out = np.empty(len(rho))
-        for start in range(0, len(rho), _CHUNK):
-            sl = slice(start, min(start + _CHUNK, len(rho)))
+        for start in range(0, len(rho), _BLOCK):
+            sl = slice(start, start + _BLOCK)
             ls, lh = np.log(lo[sl]), np.log(hi[sl])
             s = ls[:, None] + (lh - ls)[:, None] * t
             tau = np.exp(s)
@@ -170,6 +182,22 @@ class PhiGeometry:
             )
             out[sl] = (integrand * wt).sum(axis=1) * (lh - ls) / (n - 1)
         return out
+
+
+class _Polar:
+    """The direction-free part of phi_omega at a fixed set of points (n, 2):
+    rho, the indices of the rho > 1/8 candidates, their unit vectors and
+    the ends 0.5/rho and min(2/rho, 4) of the scale interval, which no
+    omega changes."""
+
+    def __init__(self, pts: np.ndarray):
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        self.size = len(pts)
+        self.cand = np.flatnonzero(rho > 0.125)
+        self.rho = rho[self.cand]
+        self.unit = pts[self.cand] / self.rho[:, None]
+        self.lo = 0.5 / self.rho
+        self.hi = np.minimum(2.0 / self.rho, 4.0)
 
 
 class DirectionSet:
@@ -245,6 +273,7 @@ class ParabolicFrame:
         N, half = spec.N, spec.N // 2
         pts = lattice(spec).points()
         nyquist = np.union1d(half * N + np.arange(N), np.arange(N) * N + half)
+        polar, edge_polar = _Polar(pts), _Polar(pts[nyquist])
         coverage = np.zeros(len(pts))
         energy = np.zeros(len(pts))
         self._sparse = []
@@ -253,7 +282,7 @@ class ParabolicFrame:
         for l, omega in enumerate(self.directions.omegas):
             mirror = _mirror_source(l, self.directions.M)
             if mirror is None:
-                vals = self.geometry.phi_values(pts, omega)
+                vals = self.geometry._phi(polar, omega)
                 idx = np.nonzero(vals)[0]
                 vals = vals[idx]
             else:
@@ -263,7 +292,7 @@ class ParabolicFrame:
                 keep = (r != half) & (c != half)
                 r, c = r[keep], c[keep]
                 mapped = (g[0, 0] * r + g[0, 1] * c) % N * N + (g[1, 0] * r + g[1, 1] * c) % N
-                edge = self.geometry.phi_values(pts[nyquist], omega)
+                edge = self.geometry._phi(edge_polar, omega)
                 hit = np.nonzero(edge)[0]
                 idx = np.concatenate([mapped, nyquist[hit]])
                 order = np.argsort(idx)

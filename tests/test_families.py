@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,38 @@ def test_build_test_family_rejects_unknown_kinds(monkeypatch):
     monkeypatch.setattr(fk.families, "plane_wave_member", built)
     with pytest.raises(fk.ParameterError, match="pakcet"):
         fk.build_test_family(spec, frame, bands=(1, 2), kinds=("plane", "pakcet"))
+
+
+def unmasked_packet_spectrum(spec, k, omega):
+    """The packet spectrum with exp evaluated at every lattice point."""
+    rho0 = fk.families._band_center(spec, k)
+    mesh = fk.lattice(spec).mesh
+    par = mesh[0] * omega[0] + mesh[1] * omega[1] - rho0
+    perp = -mesh[0] * omega[1] + mesh[1] * omega[0]
+    arg = -(par**2) / (2 * (rho0 / 4.0) ** 2) - perp**2 / (2 * (np.sqrt(rho0) / 2.0) ** 2)
+    return arg, np.exp(arg).astype(complex)
+
+
+def test_packet_spectra_equal_unmasked_exp(monkeypatch):
+    spec = fk.GridSpec(N=256, L=2.0 * np.pi)
+    directions = fk.DirectionSet(32)
+    shell = below = False
+    for k in range(3, 8):
+        for omega in directions.omegas[::4]:
+            arg, reference = unmasked_packet_spectrum(spec, k, omega)
+            # exp is subnormal on [-746, -708.4) down to its +0.0 at about -745.1
+            shell |= bool(((arg >= -746.0) & (arg < -708.4)).any())
+            below |= bool((arg < -746.0).any())
+            assert fk.families._packet_spectrum(spec, k, omega).tobytes() == reference.tobytes()
+    assert shell and below
+
+    def members():
+        frame = SimpleNamespace(directions=directions)
+        fields = [fk.packet_member(spec, k, omega).field for k in range(3, 8)
+                  for omega in directions.omegas[::4]]
+        fields += [fk.focusing_member(spec, k, frame).field for k in range(3, 8)]
+        return [f.samples.tobytes() for f in fields]
+
+    built = members()
+    monkeypatch.setattr(fk.families, "_packet_spectrum", lambda *a: unmasked_packet_spectrum(*a)[1])
+    assert built == members()

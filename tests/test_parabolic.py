@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
 import fiokit as fk
+from fiokit import parabolic
 from conftest import random_field
 
 
@@ -277,3 +280,37 @@ def test_parabolic_input_checks(frame64, call, match):
     other = fk.GridField(fk.GridSpec(N=32), np.zeros((32, 32)))
     with pytest.raises(fk.ParameterError, match=match):
         call(frame64, other)
+
+
+def frame_bytes(frame):
+    arrays = [a for pair in frame._sparse for a in pair]
+    return [a.tobytes() for a in arrays + [frame.coverage, frame.energy, frame.m.values]]
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_quadrature_block_size_changes_no_bit(N, monkeypatch):
+    spec = fk.GridSpec(N=N, L=2.0 * np.pi)
+    default = fk.ParabolicFrame(spec)
+    # 7 points leaves a ragged last block; N^2 points is one block per call
+    for block in (7, N * N):
+        monkeypatch.setattr(parabolic, "_BLOCK", block)
+        assert frame_bytes(fk.ParabolicFrame(spec)) == frame_bytes(default)
+    # direction 1 is evaluated, not copied from a mirror image
+    assert parabolic._mirror_source(1, default.n_directions) is None
+    stored = np.zeros(N * N)
+    idx, vals = default.sparse(1)
+    stored[idx] = vals
+    direct = default.geometry.phi_values(fk.lattice(spec).points(), default.directions.omegas[1])
+    assert direct.tobytes() == stored.tobytes()
+
+
+def test_frame_build_peak_memory():
+    # one (points x 96) quadrature array per direction peaks at about 13 MB
+    spec = fk.GridSpec(N=128, L=2.0 * np.pi)
+    tracemalloc.start()
+    try:
+        fk.ParabolicFrame(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
