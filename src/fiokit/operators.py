@@ -9,12 +9,17 @@ and the p = 2 certificate all run its spectrum-level pair, so a dense
 certificate step takes the 4 grid transforms of a separable one.  The
 cores allocate no grid per band or frequency: one scratch grid per call
 takes every band transform or lattice row, and each sum is scaled, and
-in an adjoint conjugated, once.  Probing reports norm ratios over a
-test family; at p = 2 it also records sqrt(2) times a power-iteration
-estimate of the L^2 norm of a conjugated operator.  That number is what
-the probe ratios are compared against, but it is not a rigorous bound:
-power iteration estimates the norm from below and may stop at its
-iteration cap before it converges.
+in an adjoint conjugated, once.  A dense sum evaluates one x-slice per
+lattice frequency; a densified separable symbol's slice is the sum of
+its one or two nonzero bands times weights computed once per distinct
+|eta|.  On a freshly densified symbol that is about 45 us per eta,
+0.18 s per N = 64 apply on a 2-vCPU x86-64 VM; a repeated apply of the
+same dense symbol reuses the weights and takes about 0.14 s.  Probing
+reports norm ratios over a test family; at p = 2 it also records sqrt(2)
+times a power-iteration estimate of the L^2 norm of a conjugated
+operator.  That number is what the probe ratios are compared against,
+but it is not a rigorous bound: power iteration estimates the norm from
+below and may stop at its iteration cap before it converges.
 """
 
 from __future__ import annotations
@@ -46,7 +51,10 @@ from .parabolic import ParabolicFrame
 from .symbols import DenseSymbol, SeparableSymbol
 
 
-# the dense path loops over the lattice frequencies in Python
+# the dense path loops over the lattice frequencies in Python, with grid-sized
+# work per eta: a fresh densified symbol's first apply takes about 0.18 s at
+# N = 64 (45 us per eta) and 2 s at N = 128 (120 us per eta) on a 2-vCPU x86-64
+# VM, a repeated apply of the same symbol about 20% less
 MAX_DENSE_N = 128
 
 

@@ -396,6 +396,47 @@ def test_densify_eval_runs_one_lowpass_call(spec_mid, fam_mid, monkeypatch):
     assert len(calls) == 1
 
 
+def test_densify_computes_weights_once_per_radius(spec_mid, fam_mid, rng, monkeypatch):
+    a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid).densify()
+    f = random_field(spec_mid, rng)
+    visited = fk.forward_transform(f) != 0
+    etas = fk.lattice(spec_mid).points().reshape(spec_mid.shape + (2,))[visited]
+    radii = {float(np.hypot(eta[0], eta[1])) for eta in etas}
+    calls = []
+    lowpass = fk.LittlewoodPaleyFamily.lowpass_profile
+
+    def counted(self, t):
+        calls.append(1)
+        return lowpass(self, t)
+
+    monkeypatch.setattr(fk.LittlewoodPaleyFamily, "lowpass_profile", counted)
+    first = fk.apply_dense(a, f)
+    assert len(calls) == len(radii)
+    calls.clear()
+    second = fk.apply_dense(a, f)
+    assert calls == []
+    assert second.samples.tobytes() == first.samples.tobytes()
+
+
+# three lattice frequencies of spec_mid (spacing 1/4) and two off it
+MID_ETAS = [np.array(eta) for eta in
+            ([0.0, 0.0], [0.25, 0.5], [2.0, -1.5], [1.9, 0.8], [5.0, -2.1])]
+
+
+def test_densify_slice_is_the_band_sum(spec_mid, fam_mid):
+    chirp = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid)
+    a = chirp.densify()
+    for eta in MID_ETAS:
+        w = fam_mid.band_weights(np.hypot(eta[0], eta[1])).tolist()
+        want = np.zeros(spec_mid.shape, dtype=complex)
+        for k, a_k in chirp.bands.items():
+            if w[k] != 0.0:
+                want += w[k] * a_k.samples
+        # the first evaluation fills the radius' weights, the second reads them
+        assert a.eval(eta).tobytes() == want.tobytes()
+        assert a.eval(eta).tobytes() == want.tobytes()
+
+
 def test_to_separable_recovers_separable(spec_mid, fam_mid, rng):
     chirp = fk.preset_rough_chirp(spec_mid, 1.0, 0.5, seed=2, chi=fam_mid)
     back = fk.to_separable(chirp.densify(), fam_mid)
