@@ -62,14 +62,10 @@ from .operators import (
     verify_band_support,
 )
 from .parabolic import (
-    AngularCalderonProfile,
-    CSigmaTable,
     DirectionSet,
     ParabolicFrame,
-    PhiGeometry,
     anisotropic_bound_check,
     build_phi_omega,
-    build_reproducing_m,
     c_sigma,
     frame_analyze,
     frame_synthesize,

@@ -72,6 +72,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ParameterError("config must be a JSON object")
+        unknown = [key for key in user if key not in DEFAULT_CONFIG]
+        if isinstance(user.get("grid"), dict):
+            unknown += [f"grid.{key}" for key in user["grid"] if key not in _GRID_TYPES]
+        if unknown:
+            raise ParameterError(f"config has unknown keys {unknown}")
         for key, val in user.items():
             if key == "grid":
                 if not isinstance(val, dict):

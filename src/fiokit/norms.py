@@ -73,6 +73,8 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     """
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
+    if not np.isfinite(s):
+        raise ParameterError("smoothness s must be finite")
     if f.spec != frame.spec:
         raise DimensionError("field and frame grids differ")
     spec = f.spec

@@ -12,14 +12,12 @@ takes every band transform or lattice row, and each sum is scaled, and
 in an adjoint conjugated, once.  A dense sum evaluates one x-slice per
 lattice frequency; a densified separable symbol's slice is the sum of
 its one or two nonzero bands times weights computed once per distinct
-|eta|.  On a freshly densified symbol that is about 45 us per eta,
-0.18 s per N = 64 apply on a 2-vCPU x86-64 VM; a repeated apply of the
-same dense symbol reuses the weights and takes about 0.14 s.  Probing
-reports norm ratios over a test family; at p = 2 it also records sqrt(2)
-times a power-iteration estimate of the L^2 norm of a conjugated
-operator.  That number is what the probe ratios are compared against,
-but it is not a rigorous bound: power iteration estimates the norm from
-below and may stop at its iteration cap before it converges.
+|eta|.  The comment at MAX_DENSE_N gives the time per eta and the cap it
+sets.  Probing reports norm ratios over a test family; at p = 2 it also
+records sqrt(2) times a power-iteration estimate of the L^2 norm of a
+conjugated operator.  That number is what the probe ratios are compared
+against, but it is not a rigorous bound: power iteration estimates the
+norm from below and may stop at its iteration cap before it converges.
 """
 
 from __future__ import annotations

@@ -268,7 +268,7 @@ class ParabolicFrame:
 
     def __init__(self, spec: GridSpec, M_omega: int | None = None):
         self.spec = spec
-        self.directions = DirectionSet(M_omega or default_direction_count(spec))
+        self.directions = DirectionSet(default_direction_count(spec) if M_omega is None else M_omega)
         self.geometry = PhiGeometry(AngularCalderonProfile(), CSigmaTable(0.5 / spec.xi_max))
         N, half = spec.N, spec.N // 2
         pts = lattice(spec).points()
@@ -444,8 +444,8 @@ def _fd_derivative(fun, pts, a1, a2, h1, h2) -> np.ndarray:
 def _derivative_table(fun, samples, alpha_max: int, measure) -> dict:
     """{(a1, a2): max(0, measure(pts, a1, a2, d))} over the samples (pts, h1, h2)
     for |alpha| <= alpha_max, with d = _fd_derivative(fun, pts, a1, a2, h1, h2)."""
-    if alpha_max > 3:
-        raise ParameterError("alpha_max must be <= 3")
+    if not 0 <= alpha_max <= 3:
+        raise ParameterError(f"alpha_max={alpha_max} must lie in 0..3")
     return {
         (a1, a2): max([0.0] + [measure(pts, a1, a2, _fd_derivative(fun, pts, a1, a2, h1, h2))
                                for pts, h1, h2 in samples])

@@ -18,6 +18,7 @@ import numpy as np
 from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily, build_auxiliary
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError, _convert
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
+from .grid import forward_transform, inverse_transform
 from .norms import zygmund_norm
 from .parabolic import _derivative_table
 
@@ -214,34 +215,33 @@ def estimate_seminorms(
 # ---------------------------------------------------------------------------
 
 
-def _paraproduct(b: GridField, f: GridField, fam, selector) -> GridField:
+def _paraproduct(b: GridField, f: GridField, fam, window) -> GridField:
+    """Sum_k (psi_k(D) f)(W_k(D) b) with W_k = Sum_{j in window(k)} psi_j: one forward
+    transform of b, then per k with a non-empty window a band of f and one inverse."""
     if b.spec != f.spec:
         raise DimensionError("paraproduct operands on different grids")
     if fam is None:
         fam = LittlewoodPaleyFamily(b.spec)
-    bj = dict(fam.bands(b))
-    fk = dict(fam.bands(f))
+    spectrum = forward_transform(b)
     out = np.zeros(b.spec.shape, dtype=complex)
-    for k in range(fam.J_max + 1):
-        for j in range(fam.J_max + 1):
-            if selector(j, k):
-                out += bj[j] * fk[k]
+    for k, fk in fam.bands(f, [k for k in range(fam.J_max + 1) if fam.values[window(k)]]):
+        out += fk * inverse_transform(sum(fam.values[window(k)]) * spectrum, b.spec).samples
     return GridField(b.spec, out)
 
 
 def paraproduct_hh(b: GridField, f: GridField, fam: LittlewoodPaleyFamily | None = None) -> GridField:
     """Comparable-frequency piece: bands with |j - k| <= 5."""
-    return _paraproduct(b, f, fam, lambda j, k: abs(j - k) <= 5)
+    return _paraproduct(b, f, fam, lambda k: slice(max(0, k - 5), k + 6))
 
 
 def paraproduct_hl(b: GridField, f: GridField, fam: LittlewoodPaleyFamily | None = None) -> GridField:
     """High-b, low-f piece: j >= k + 6."""
-    return _paraproduct(b, f, fam, lambda j, k: j >= k + 6)
+    return _paraproduct(b, f, fam, lambda k: slice(k + 6, None))
 
 
 def paraproduct_lh(b: GridField, f: GridField, fam: LittlewoodPaleyFamily | None = None) -> GridField:
     """Low-b, high-f remainder: j <= k - 6; completes b*f with the other two."""
-    return _paraproduct(b, f, fam, lambda j, k: j <= k - 6)
+    return _paraproduct(b, f, fam, lambda k: slice(0, max(0, k - 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +447,8 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
             if not isinstance(entry, dict):
                 raise InvalidInputError(f"{path}: symbol descriptor band {entry!r} is not an object")
             k = _scalar(path, "band k", int, entry["k"])
+            if k in fields:
+                raise InvalidInputError(f"{path}: symbol descriptor lists band {k} twice")
             fields[k] = read_fiof(os.path.join(base, entry["file"]))
             spec = fields[k].spec
     elif kind not in ("analytic-preset", "dense"):

@@ -398,3 +398,27 @@ def test_norm_uses_configured_eps(tmp_path, capsys):
     zygmund = json.loads(out)["zygmund"]
     assert zygmund == fk.zygmund_norm(f, 1.5, fk.build_lp_family(spec, 0.2))
     assert zygmund != fk.zygmund_norm(f, 1.5)
+
+
+@pytest.mark.parametrize("doc", [{"p_lsit": [4.0]}, {"grid": {"N": 32, "n2": 5}}],
+                         ids=["top-level", "grid"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg), "calibrate"]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def test_zero_direction_count_exits_2(capsys):
+    assert main(["--M-omega", "0", "calibrate"]) == 2
+    assert "M=0" in capsys.readouterr().err
+
+
+def test_separable_descriptor_with_a_repeated_band_exits_1(tmp_path, capsys):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    fk.write_fiof(tmp_path / "band.fiof", fk.GridField(spec, np.ones(spec.shape)))
+    band = {"k": 1, "file": "band.fiof"}
+    code = _apply_with_symbol(tmp_path, {"kind": "separable", "bands": [band, band]},
+                              fk.GridField(spec, np.ones(spec.shape)))
+    assert code == 1
+    assert "band 1 twice" in capsys.readouterr().err

@@ -278,3 +278,16 @@ def test_budget_validation():
 def test_norms_input_checks(call, match):
     with pytest.raises(fk.ParameterError, match=match):
         call()
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0], ids=["parseval", "directions"])
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+def test_hpfio_norm_refuses_a_non_finite_s(frame64, monkeypatch, p, s):
+    f = fk.GridField(frame64.spec, np.ones(frame64.spec.shape))
+
+    def refuse(*args):
+        raise AssertionError("transform before the check")
+
+    monkeypatch.setattr(fk.norms, "forward_transform", refuse)
+    with pytest.raises(fk.ParameterError, match="finite"):
+        fk.hpfio_norm(f, s, p, frame64)

@@ -314,3 +314,13 @@ def test_frame_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_anisotropic_bound_check_refuses_a_negative_alpha_max(frame64):
+    with pytest.raises(fk.ParameterError, match="alpha_max"):
+        fk.anisotropic_bound_check(frame64, alpha_max=-1)
+
+
+def test_zero_direction_count_is_refused_not_defaulted():
+    with pytest.raises(fk.ParameterError, match="M=0"):
+        fk.ParabolicFrame(fk.GridSpec(N=32, L=2.0 * np.pi), M_omega=0)

@@ -205,6 +205,45 @@ def test_paraproduct_f_constant_remainder_zero(spec_mid, fam_mid, rng):
     assert np.abs(fk.paraproduct_lh(b, f, fam_mid).samples).max() <= 1e-13
 
 
+@pytest.mark.parametrize("piece, pair", [
+    (fk.paraproduct_hh, lambda j, k: abs(j - k) <= 5),
+    (fk.paraproduct_hl, lambda j, k: j >= k + 6),
+    (fk.paraproduct_lh, lambda j, k: j <= k - 6),
+], ids=["hh", "hl", "lh"])
+def test_paraproducts_equal_the_all_pairs_sum(rng, piece, pair):
+    # J_max = 12: the hh windows of k <= 5 are clipped below, those of
+    # k >= 8 above, and those of k = 6, 7 at neither end
+    spec = fk.GridSpec(N=64, L=0.25)
+    fam = fk.build_lp_family(spec)
+    assert fam.J_max == 12
+    b = random_field(spec, rng, real=True)
+    f = random_field(spec, rng)
+    b_bands, f_bands = dict(fam.bands(b)), dict(fam.bands(f))
+    ref = sum(b_bands[j] * f_bands[k] for k in f_bands for j in b_bands if pair(j, k))
+    got = piece(b, f, fam).samples
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("piece, count", [(fk.paraproduct_hh, 22), (fk.paraproduct_hl, 10),
+                                          (fk.paraproduct_lh, 10)], ids=["hh", "hl", "lh"])
+def test_paraproduct_transform_counts(spec_fine, fam_fine, rng, monkeypatch, piece, count):
+    # J_max = 9: hh has a window for every k, hl for k <= 3 and lh for k >= 6
+    assert fam_fine.J_max == 9
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+    piece(random_field(spec_fine, rng), random_field(spec_fine, rng), fam_fine)
+    assert len(calls) == count
+    assert calls.count("fftn") == 2
+
+
 # ---------------------------------------------------------------------------
 # Fourier-mode decomposition
 # ---------------------------------------------------------------------------
@@ -605,3 +644,16 @@ def test_separable_symbol_checks_its_class(spec_mid, fam_mid, kwargs, match):
     with pytest.raises(fk.ParameterError, match=match):
         fk.SeparableSymbol(spec_mid, bands, fam_mid, **kwargs)
 
+
+
+def test_seminorms_refuse_a_negative_alpha_max(spec_mid, fam_mid):
+    with pytest.raises(fk.ParameterError, match="alpha_max"):
+        fk.estimate_seminorms(fk.preset_identity(spec_mid), -1, fam_mid)
+
+
+def test_separable_descriptor_refuses_a_repeated_band(spec_mid, tmp_path):
+    fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec_mid, np.ones(spec_mid.shape)))
+    fk.write_fiof(tmp_path / "two.fiof", fk.GridField(spec_mid, 2.0 * np.ones(spec_mid.shape)))
+    doc = {"kind": "separable", "bands": [{"k": 1, "file": "one.fiof"}, {"k": 1, "file": "two.fiof"}]}
+    with pytest.raises(fk.InvalidInputError, match="band 1 twice"):
+        fk.load_symbol(_descriptor(tmp_path, doc))
