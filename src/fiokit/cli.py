@@ -32,7 +32,7 @@ from .grid import (
 )
 from .norms import budget, classical_norm, hpfio_norm, zygmund_norm
 from .operators import apply_symbol, apply_dense, apply_separable, operator_norm_probe
-from .parabolic import ParabolicFrame, c_sigma, frame_analyze, frame_synthesize
+from .parabolic import DirectionSet, ParabolicFrame, c_sigma, frame_analyze, frame_synthesize
 from .symbols import (
     SeparableSymbol,
     load_symbol,
@@ -357,7 +357,9 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in ("N", "L", "seed", "M_omega")}
     try:
         cfg = load_config(args.config, overrides)
-        _grid(cfg)  # validates grid parameters early
+        _grid(cfg)  # validates grid parameters early, before any output
+        if cfg["M_omega"] is not None:
+            DirectionSet(cfg["M_omega"])  # and the direction count
         return args.run(cfg, args)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)

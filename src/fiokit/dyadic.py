@@ -78,9 +78,13 @@ class LittlewoodPaleyFamily:
         _check_specs(self.spec, f.spec)
         spectrum = forward_transform(f)
         for j in range(self.J_max + 1) if js is None else js:
-            if not (0 <= j <= self.J_max):
-                raise ParameterError(f"band index j={j} outside 0..{self.J_max}")
-            yield j, inverse_transform(self.values[j] * spectrum, f.spec).samples
+            yield j, self._band(spectrum, j)
+
+    def _band(self, spectrum: np.ndarray, j: int) -> np.ndarray:
+        """Samples of psi_j(D) f, from spectrum = forward_transform(f)."""
+        if not (0 <= j <= self.J_max):
+            raise ParameterError(f"band index j={j} outside 0..{self.J_max}")
+        return inverse_transform(self.values[j] * spectrum, self.spec).samples
 
 
 def low_cutoff(rho) -> np.ndarray:

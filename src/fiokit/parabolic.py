@@ -72,17 +72,38 @@ def c_sigma(sigma: float, nodes: int | None = None) -> float:
 
     Periodic trapezoid quadrature on the circle; the node count grows
     like 1/sqrt(sigma) so the shrinking angular support stays resolved.
+
+    u vanishes exactly where chord = |e1 - nu| >= sqrt(sigma), so the
+    bump is evaluated only on the two end arcs theta < theta*,
+    theta > 2 pi - theta* with theta* = 2 arcsin(sqrt(sigma)/2), widened
+    by 2 nodes (the whole circle when sigma >= 4 or the arcs meet).  Its
+    squares go into a zeroed array of all the nodes, whose sum adds the
+    same numbers in the same order as summing every node's square, so the
+    result is the same float.
     """
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ParameterError(f"sigma={sigma} must be positive")
     if nodes is None:
         nodes = max(512, int(np.ceil(2048.0 / np.sqrt(min(sigma, 16.0)))))
     theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
-    chord = 2.0 * np.abs(np.sin(theta / 2.0))
-    integral = float((_BUMP(chord / np.sqrt(sigma)) ** 2).sum() * 2.0 * np.pi / nodes)
+    on = _support_nodes(sigma, nodes)
+    chord = 2.0 * np.abs(np.sin(theta[on] / 2.0))
+    squares = np.zeros(nodes)
+    squares[on] = _BUMP(chord / np.sqrt(sigma)) ** 2
+    integral = float(squares.sum() * 2.0 * np.pi / nodes)
     if integral < 1e-14:
         raise ResolutionError(f"sphere quadrature unresolved at sigma={sigma}")
     return integral ** -0.5
+
+
+def _support_nodes(sigma: float, nodes: int):
+    """Indices of the c_sigma nodes theta_i = 2 pi i / nodes within 2 nodes of
+    the end arcs where chord < sqrt(sigma); a full slice when they meet."""
+    if sigma < 4.0:
+        k = int(np.ceil(np.arcsin(np.sqrt(sigma) / 2.0) * nodes / np.pi)) + 2
+        if 2 * k < nodes:
+            return np.r_[0:k, nodes - k:nodes]
+    return slice(None)
 
 
 class CSigmaTable:

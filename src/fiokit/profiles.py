@@ -2,7 +2,10 @@
 
 All plateaus evaluate to exactly 0.0 or 1.0 in floating point, so
 multiplier supports are hard (identically zero outside the stated
-radii, not merely small).
+radii, not merely small).  smooth_step writes the plateaus directly and
+runs its two exponentials only on the transition 0 < t < 1.  On the
+plateaus the full quotient a / (a + b) is 0 / b = 0.0 or a / a = 1.0,
+so no value changes.
 """
 
 from __future__ import annotations
@@ -10,21 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def _mollifier(t: np.ndarray) -> np.ndarray:
-    """exp(-1/t) for t > 0, hard zero for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def smooth_step(t) -> np.ndarray:
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
+    """C-infinity monotone step a / (a + b), a = exp(-1/t), b = exp(-1/(1-t)):
+    exactly 0.0 for t <= 0, 1.0 for t >= 1, and nan for nan."""
     t = np.asarray(t, dtype=float)
-    a = _mollifier(t)
-    b = _mollifier(1.0 - t)
-    return a / (a + b)
+    top = t >= 1.0
+    out = np.asarray(top, dtype=float)
+    # nan is in neither plateau, so it takes the transition and stays nan
+    mid = ~(top | (t <= 0.0))
+    tm = t[mid]
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / (1.0 - tm))
+    out[mid] = a / (a + b)
+    return out if out.ndim else out[()]
 
 
 def rising(t, lo: float, hi: float) -> np.ndarray:

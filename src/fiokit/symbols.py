@@ -18,7 +18,7 @@ import numpy as np
 from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily, build_auxiliary
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError, _convert
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
-from .grid import forward_transform, inverse_transform
+from .grid import _check_specs, forward_transform, inverse_transform
 from .norms import zygmund_norm
 from .parabolic import _derivative_table
 
@@ -217,15 +217,19 @@ def estimate_seminorms(
 
 def _paraproduct(b: GridField, f: GridField, fam, window) -> GridField:
     """Sum_k (psi_k(D) f)(W_k(D) b) with W_k = Sum_{j in window(k)} psi_j: one forward
-    transform of b, then per k with a non-empty window a band of f and one inverse."""
+    transform of b, then per k with a non-empty window a band of f and one inverse.
+    When no window is non-empty the sum is zero and nothing is transformed."""
     if b.spec != f.spec:
         raise DimensionError("paraproduct operands on different grids")
     if fam is None:
         fam = LittlewoodPaleyFamily(b.spec)
-    spectrum = forward_transform(b)
+    _check_specs(fam.spec, f.spec)
     out = np.zeros(b.spec.shape, dtype=complex)
-    for k, fk in fam.bands(f, [k for k in range(fam.J_max + 1) if fam.values[window(k)]]):
-        out += fk * inverse_transform(sum(fam.values[window(k)]) * spectrum, b.spec).samples
+    ks = [k for k in range(fam.J_max + 1) if fam.values[window(k)]]
+    if ks:
+        spectrum = forward_transform(b)
+        for k, fk in fam.bands(f, ks):
+            out += fk * inverse_transform(sum(fam.values[window(k)]) * spectrum, b.spec).samples
     return GridField(b.spec, out)
 
 

@@ -414,6 +414,14 @@ def test_zero_direction_count_exits_2(capsys):
     assert "M=0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("M", [0, 3, -8])
+def test_out_of_range_direction_count_exits_2_before_any_output(capsys, M):
+    assert main(["--M-omega", str(M), "calibrate"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"M={M}" in out.err
+
+
 def test_separable_descriptor_with_a_repeated_band_exits_1(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     fk.write_fiof(tmp_path / "band.fiof", fk.GridField(spec, np.ones(spec.shape)))

@@ -244,6 +244,30 @@ def test_paraproduct_transform_counts(spec_fine, fam_fine, rng, monkeypatch, pie
     assert calls.count("fftn") == 2
 
 
+@pytest.mark.parametrize("piece, count", [(fk.paraproduct_hh, 14), (fk.paraproduct_hl, 0),
+                                          (fk.paraproduct_lh, 0)], ids=["hh", "hl", "lh"])
+def test_paraproduct_with_no_window_transforms_nothing(rng, monkeypatch, piece, count):
+    # J_max = 5 < 6: no k has an hl or lh window, so those pieces are zero
+    spec = fk.GridSpec(N=16, L=2 * np.pi)
+    fam = fk.build_lp_family(spec)
+    assert fam.J_max == 5
+    b, f = random_field(spec, rng), random_field(spec, rng)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+    got = piece(b, f, fam)
+    assert len(calls) == count
+    if count == 0:
+        assert got.samples.tobytes() == np.zeros(spec.shape, dtype=complex).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Fourier-mode decomposition
 # ---------------------------------------------------------------------------
