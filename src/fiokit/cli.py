@@ -95,6 +95,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
         cfg["grid"][key] = _convert(f"grid.{key}", kind, cfg["grid"][key])
     for key, kind in _FIELD_TYPES.items():
         cfg[key] = _convert(key, kind, cfg[key])
+    if cfg["seed"] < 0:
+        raise ParameterError(f"seed={cfg['seed']} must be non-negative")
     if cfg["M_omega"] is not None:
         cfg["M_omega"] = _convert("M_omega", int, cfg["M_omega"])
     for key, kind in _LIST_TYPES.items():

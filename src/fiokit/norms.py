@@ -54,10 +54,13 @@ def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = Non
     found, when no band left can exceed it.  The maximum of the terms
     transformed is the same float as the maximum over every band.
     """
-    if not r > 0:
-        raise ParameterError(f"regularity r={r} must be positive")
+    if not 0 < r < np.inf:
+        raise ParameterError(f"regularity r={r} must be positive and finite")
     if fam is None:
         fam = build_lp_family(f.spec)
+    if fam.J_max * r >= 1024:
+        raise ParameterError(f"regularity r={r}: 2^(J_max r) overflows at J_max={fam.J_max}, "
+                             f"r must be below {1024 / fam.J_max:g}")
     _check_specs(fam.spec, f.spec)
     spectrum = forward_transform(f)
     modulus = np.abs(spectrum)

@@ -165,17 +165,20 @@ class PhiGeometry:
     def phi_values(self, points, omega) -> np.ndarray:
         """phi_omega at points of shape (..., 2); hard zeros off support."""
         pts = np.asarray(points, dtype=float)
-        return self._phi(_Polar(pts.reshape(-1, 2)), omega).reshape(pts.shape[:-1])
+        idx, vals = self._phi(_Polar(pts.reshape(-1, 2)), omega)
+        out = np.zeros(pts.shape[:-1])
+        out.reshape(-1)[idx] = vals
+        return out
 
-    def _phi(self, polar: _Polar, omega) -> np.ndarray:
-        """phi_omega at the points polar was built from, as a flat array."""
+    def _phi(self, polar: _Polar, omega):
+        """(ascending indices of polar's points where phi_omega != 0, those values)."""
         omega = np.asarray(omega, dtype=float)
         d = np.hypot(polar.unit[:, 0] - omega[0], polar.unit[:, 1] - omega[1])
         lo = np.maximum(polar.lo, d * d)
         act = lo < polar.hi
-        out = np.zeros(polar.size)
-        out[polar.cand[act]] = self._windows(polar.rho[act], d[act], lo[act], polar.hi[act])
-        return out
+        vals = self._windows(polar.rho[act], d[act], lo[act], polar.hi[act])
+        hit = vals != 0.0
+        return polar.cand[act][hit], vals[hit]
 
     def _windows(self, rho, d, lo, hi) -> np.ndarray:
         """Trapezoid rule in log tau over [lo, hi] with _N_TAU nodes per point.
@@ -213,7 +216,6 @@ class _Polar:
 
     def __init__(self, pts: np.ndarray):
         rho = np.hypot(pts[:, 0], pts[:, 1])
-        self.size = len(pts)
         self.cand = np.flatnonzero(rho > 0.125)
         self.rho = rho[self.cand]
         self.unit = pts[self.cand] / self.rho[:, None]
@@ -303,9 +305,7 @@ class ParabolicFrame:
         for l, omega in enumerate(self.directions.omegas):
             mirror = _mirror_source(l, self.directions.M)
             if mirror is None:
-                vals = self.geometry._phi(polar, omega)
-                idx = np.nonzero(vals)[0]
-                vals = vals[idx]
+                idx, vals = self.geometry._phi(polar, omega)
             else:
                 l0, g = mirror
                 idx0, vals0 = self._sparse[l0]
@@ -313,12 +313,11 @@ class ParabolicFrame:
                 keep = (r != half) & (c != half)
                 r, c = r[keep], c[keep]
                 mapped = (g[0, 0] * r + g[0, 1] * c) % N * N + (g[1, 0] * r + g[1, 1] * c) % N
-                edge = self.geometry._phi(edge_polar, omega)
-                hit = np.nonzero(edge)[0]
+                hit, edge = self.geometry._phi(edge_polar, omega)
                 idx = np.concatenate([mapped, nyquist[hit]])
                 order = np.argsort(idx)
                 idx = idx[order]
-                vals = np.concatenate([vals0[keep], edge[hit]])[order]
+                vals = np.concatenate([vals0[keep], edge])[order]
             self._sparse.append((idx, vals))
             self._lines.append(_touched_lines(idx, N))
             coverage[idx] += w * vals

@@ -3,14 +3,17 @@
 All plateaus evaluate to exactly 0.0 or 1.0 in floating point, so
 multiplier supports are hard (identically zero outside the stated
 radii, not merely small).  smooth_step writes the plateaus directly and
-runs its two exponentials only on the transition 0 < t < 1.  On the
-plateaus the full quotient a / (a + b) is 0 / b = 0.0 or a / a = 1.0,
-so no value changes.
+runs its two exponentials only on the transition tiny <= t < 1, tiny the
+smallest normal float.  On the plateaus the full quotient a / (a + b) is
+0 / b = 0.0 or a / a = 1.0 (a subnormal t gives a = 0.0, though -1/t
+overflows), so no value changes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_TINY = float(np.finfo(float).tiny)
 
 
 def smooth_step(t) -> np.ndarray:
@@ -20,7 +23,7 @@ def smooth_step(t) -> np.ndarray:
     top = t >= 1.0
     out = np.asarray(top, dtype=float)
     # nan is in neither plateau, so it takes the transition and stays nan
-    mid = ~(top | (t <= 0.0))
+    mid = ~(top | (t < _TINY))
     tm = t[mid]
     a = np.exp(-1.0 / tm)
     b = np.exp(-1.0 / (1.0 - tm))

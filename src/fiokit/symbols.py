@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -383,6 +383,8 @@ def preset_rough_chirp(
     random field whose x-spectrum fills dyadic bands up to scale
     2^{k delta}, with lacunary amplitudes 2^{(k delta - j) r} capped at 1,
     rescaled so the recorded size constants equal 1."""
+    if seed < 0:
+        raise ParameterError(f"seed={seed} must be non-negative")
     if chi is None:
         chi = LittlewoodPaleyFamily(spec)
     rng = np.random.default_rng(seed)
@@ -395,7 +397,7 @@ def preset_rough_chirp(
         noise = rng.standard_normal(spec.shape)
         mask = np.zeros(spec.shape)
         for j in range(1, j_top + 1):
-            amp = min(1.0, 2.0 ** ((k * delta - j) * r))
+            amp = 2.0 ** min(0.0, (k * delta - j) * r)
             mask += amp * chi.values[j]
         v = apply_multiplier(GridField(spec, noise), SpectralMultiplier(spec, mask)).samples.real
         v_field = GridField(spec, v.astype(complex))

@@ -354,6 +354,22 @@ def test_apply_malformed_descriptor_field_exits_1(tmp_path, capsys, symbol_doc, 
     assert not (tmp_path / "out.fiof").exists()
 
 
+@pytest.mark.parametrize("params, text", [
+    ({"r": 2.0, "delta": 0.5, "seed": -1}, "seed=-1"),
+    ({"r": 5000, "delta": 0.5}, "r=5000"),
+    ({"r": 2.0, "delta": 2.0}, "delta=2.0"),
+], ids=["negative-seed", "overflowing-r", "delta-out-of-range"])
+def test_apply_out_of_range_chirp_param_exits_2(tmp_path, capsys, params, text):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    doc = {**_CHIRP, "params": params}
+    assert _apply_with_symbol(tmp_path, doc, fk.GridField(spec, np.ones(spec.shape))) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and text in out.err
+    assert "Traceback" not in out.err
+    assert not (tmp_path / "out.fiof").exists()
+
+
 def test_apply_multiplication_preset(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     rng = np.random.default_rng(5)
@@ -430,3 +446,36 @@ def test_separable_descriptor_with_a_repeated_band_exits_1(tmp_path, capsys):
                               fk.GridField(spec, np.ones(spec.shape)))
     assert code == 1
     assert "band 1 twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify", "bench-boundedness"])
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--seed", "-1", command]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "seed=-1" in out.err and "Traceback" not in out.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_config_seed_exits_2_before_any_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    assert main(["--config", str(cfg), "bench-boundedness"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "seed=-3" in out.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("r, text", [("inf", "finite"), ("nan", "finite"), ("1000", "below")])
+def test_norm_extreme_regularity_exits_2(tmp_path, capsys, r, text):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    path = tmp_path / "f.fiof"
+    fk.write_fiof(path, fk.GridField(spec, np.ones(spec.shape)))
+    assert main(["norm", "--field", str(path), "--r", r]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and text in out.err
+    assert "Traceback" not in out.err

@@ -74,6 +74,23 @@ def test_smooth_step_arrays_are_byte_identical():
     _same(profiles.smooth_step(np.empty((0, 3))), reference_smooth_step(np.empty((0, 3))))
 
 
+@pytest.mark.filterwarnings("error")
+def test_smooth_step_warns_at_no_subnormal_or_nextafter_input():
+    # -1/t would overflow for a subnormal t; smooth_step puts such a t on
+    # the 0.0 plateau, which is what exp(-1/t) gives there
+    tiny = np.finfo(float).tiny
+    t = np.array([5e-324, np.nextafter(0.0, 1.0), tiny / 2.0, np.nextafter(tiny, 0.0), tiny,
+                  np.nextafter(tiny, 1.0), np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                  np.nextafter(0.0, -1.0), -5e-324])
+    with np.errstate(over="ignore"):
+        want = reference_smooth_step(t)
+    _same(profiles.smooth_step(t), want)
+    for v, w in zip(t, want):
+        _same(profiles.smooth_step(v), w)
+        _same(profiles.smooth_step(float(v)), w)
+    assert not want[:6].any()
+
+
 def test_smooth_step_keeps_nan():
     assert np.isnan(profiles.smooth_step(np.nan))
     out = profiles.smooth_step(np.array([0.2, np.nan, 2.0, -1.0]))

@@ -68,6 +68,31 @@ def test_zygmund_requires_positive_r(spec64, rng):
         fk.zygmund_norm(random_field(spec64, rng), 0.0)
 
 
+@pytest.mark.parametrize("r", [np.inf, np.nan, -np.inf])
+def test_zygmund_refuses_a_non_finite_r(r):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    with pytest.raises(fk.ParameterError, match="positive and finite"):
+        fk.zygmund_norm(fk.GridField(spec, np.ones(spec.shape)), r)
+
+
+def test_zygmund_refuses_an_r_whose_top_weight_overflows():
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    fam = fk.build_lp_family(spec)
+    ones = fk.GridField(spec, np.ones(spec.shape))
+    limit = 1024 / fam.J_max
+    for r in (limit, 1000.0, 1e300):
+        with pytest.raises(fk.ParameterError, match=f"below {limit:g}"):
+            fk.zygmund_norm(ones, r, fam)
+        with pytest.raises(fk.ParameterError, match=f"below {limit:g}"):
+            fk.zygmund_norm(ones, r)
+    # just below the limit 2^(J_max r) is finite, and the constant's norm is 1
+    r = limit
+    while fam.J_max * r >= 1024:
+        r = float(np.nextafter(r, 0.0))
+    assert fk.zygmund_norm(ones, r, fam) == 1.0
+    assert fk.zygmund_norm(ones, 1.5, fam) == 1.0
+
+
 def test_hpfio_zero(spec64, frame64):
     z = fk.GridField(spec64, np.zeros(spec64.shape))
     assert fk.hpfio_norm(z, 0.0, 2.0, frame64) == 0.0

@@ -554,6 +554,24 @@ def test_rough_chirp_is_calibrated(spec_mid, fam_mid):
         assert spectrum[outside].max() <= 1e-12 * spectrum.max()
 
 
+def test_rough_chirp_capped_amplitude_is_the_same_float():
+    # 2^min(0, x) is min(1, 2^x) for every finite x, without overflowing
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1023.9, -1074.0, -1080.0],
+                         rng.uniform(-1100.0, 1000.0, 2000), rng.uniform(-1e-6, 1e-6, 200)])
+    for x in xs.tolist():
+        got, want = 2.0 ** min(0.0, x), min(1.0, 2.0 ** x)
+        assert got == want and np.signbit(got) == np.signbit(want), x
+    assert 2.0 ** min(0.0, 5000.0) == 1.0
+
+
+def test_rough_chirp_refuses_a_negative_seed_and_an_overflowing_r(spec_mid, fam_mid):
+    with pytest.raises(fk.ParameterError, match="seed=-1"):
+        fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=-1, chi=fam_mid)
+    with pytest.raises(fk.ParameterError, match="r=5000"):
+        fk.preset_rough_chirp(spec_mid, 5000.0, 0.5, seed=0, chi=fam_mid)
+
+
 def test_symbol_file_round_trip(tmp_path, spec_mid, fam_mid, rng):
     chirp = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=4, chi=fam_mid)
     entries = []
