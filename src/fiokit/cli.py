@@ -30,11 +30,12 @@ from .grid import (
     read_fiof,
     write_fiof,
 )
-from .norms import budget, classical_norm, hpfio_norm, zygmund_norm
+from .norms import _check_regularity, budget, classical_norm, hpfio_norm, zygmund_norm
 from .operators import apply_symbol, apply_dense, apply_separable, operator_norm_probe
 from .parabolic import DirectionSet, ParabolicFrame, c_sigma, frame_analyze, frame_synthesize
 from .symbols import (
     SeparableSymbol,
+    _check_class,
     load_symbol,
     paraproduct_hh,
     paraproduct_hl,
@@ -95,10 +96,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
         cfg["grid"][key] = _convert(f"grid.{key}", kind, cfg["grid"][key])
     for key, kind in _FIELD_TYPES.items():
         cfg[key] = _convert(key, kind, cfg[key])
-    if cfg["seed"] < 0:
-        raise ParameterError(f"seed={cfg['seed']} must be non-negative")
     if cfg["M_omega"] is not None:
         cfg["M_omega"] = _convert("M_omega", int, cfg["M_omega"])
+    for key in ("csv_out", "json_out"):
+        if not isinstance(cfg[key], str):
+            raise ParameterError(f"{key}={cfg[key]!r} must be a file name")
     for key, kind in _LIST_TYPES.items():
         if not isinstance(cfg[key], list):
             raise ParameterError(f"{key}={cfg[key]!r} must be a list")
@@ -110,9 +112,20 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _grid(cfg: dict) -> GridSpec:
+def _checked(cfg: dict):
+    """(spec, fam), the config's grid and LP family.  Building them checks the
+    grid and eps; M_omega, the seed, r (against fam.J_max) and delta are
+    checked here too, so an unusable config exits before a command prints."""
     g = cfg["grid"]
-    return GridSpec(n=g["n"], N=g["N"], L=g["L"])
+    spec = GridSpec(n=g["n"], N=g["N"], L=g["L"])
+    fam = build_auxiliary(spec, cfg["eps"])
+    if cfg["M_omega"] is not None:
+        DirectionSet(cfg["M_omega"])
+    if cfg["seed"] < 0:
+        raise ParameterError(f"seed={cfg['seed']} must be non-negative")
+    _check_regularity(cfg["r"], fam.J_max)
+    _check_class(cfg["r"], cfg["delta"])
+    return spec, fam
 
 
 def _rel(got, want) -> float:
@@ -134,10 +147,8 @@ class CheckSuite:
         return 0 if self.failures == 0 else 1
 
 
-def _calibration_checks(cfg: dict, suite: CheckSuite):
-    spec = _grid(cfg)
+def _calibration_checks(cfg: dict, spec: GridSpec, fam, suite: CheckSuite):
     rng = np.random.default_rng(cfg["seed"])
-    fam = build_auxiliary(spec, cfg["eps"])
 
     total = sum(fam.values)
     suite.check("partition-of-unity", float(np.abs(total - 1.0).max()), 1e-12)
@@ -185,20 +196,20 @@ def _calibration_checks(cfg: dict, suite: CheckSuite):
     g = inverse_transform(high * forward_transform(f), spec)
     recon = frame_synthesize(frame_analyze(g, frame), frame)
     suite.check("frame-reconstruction", _rel(recon.samples, g.samples), 1e-10)
-    return spec, fam, frame, rng
+    return frame, rng
 
 
-def cmd_calibrate(cfg: dict, args) -> int:
+def cmd_calibrate(cfg: dict, args, spec: GridSpec, fam) -> int:
     suite = CheckSuite()
     print(f"# calibrate  config={config_hash(cfg)}  version={__version__}")
-    _calibration_checks(cfg, suite)
+    _calibration_checks(cfg, spec, fam, suite)
     return suite.exit_code()
 
 
-def cmd_verify(cfg: dict, args) -> int:
+def cmd_verify(cfg: dict, args, spec: GridSpec, fam) -> int:
     suite = CheckSuite()
     print(f"# verify  config={config_hash(cfg)}  version={__version__}")
-    spec, fam, frame, rng = _calibration_checks(cfg, suite)
+    frame, rng = _calibration_checks(cfg, spec, fam, suite)
 
     low = fam.values[0] + fam.values[1]
     b = inverse_transform(low * forward_transform(
@@ -232,7 +243,7 @@ def cmd_verify(cfg: dict, args) -> int:
     return suite.exit_code()
 
 
-def cmd_norm(cfg: dict, args) -> int:
+def cmd_norm(cfg: dict, args, spec: GridSpec, fam) -> int:
     field = read_fiof(args.field)
     frame = ParabolicFrame(field.spec, cfg["M_omega"])
     out = {
@@ -250,7 +261,7 @@ def cmd_norm(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_apply(cfg: dict, args) -> int:
+def cmd_apply(cfg: dict, args, spec: GridSpec, fam) -> int:
     field = read_fiof(args.field)
     sym = load_symbol(args.symbol, spec=field.spec)
     out = apply_symbol(sym, field)
@@ -259,8 +270,7 @@ def cmd_apply(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_smooth(cfg: dict, args) -> int:
-    spec = _grid(cfg)
+def cmd_smooth(cfg: dict, args, spec: GridSpec, fam) -> int:
     sym = load_symbol(args.symbol, spec=spec)
     if isinstance(sym, SeparableSymbol):
         sym = sym.densify()
@@ -285,12 +295,10 @@ def cmd_smooth(cfg: dict, args) -> int:
     return 0 if worst <= 1e-12 else 1
 
 
-def cmd_bench(cfg: dict, args) -> int:
+def cmd_bench(cfg: dict, args, spec: GridSpec, fam) -> int:
     if len(cfg["s_list"]) > 1:
         raise ParameterError(f"s_list={cfg['s_list']!r}: one s serves every p, give [] or [s]")
-    spec = _grid(cfg)
     frame = ParabolicFrame(spec, cfg["M_omega"])
-    fam = build_lp_family(spec, cfg["eps"])
     chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
     family = build_test_family(spec, frame, cfg["bands"], seed=cfg["seed"], fam=fam)
     rows = []
@@ -359,10 +367,8 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in ("N", "L", "seed", "M_omega")}
     try:
         cfg = load_config(args.config, overrides)
-        _grid(cfg)  # validates grid parameters early, before any output
-        if cfg["M_omega"] is not None:
-            DirectionSet(cfg["M_omega"])  # and the direction count
-        return args.run(cfg, args)
+        spec, fam = _checked(cfg)
+        return args.run(cfg, args, spec, fam)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

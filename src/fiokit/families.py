@@ -114,6 +114,8 @@ def build_test_family(
     unknown = set(kinds) - {"plane", "packet", "random", "focus"}
     if unknown:
         raise ParameterError(f"unknown member kinds {sorted(unknown)}")
+    if seed < 0:
+        raise ParameterError(f"seed={seed} must be non-negative")
     if fam is None:
         fam = LittlewoodPaleyFamily(spec)
     rng = np.random.default_rng(seed)

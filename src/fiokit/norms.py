@@ -43,6 +43,15 @@ def classical_norm(f: GridField, s: float, p: float) -> float:
     return lp_norm(bessel_potential(f, s), p)
 
 
+def _check_regularity(r: float, J_max: int):
+    """Refuse an r that is not positive and finite, or whose 2^(J_max r) overflows."""
+    if not 0 < r < np.inf:
+        raise ParameterError(f"regularity r={r} must be positive and finite")
+    if J_max * r >= 1024:
+        raise ParameterError(f"regularity r={r}: 2^(J_max r) overflows at J_max={J_max}, "
+                             f"r must be below {1024 / J_max:g}")
+
+
 def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = None) -> float:
     """sup_j 2^{jr} max_x |psi_j(D) f(x)| over the finite band range.
 
@@ -54,13 +63,9 @@ def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = Non
     found, when no band left can exceed it.  The maximum of the terms
     transformed is the same float as the maximum over every band.
     """
-    if not 0 < r < np.inf:
-        raise ParameterError(f"regularity r={r} must be positive and finite")
     if fam is None:
         fam = build_lp_family(f.spec)
-    if fam.J_max * r >= 1024:
-        raise ParameterError(f"regularity r={r}: 2^(J_max r) overflows at J_max={fam.J_max}, "
-                             f"r must be below {1024 / fam.J_max:g}")
+    _check_regularity(r, fam.J_max)
     _check_specs(fam.spec, f.spec)
     spectrum = forward_transform(f)
     modulus = np.abs(spectrum)

@@ -41,6 +41,7 @@ evaluated and summed on its own, so the blocking changes no bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +228,8 @@ class DirectionSet:
     """Equispaced directions on the circle with uniform quadrature weights."""
 
     def __init__(self, M: int):
+        if isinstance(M, bool) or not isinstance(M, numbers.Integral):
+            raise ParameterError(f"direction count M={M!r} must be an integer")
         if M < 4:
             raise ParameterError(f"direction count M={M} too small")
         self.M = M

@@ -479,3 +479,30 @@ def test_norm_extreme_regularity_exits_2(tmp_path, capsys, r, text):
     assert out.out == ""
     assert "config error" in out.err and text in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify"])
+@pytest.mark.parametrize("doc", [{"r": -1}, {"r": 1000}, {"delta": 3}, {"eps": 5}, {"eps": 0}],
+                         ids=["r-negative", "r-overflows", "delta", "eps-large", "eps-zero"])
+def test_unusable_config_exits_2_before_any_output(tmp_path, capsys, doc, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 32, "L": 8 * np.pi}, **doc}))
+    assert main(["--config", str(cfg), command]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("doc", [{"csv_out": None}, {"json_out": ["a"]}, {"csv_out": 1}],
+                         ids=["csv-null", "json-list", "csv-int"])
+def test_output_names_must_be_strings(tmp_path, capfd, monkeypatch, doc):
+    # capfd, not capsys: an integer name would be opened as that file descriptor
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 32, "L": 8 * np.pi}, "bands": [1],
+                               "p_list": [2.0], **doc}))
+    assert main(["--config", str(cfg), "bench-boundedness"]) == 2
+    out = capfd.readouterr()
+    assert out.out == ""
+    assert "must be a file name" in out.err and "Traceback" not in out.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -72,3 +72,8 @@ def test_packet_spectra_equal_unmasked_exp(monkeypatch):
     built = members()
     monkeypatch.setattr(fk.families, "_packet_spectrum", lambda *a: unmasked_packet_spectrum(*a)[1])
     assert built == members()
+
+
+def test_build_test_family_refuses_a_negative_seed(spec64, frame64):
+    with pytest.raises(fk.ParameterError, match="seed=-1 must be non-negative"):
+        fk.build_test_family(spec64, frame64, bands=(1,), seed=-1)

@@ -272,9 +272,12 @@ def test_frame_energy_is_weighted_square_sum(frame64, M):
         (lambda frame, other: fk.frame_synthesize([other] * frame.n_directions, frame),
          "member grid differs"),
         (lambda frame, other: fk.anisotropic_bound_check(frame, alpha_max=4), "alpha_max"),
+        (lambda frame, other: fk.DirectionSet(4.5), "must be an integer"),
+        (lambda frame, other: fk.DirectionSet(True), "must be an integer"),
+        (lambda frame, other: fk.ParabolicFrame(other.spec, True), "must be an integer"),
     ],
     ids=["directions-M<4", "analyze-grid", "synthesize-count", "synthesize-grid",
-         "anisotropic-alpha>3"],
+         "anisotropic-alpha>3", "directions-float", "directions-bool", "frame-bool"],
 )
 def test_parabolic_input_checks(frame64, call, match):
     other = fk.GridField(fk.GridSpec(N=32), np.zeros((32, 32)))
