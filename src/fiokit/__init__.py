@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .dyadic import (
     AuxiliaryFamilies,
     LittlewoodPaleyFamily,
-    build_auxiliary,
     build_lp_family,
     lp_project,
     square_function_norm,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .families import (
     FamilyMember,
-    TestFamily,
     build_test_family,
     embed,
     focusing_member,
@@ -70,7 +68,7 @@ from .parabolic import (
     frame_analyze,
     frame_synthesize,
 )
-from .profiles import BumpProfile, falling, rising, smooth_step
+from .profiles import bump, falling, rising, smooth_step
 from .symbols import (
     DenseSymbol,
     FourierModeDecomposition,

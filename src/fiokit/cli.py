@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
 from scipy.integrate import trapezoid
 
 from . import __version__
-from .dyadic import build_auxiliary, build_lp_family
-from .errors import ParameterError, ToolkitError, _convert
+from .dyadic import AuxiliaryFamilies, build_lp_family
+from .errors import ParameterError, ToolkitError, _convert, _rng
 from .families import build_test_family
 from .grid import (
     GridField,
@@ -118,11 +119,10 @@ def _checked(cfg: dict):
     checked here too, so an unusable config exits before a command prints."""
     g = cfg["grid"]
     spec = GridSpec(n=g["n"], N=g["N"], L=g["L"])
-    fam = build_auxiliary(spec, cfg["eps"])
+    fam = AuxiliaryFamilies(spec, cfg["eps"])
     if cfg["M_omega"] is not None:
         DirectionSet(cfg["M_omega"])
-    if cfg["seed"] < 0:
-        raise ParameterError(f"seed={cfg['seed']} must be non-negative")
+    _rng(cfg["seed"])
     _check_regularity(cfg["r"], fam.J_max)
     _check_class(cfg["r"], cfg["delta"])
     return spec, fam
@@ -148,7 +148,7 @@ class CheckSuite:
 
 
 def _calibration_checks(cfg: dict, spec: GridSpec, fam, suite: CheckSuite):
-    rng = np.random.default_rng(cfg["seed"])
+    rng = _rng(cfg["seed"])
 
     total = sum(fam.values)
     suite.check("partition-of-unity", float(np.abs(total - 1.0).max()), 1e-12)
@@ -298,13 +298,18 @@ def cmd_smooth(cfg: dict, args, spec: GridSpec, fam) -> int:
 def cmd_bench(cfg: dict, args, spec: GridSpec, fam) -> int:
     if len(cfg["s_list"]) > 1:
         raise ParameterError(f"s_list={cfg['s_list']!r}: one s serves every p, give [] or [s]")
+    # refuse a bad p, delta, eps_slack or output name before building anything
+    budgets = [(p, budget(cfg["r"], cfg["delta"], p, spec.n, cfg["eps_slack"]))
+               for p in cfg["p_list"]]
+    for name in (cfg["csv_out"], cfg["json_out"]):
+        if not name or os.path.isdir(name) or not os.path.isdir(os.path.dirname(name) or "."):
+            raise OSError(f"cannot write {name!r}")
     frame = ParabolicFrame(spec, cfg["M_omega"])
     chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
     family = build_test_family(spec, frame, cfg["bands"], seed=cfg["seed"], fam=fam)
     rows = []
     summary = {"config": config_hash(cfg), "version": __version__, "trends": {}}
-    for p in cfg["p_list"]:
-        bud = budget(cfg["r"], cfg["delta"], p, spec.n, cfg["eps_slack"])
+    for p, bud in budgets:
         s = bud.admissible_s() if not cfg["s_list"] else cfg["s_list"][0]
         rep = operator_norm_probe(chirp, s + bud.tau, s, p, frame, family, budget=bud)
         rows.extend(rep.rows)

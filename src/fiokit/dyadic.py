@@ -96,12 +96,9 @@ class AuxiliaryFamilies(LittlewoodPaleyFamily):
     """The family psi_j, which is also the chi band family, with the wide
     cutoffs psi~_k, psi~_k psi_k = psi_k, and the low cutoff q."""
 
-    q_profile = staticmethod(low_cutoff)
-    psi = chi = property(lambda self: self)
-
     def __init__(self, spec: GridSpec, eps: float = 0.125):
         super().__init__(spec, eps)
-        self.q_values = self.q_profile(lattice(spec).mags)
+        self.q_values = low_cutoff(lattice(spec).mags)
 
     def tilde_profile(self, k: int, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -118,10 +115,6 @@ class AuxiliaryFamilies(LittlewoodPaleyFamily):
 
 def build_lp_family(spec: GridSpec, eps: float = 0.125) -> LittlewoodPaleyFamily:
     return LittlewoodPaleyFamily(spec, eps)
-
-
-def build_auxiliary(spec: GridSpec, eps: float = 0.125) -> AuxiliaryFamilies:
-    return AuxiliaryFamilies(spec, eps)
 
 
 def lp_project(f: GridField, j: int, fam: LittlewoodPaleyFamily) -> GridField:

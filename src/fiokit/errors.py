@@ -1,5 +1,9 @@
-"""Exception hierarchy for the toolkit, and the checked conversion of
-values read from outside it."""
+"""Exception hierarchy for the toolkit, the checked conversion of values
+read from outside it, and the seed rule every seeded entry point keeps."""
+
+from numbers import Integral
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -39,3 +43,12 @@ def _convert(name: str, kind, val):
     if kind is int and isinstance(val, float) and out != val:  # int() truncates
         raise ParameterError(f"{name}={val!r} is not an integer")
     return out
+
+
+def _rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed); a bool, non-integer or negative seed is a ParameterError."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise ParameterError(f"seed={seed!r} must be an integer")
+    if seed < 0:
+        raise ParameterError(f"seed={seed} must be non-negative")
+    return np.random.default_rng(seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LittlewoodPaleyFamily
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, _rng
 from .grid import GridField, GridSpec, forward_transform, inverse_transform, lattice, lp_norm
 from .parabolic import ParabolicFrame
 
@@ -26,18 +26,6 @@ class FamilyMember:
     name: str
     band: int
     field: GridField
-
-
-@dataclass
-class TestFamily:
-    spec: GridSpec
-    members: list
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 def _normalize(spec: GridSpec, spectrum: np.ndarray) -> GridField:
@@ -110,15 +98,13 @@ def build_test_family(
     kinds=("plane", "packet", "random", "focus"),
     seed: int = 0,
     fam: LittlewoodPaleyFamily | None = None,
-) -> TestFamily:
+) -> list[FamilyMember]:
     unknown = set(kinds) - {"plane", "packet", "random", "focus"}
     if unknown:
         raise ParameterError(f"unknown member kinds {sorted(unknown)}")
-    if seed < 0:
-        raise ParameterError(f"seed={seed} must be non-negative")
+    rng = _rng(seed)
     if fam is None:
         fam = LittlewoodPaleyFamily(spec)
-    rng = np.random.default_rng(seed)
     e1 = np.array([1.0, 0.0])
     members = []
     for k in bands:
@@ -132,7 +118,7 @@ def build_test_family(
             members.append(random_band_member(spec, k, fam, rng))
         if "focus" in kinds:
             members.append(focusing_member(spec, k, frame))
-    return TestFamily(spec, members)
+    return members
 
 
 def embed(f: GridField, fine: GridSpec) -> GridField:

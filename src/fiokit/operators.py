@@ -33,8 +33,9 @@ from .errors import (
     DimensionError,
     ParameterError,
     ResolutionError,
+    _rng,
 )
-from .families import TestFamily
+from .families import FamilyMember
 from .grid import (
     GridField,
     GridSpec,
@@ -227,7 +228,7 @@ def power_iteration(
 ) -> float:
     """Spectral norm estimate via power iteration on T*T (fixed seed); it
     stops once the estimate changes by less than 1e-8 relative."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     v = GridField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
     nv = lp_norm(v, 2.0)
     v = GridField(spec, v.samples / nv)
@@ -339,7 +340,7 @@ def operator_norm_probe(
     s_out: float,
     p: float,
     frame: ParabolicFrame,
-    family: TestFamily,
+    family: list[FamilyMember],
     budget: ExponentBudget | None = None,
 ) -> BoundednessReport:
     """Ratios of directional norms over the family; at p = 2, s = 0 the

@@ -59,10 +59,9 @@ from .grid import (
     forward_transform,
     lattice,
 )
-from .profiles import BumpProfile
+from .profiles import bump
 
-# the directional bump u and the node count of the scale quadrature
-_BUMP = BumpProfile()
+# the node count of the scale quadrature
 _N_TAU = 96
 # points per quadrature block: a (block x _N_TAU) float64 temporary is 192 KB
 _BLOCK = 256
@@ -90,7 +89,7 @@ def c_sigma(sigma: float, nodes: int | None = None) -> float:
     on = _support_nodes(sigma, nodes)
     chord = 2.0 * np.abs(np.sin(theta[on] / 2.0))
     squares = np.zeros(nodes)
-    squares[on] = _BUMP(chord / np.sqrt(sigma)) ** 2
+    squares[on] = bump(chord / np.sqrt(sigma)) ** 2
     integral = float(squares.sum() * 2.0 * np.pi / nodes)
     if integral < 1e-14:
         raise ResolutionError(f"sphere quadrature unresolved at sigma={sigma}")
@@ -150,7 +149,7 @@ class AngularCalderonProfile:
 
     def theta(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return _BUMP(t / 2.0) * (1.0 - _BUMP(t))
+        return bump(t / 2.0) * (1.0 - bump(t))
 
     def __call__(self, t) -> np.ndarray:
         return self.theta(t) / np.sqrt(self.constant)
@@ -203,7 +202,7 @@ class PhiGeometry:
             integrand = (
                 self.psi(tau * rho[sl, None])
                 * self.ctable(tau)
-                * _BUMP(d[sl, None] / np.sqrt(tau))
+                * bump(d[sl, None] / np.sqrt(tau))
             )
             out[sl] = (integrand * wt).sum(axis=1) * (lh - ls) / (n - 1)
         return out

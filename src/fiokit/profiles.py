@@ -41,9 +41,7 @@ def falling(t, lo: float, hi: float) -> np.ndarray:
     return 1.0 - rising(t, lo, hi)
 
 
-class BumpProfile:
+def bump(t) -> np.ndarray:
     """Radial profile u: [0, inf) -> [0, 1], the standard bump: u = 1 on
     [0, 1/2], u = 0 for t >= 1, strictly decreasing in between."""
-
-    def __call__(self, t) -> np.ndarray:
-        return falling(t, 0.5, 1.0)
+    return falling(t, 0.5, 1.0)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily, build_auxiliary
-from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError, _convert
+from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily
+from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
+from .errors import _convert, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .grid import _check_specs, forward_transform, inverse_transform
 from .norms import zygmund_norm
@@ -278,13 +279,12 @@ def coifman_meyer_decompose(
     if beta_max < 0:
         raise ParameterError("beta_max must be >= 0")
     if aux is None:
-        aux = build_auxiliary(a.spec)
+        aux = AuxiliaryFamilies(a.spec)
     P = 32
     while P < 4 * max(beta_max, 1):
         P *= 2
-    fam = aux.psi
     if bands is None:
-        bands = range(fam.J_max + 1)
+        bands = range(aux.J_max + 1)
     zeta = (np.arange(P) - P / 2) / P
     Z1, Z2 = np.meshgrid(zeta, zeta, indexing="ij")
     betas = range(-beta_max, beta_max + 1)
@@ -293,7 +293,7 @@ def coifman_meyer_decompose(
     coeffs = {}
     for k in bands:
         scale = 2.0 ** (k + 1) * np.pi
-        window = fam.band_profile(k, scale * np.hypot(Z1, Z2))
+        window = aux.band_profile(k, scale * np.hypot(Z1, Z2))
         acc = np.zeros((len(betas), len(betas)) + a.spec.shape, dtype=complex)
         for i1 in np.flatnonzero(window.any(axis=1)):
             cols = np.flatnonzero(window[i1])
@@ -383,11 +383,9 @@ def preset_rough_chirp(
     random field whose x-spectrum fills dyadic bands up to scale
     2^{k delta}, with lacunary amplitudes 2^{(k delta - j) r} capped at 1,
     rescaled so the recorded size constants equal 1."""
-    if seed < 0:
-        raise ParameterError(f"seed={seed} must be non-negative")
+    rng = _rng(seed)
     if chi is None:
         chi = LittlewoodPaleyFamily(spec)
-    rng = np.random.default_rng(seed)
     bands = {}
     for k in range(chi.J_max + 1):
         if k == 0:

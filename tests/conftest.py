@@ -18,7 +18,7 @@ def fam64(spec64):
 
 @pytest.fixture(scope="session")
 def aux64(spec64):
-    return fk.build_auxiliary(spec64)
+    return fk.AuxiliaryFamilies(spec64)
 
 
 @pytest.fixture(scope="session")

@@ -229,6 +229,30 @@ def test_bench_rejects_bad_s_list(tmp_path, capsys, monkeypatch, s_list):
     assert not (tmp_path / "boundedness.csv").exists()
 
 
+@pytest.mark.parametrize("doc, code, text", [
+    ({"delta": 0.75}, 2, "config error"),
+    ({"p_list": [1.0]}, 2, "config error"),
+    ({"eps_slack": 0}, 2, "config error"),
+    ({"csv_out": ""}, 3, "i/o error"),
+    ({"csv_out": "missing/run.csv"}, 3, "i/o error"),
+    ({"json_out": "."}, 3, "i/o error"),
+], ids=["delta", "p", "eps-slack", "csv-empty", "csv-missing-dir", "json-directory"])
+def test_bench_refuses_before_building_the_frame(tmp_path, capsys, monkeypatch, doc, code, text):
+    def no_frame(*args, **kwargs):
+        raise AssertionError("the frame was built")
+    monkeypatch.setattr("fiokit.cli.ParabolicFrame", no_frame)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["--config", str(cfg), "bench-boundedness"]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert text in out.err and "Traceback" not in out.err
+    assert not list(work.iterdir())
+
+
 def test_version_flag_matches_package():
     from fiokit.cli import DEFAULT_CONFIG, config_hash
 

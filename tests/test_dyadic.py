@@ -113,13 +113,13 @@ def test_wide_cutoffs_fix_bands_exactly(spec64, fam64, aux64):
 
 def test_q_caps_band_zero_exactly(fam64, aux64):
     assert np.array_equal(aux64.q_values * fam64.values[0], fam64.values[0])
-    assert aux64.q_profile(1.9) == 1.0
-    assert aux64.q_profile(4.1) == 0.0
+    assert fk.dyadic.low_cutoff(1.9) == 1.0
+    assert fk.dyadic.low_cutoff(4.1) == 0.0
 
 
 def test_chi_family_window(aux64):
     # chi_1 vanishes outside [1/2, 2] (family hypothesis window [1/4, 4])
-    chi = aux64.chi
+    chi = aux64
     assert float(chi.band_profile(1, 0.49)) == 0.0
     assert float(chi.band_profile(1, 2.01)) == 0.0
     assert float(chi.band_profile(1, 1.0)) > 0.0

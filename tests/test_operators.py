@@ -550,18 +550,36 @@ def test_probe_band_profile_and_rows(spec64, frame64, fam64):
 def test_probe_rejects_degenerate_member(spec64, frame64, fam64):
     chirp = fk.preset_rough_chirp(spec64, 1.0, 0.5, chi=fam64)
     zero = fk.FamilyMember("zero", 2, fk.GridField(spec64, np.zeros(spec64.shape)))
-    family = fk.TestFamily(spec64, [zero])
+    family = [zero]
     with pytest.raises(fk.DegenerateInputError):
         fk.operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame64, family)
 
 
 def test_probe_parameter_validation(spec64, frame64, fam64):
     chirp = fk.preset_rough_chirp(spec64, 1.0, 0.5, chi=fam64)
-    family = fk.TestFamily(spec64, [])
+    family = []
     with pytest.raises(fk.ParameterError):
         fk.operator_norm_probe(chirp, 0.0, 0.0, 1.0, frame64, family)
     with pytest.raises(fk.ParameterError):
         fk.operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame64, family)
+
+
+@pytest.mark.parametrize("seed, text", [(-1, "seed=-1 must be non-negative"),
+                                        (2.5, "seed=2.5 must be an integer"),
+                                        (True, "seed=True must be an integer")],
+                         ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("entry", ["certified_l2_bound", "power_iteration",
+                                   "preset_rough_chirp", "build_test_family"])
+def test_every_seeded_entry_point_keeps_one_seed_rule(spec64, frame64, fam64, entry, seed, text):
+    calls = {
+        "certified_l2_bound": lambda: fk.certified_l2_bound(
+            fk.preset_rough_chirp(spec64, 1.0, 0.5, chi=fam64), frame64, seed=seed),
+        "power_iteration": lambda: fk.power_iteration(lambda v: v, lambda v: v, spec64, seed=seed),
+        "preset_rough_chirp": lambda: fk.preset_rough_chirp(spec64, 1.0, 0.5, seed=seed, chi=fam64),
+        "build_test_family": lambda: fk.build_test_family(spec64, frame64, bands=(1,), seed=seed),
+    }
+    with pytest.raises(fk.ParameterError, match=text):
+        calls[entry]()
 
 
 # ---------------------------------------------------------------------------
