@@ -35,7 +35,10 @@ class DegenerateInputError(ToolkitError):
 
 
 def _convert(name: str, kind, val):
-    """kind(val), or ParameterError; a float that int() would truncate is refused."""
+    """kind(val), or ParameterError; a bool, read as 0 or 1 by int() and float(), and
+    a float that int() would truncate are refused."""
+    if isinstance(val, bool):
+        raise ParameterError(f"{name}={val!r} is not {kind.__name__}")
     try:
         out = kind(val)
     except (TypeError, ValueError, OverflowError):

@@ -10,14 +10,17 @@ certificate step takes the 4 grid transforms of a separable one.  The
 cores allocate no grid per band or frequency: one scratch grid per call
 takes every band transform or lattice row, and each sum is scaled, and
 in an adjoint conjugated, once.  A dense sum evaluates one x-slice per
-lattice frequency; a densified separable symbol's slice is the sum of
-its one or two nonzero bands times weights computed once per distinct
-|eta|.  The comment at MAX_DENSE_N gives the time per eta and the cap it
-sets.  Probing reports norm ratios over a test family; at p = 2 it also
-records sqrt(2) times a power-iteration estimate of the L^2 norm of a
-conjugated operator.  That number is what the probe ratios are compared
-against, but it is not a rigorous bound: power iteration estimates the
-norm from below and may stop at its iteration cap before it converges.
+lattice frequency and forms each lattice row's coefficient-phase
+products in one array operation.  A densified separable symbol keeps its
+nonzero (band, weight) pairs once per distinct |eta|: on a band's plateau
+the slice is that band's samples, read and never copied, elsewhere the
+weighted sum of two bands.  The comment at MAX_DENSE_N gives the time per
+eta and the cap it sets.  Probing reports norm ratios over a test family;
+at p = 2 it also records sqrt(2) times a power-iteration estimate of the
+L^2 norm of a conjugated operator.  That number is what the probe ratios
+are compared against, but it is not a rigorous bound: power iteration
+estimates the norm from below and may stop at its iteration cap before
+it converges.
 """
 
 from __future__ import annotations
@@ -51,22 +54,25 @@ from .symbols import DenseSymbol, SeparableSymbol
 
 
 # the dense path loops over the lattice frequencies in Python, with grid-sized
-# work per eta: a fresh densified symbol's first apply takes about 0.18 s at
-# N = 64 (45 us per eta) and 2 s at N = 128 (120 us per eta) on a 2-vCPU x86-64
-# VM, a repeated apply of the same symbol about 20% less
+# work per eta: on a 2-vCPU x86-64 VM a fresh densified chirp's first apply
+# takes 0.10-0.13 s at N = 64, L = 8 pi (25-30 us per eta) and 1.3-1.7 s at
+# N = 128, L = 2 pi (80-100 us per eta); a repeated apply of the same symbol,
+# its band weights kept, takes 0.09-0.11 s and 1.26-1.6 s
 MAX_DENSE_N = 128
 
 
 def _lattice_walk(a: DenseSymbol, coef: np.ndarray):
     """Yield (i1, e^{ix1.xi_i1}, row) for each lattice row i1 that holds a c_i = coef[i] != 0,
-    eta_i = (xi_i1, xi_i2); row yields (i2, c_i, a(., eta_i), e^{ix2.xi_i2}) over those i2.
-    The phase factors broadcast along x1 (axis 0) and x2 (axis 1) of a grid."""
+    eta_i = (xi_i1, xi_i2); row yields (i2, a(., eta_i), c_i e^{ix2.xi_i2}) over those i2, the
+    row's products formed in one array operation.  The phase factors broadcast along x1
+    (axis 0) and x2 (axis 1) of a grid."""
     etas = lattice(a.spec).points().reshape(a.spec.shape + (a.spec.n,))
     E = np.exp(1j * np.outer(a.spec.x_axis(), lattice(a.spec).axis))
 
     def row(i1):
-        for i2 in np.flatnonzero(coef[i1]):
-            yield i2, coef[i1, i2], a.eval(etas[i1, i2]), E[:, i2]
+        i2s = np.flatnonzero(coef[i1])
+        for i2, ce2 in zip(i2s, coef[i1, i2s, None] * E.T[i2s]):
+            yield i2, a.eval(etas[i1, i2]), ce2
 
     for i1 in np.flatnonzero(coef.any(axis=1)):
         yield i1, E[:, i1, None], row(i1)
@@ -79,8 +85,8 @@ def _dense_synth(a: DenseSymbol, spectrum: np.ndarray) -> np.ndarray:
     acc, term = np.empty_like(out), np.empty_like(out)
     for _, e1, row in _lattice_walk(a, spectrum):
         acc.fill(0.0)
-        for _, coef, slice_, e2 in row:
-            acc += np.multiply(slice_, coef * e2, out=term)
+        for _, slice_, ce2 in row:
+            acc += np.multiply(slice_, ce2, out=term)
         acc *= e1
         out += acc
     out *= a.spec.L ** -a.spec.n
@@ -89,12 +95,13 @@ def _dense_synth(a: DenseSymbol, spectrum: np.ndarray) -> np.ndarray:
 
 def _dense_analyze(a: DenseSymbol, samples: np.ndarray) -> np.ndarray:
     """Spectrum (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n, every eta, as
-    conj(sum_x2 e^{ix2.eta2} sum_x1 a(x,eta) h(x)) with h = conj(g) e^{ix1.eta1} once per row."""
+    conj(sum_x2 e^{ix2.eta2} sum_x1 a(x,eta) h(x)) with h = conj(g) e^{ix1.eta1} once per row.
+    The walk's coefficients are ones, which change no bit of e^{ix2.eta2}."""
     spectrum = np.empty(a.spec.shape, dtype=complex)
     g, h, term = np.conj(samples), np.empty_like(spectrum), np.empty_like(spectrum)
     for i1, e1, row in _lattice_walk(a, np.ones(a.spec.shape)):
         np.multiply(g, e1, out=h)
-        for i2, _, slice_, e2 in row:
+        for i2, slice_, e2 in row:
             spectrum[i1, i2] = (np.multiply(slice_, h, out=term).sum(axis=0) * e2).sum()
     np.conjugate(spectrum, out=spectrum)
     spectrum *= a.spec.cell_volume

@@ -45,7 +45,9 @@ class DenseSymbol:
         _check_class(self.r, self.delta)
 
     def eval(self, eta) -> np.ndarray:
-        """x-grid slice a(., eta), always a full complex array."""
+        """x-grid slice a(., eta), always a full complex array.  The slice may be
+        an array the symbol keeps (preset_multiplication's b.samples, a densified
+        symbol's band on that band's plateau), so a caller must not write into it."""
         eta = np.asarray(eta, dtype=float)
         out = np.asarray(self.field(eta), dtype=complex)
         if out.ndim == 0:
@@ -76,24 +78,34 @@ class SeparableSymbol:
 
     def densify(self) -> DenseSymbol:
         """The same symbol as a DenseSymbol.  Its band weights depend on |eta|
-        only, so each slice reads them from a dict keyed by the radius, filled
-        by one band_weights call the first time a radius is seen.  The dict
-        holds J_max + 1 floats per distinct radius evaluated: a full lattice
-        walk adds about 500 entries at N = 64 and 1 850 at N = 128 (0.15 MB
-        at N = 64, L = 8 pi and 0.75 MB at N = 128, L = 2 pi as Python
-        lists), and each off-lattice evaluation at a new radius, such as a
-        seminorm finite difference, adds one."""
-        weights = {}
+        only, so a dict keyed by the radius holds, from one band_weights call
+        the first time a radius is seen, the (a_k.samples, w_k) pairs with
+        w_k != 0 in band order: at most two, as only adjacent bands overlap.
+        A slice is a_k.samples itself when one band has weight 1,
+        out = a_j w_j then out += w_k a_k when two are nonzero (the band sum
+        from zero, in the same order), and a zero grid when none is.  The
+        dict holds references to the bands and floats, no grid: a full
+        lattice walk adds 505 entries at N = 64, L = 8 pi and 1 831 at
+        N = 128, L = 2 pi (0.11 and 0.51 MB), and each off-lattice
+        evaluation at a new radius, such as a seminorm finite difference,
+        adds one."""
+        terms = {}
 
         def fn(eta):
             rho = float(np.hypot(eta[0], eta[1]))
-            w = weights.get(rho)
-            if w is None:
-                w = weights[rho] = self.chi.band_weights(rho).tolist()
-            out = np.zeros(self.spec.shape, dtype=complex)
-            for k, a_k in self.bands.items():
-                if w[k] != 0.0:
-                    out += w[k] * a_k.samples
+            pairs = terms.get(rho)
+            if pairs is None:
+                w = self.chi.band_weights(rho).tolist()
+                pairs = terms[rho] = [(a_k.samples, w[k]) for k, a_k in self.bands.items()
+                                      if w[k] != 0.0]
+            if not pairs:
+                return np.zeros(self.spec.shape, dtype=complex)
+            (a_j, w_j), *rest = pairs
+            if not rest and w_j == 1.0:
+                return a_j
+            out = a_j * w_j
+            for a_k, w_k in rest:
+                out += w_k * a_k
             return out
 
         return DenseSymbol(self.spec, fn, r=self.r, m=0.0, delta=self.delta)
@@ -327,7 +339,8 @@ def to_separable(
     a: DenseSymbol, chi: LittlewoodPaleyFamily | None = None
 ) -> SeparableSymbol:
     """Band-center sampling a_k(x) = a(x, eta_k*) with eta_k* on the chi_k
-    plateau; exact when a is eta-flat within each band (residual reported)."""
+    plateau; exact when a is eta-flat within each band (residual reported).
+    Each a_k is a copy, as a slice may be an array a keeps."""
     if chi is None:
         chi = LittlewoodPaleyFamily(a.spec)
     eps = chi.eps
@@ -337,7 +350,7 @@ def to_separable(
             eta_star = np.zeros(2)
         else:
             eta_star = np.array([2.0 ** (k - 1) * (1.0 + eps / 4.0), 0.0])
-        bands[k] = GridField(a.spec, a.eval(eta_star))
+        bands[k] = GridField(a.spec, a.eval(eta_star).copy())
     sym = SeparableSymbol(a.spec, bands, chi, r=a.r, delta=a.delta)
     approx = sym.densify()
     # The finite family sums to 1 only up to this radius; beyond it the

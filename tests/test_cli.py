@@ -530,3 +530,31 @@ def test_output_names_must_be_strings(tmp_path, capfd, monkeypatch, doc):
     assert out.out == ""
     assert "must be a file name" in out.err and "Traceback" not in out.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify"])
+@pytest.mark.parametrize("doc", [{"seed": True}, {"seed": False}, {"r": True}, {"bands": [True]},
+                                 {"seed": True, "bands": [True]}, {"grid": {"N": 32, "L": True}}],
+                         ids=["seed", "seed-false", "r", "bands", "seed-and-bands", "grid-L"])
+def test_config_refuses_booleans_before_any_output(tmp_path, capsys, doc, command):
+    # int(True) is 1 and float(True) 1.0, so a bool would otherwise be read as a number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 32, "L": 8 * np.pi}, **doc}))
+    assert main(["--config", str(cfg), command]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and ("True" in out.err or "False" in out.err)
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("symbol_doc", [
+    {"kind": "analytic-preset", "preset": "identity", "r": True},
+    {"kind": "dense", "preset": "rough_chirp", "params": {"r": True, "delta": 0.5}},
+    {"kind": "dense", "preset": "rough_chirp", "params": {"r": 1.5, "delta": 0.5, "seed": True}},
+], ids=["r", "params-r", "params-seed"])
+def test_apply_refuses_a_boolean_in_a_descriptor(tmp_path, capsys, symbol_doc):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    assert _apply_with_symbol(tmp_path, symbol_doc, fk.GridField(spec, np.ones(spec.shape))) == 1
+    err = capsys.readouterr().err
+    assert "symbol descriptor" in err and "True" in err and "Traceback" not in err
+    assert not (tmp_path / "out.fiof").exists()

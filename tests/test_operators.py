@@ -119,6 +119,70 @@ def test_apply_dense_adjoint_evaluates_every_eta(spec_op):
     assert len(calls) == spec_op.N**2
 
 
+def _band_sum_from_zero(chirp):
+    """The densified slice as a band sum into a zeroed grid, weights from band_weights."""
+    def slice_at(eta):
+        w = chirp.chi.band_weights(np.hypot(eta[0], eta[1])).tolist()
+        out = np.zeros(chirp.spec.shape, dtype=complex)
+        for k, a_k in chirp.bands.items():
+            if w[k] != 0.0:
+                out += w[k] * a_k.samples
+        return out
+    return slice_at
+
+
+def _per_eta_rows(spec, slice_at, coef):
+    """(i1, e^{ix1.xi_i1}, [(i2, c_i, a(., eta_i), e^{ix2.xi_i2})]) per lattice row with a
+    c_i != 0, each c_i e^{ix2.xi_i2} left to the caller, one eta at a time."""
+    etas = fk.lattice(spec).points().reshape(spec.shape + (2,))
+    E = np.exp(1j * np.outer(spec.x_axis(), fk.lattice(spec).axis))
+    for i1 in np.flatnonzero(coef.any(axis=1)):
+        yield i1, E[:, i1, None], [(i2, coef[i1, i2], slice_at(etas[i1, i2]), E[:, i2])
+                                   for i2 in np.flatnonzero(coef[i1])]
+
+
+def _reference_apply(spec, slice_at, f):
+    out = np.zeros(spec.shape, dtype=complex)
+    acc, term = np.empty_like(out), np.empty_like(out)
+    for _, e1, row in _per_eta_rows(spec, slice_at, fk.forward_transform(f)):
+        acc.fill(0.0)
+        for _, coef, slice_, e2 in row:
+            acc += np.multiply(slice_, coef * e2, out=term)
+        acc *= e1
+        out += acc
+    out *= spec.L ** -spec.n
+    return out
+
+
+def _reference_adjoint(spec, slice_at, g):
+    spectrum = np.empty(spec.shape, dtype=complex)
+    conj_g, h, term = np.conj(g.samples), np.empty_like(spectrum), np.empty_like(spectrum)
+    for i1, e1, row in _per_eta_rows(spec, slice_at, np.ones(spec.shape)):
+        np.multiply(conj_g, e1, out=h)
+        for i2, _, slice_, e2 in row:
+            spectrum[i1, i2] = (np.multiply(slice_, h, out=term).sum(axis=0) * e2).sum()
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= spec.cell_volume
+    return fk.inverse_transform(spectrum, spec).samples
+
+
+@pytest.mark.parametrize("case", ["chirp-seed0", "chirp-seed7", "identity", "multiplication"])
+def test_dense_cores_match_the_per_eta_walk_bit_for_bit(case):
+    spec = fk.GridSpec(N=64, L=8.0 * np.pi)
+    rng = np.random.default_rng(11)
+    f, g = random_field(spec, rng), random_field(spec, rng)
+    if case.startswith("chirp"):
+        chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=int(case[-1]))
+        a, slice_at = chirp.densify(), _band_sum_from_zero(chirp)
+    else:
+        a = (fk.preset_identity(spec) if case == "identity"
+             else fk.preset_multiplication(random_field(spec, rng)))
+        slice_at = a.eval
+    assert fk.apply_dense(a, f).samples.tobytes() == _reference_apply(spec, slice_at, f).tobytes()
+    assert (fk.apply_dense_adjoint(a, g).samples.tobytes()
+            == _reference_adjoint(spec, slice_at, g).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # separable application
 # ---------------------------------------------------------------------------

@@ -500,6 +500,34 @@ def test_densify_slice_is_the_band_sum(spec_mid, fam_mid):
         assert a.eval(eta).tobytes() == want.tobytes()
 
 
+def test_densified_slices_are_shared_and_never_written(spec_mid, fam_mid, rng):
+    chirp = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid)
+    before = {k: a_k.samples.tobytes() for k, a_k in chirp.bands.items()}
+    a = chirp.densify()
+    # |eta| = 2 lies on band 2's plateau [2 (1 - eps/2), 2 (1 + eps)]; 1.9 between bands 1 and 2
+    plateau, overlap = np.array([2.0, 0.0]), np.array([1.9, 0.8])
+    assert fam_mid.band_weights(2.0).tolist().count(0.0) == fam_mid.J_max
+    assert fam_mid.band_weights(2.0)[2] == 1.0
+    assert a.eval(plateau) is chirp.bands[2].samples
+    f = random_field(spec_mid, rng)
+    split = fk.smooth_split(a, 0.75, fam_mid)
+    calls = {
+        "apply_dense": lambda: fk.apply_dense(a, f),
+        "apply_dense_adjoint": lambda: fk.apply_dense_adjoint(a, f),
+        "sharp": lambda: [split.sharp.eval(eta) for eta in (plateau, overlap)],
+        "flat": lambda: [split.flat.eval(eta) for eta in (plateau, overlap)],
+        "coifman_meyer_decompose": lambda: fk.coifman_meyer_decompose(a, 1, bands=[1, 2, 3]),
+        "estimate_seminorms": lambda: fk.estimate_seminorms(a, 1, fam_mid),
+        "to_separable": lambda: fk.to_separable(a, fam_mid),
+    }
+    for name, call in calls.items():
+        result = call()
+        assert {k: a_k.samples.tobytes() for k, a_k in chirp.bands.items()} == before, name
+    # to_separable, run last, keeps copies: its band 2, sampled on the plateau, shares no memory
+    assert all(not np.shares_memory(b.samples, a_k.samples)
+               for b in result.bands.values() for a_k in chirp.bands.values())
+
+
 def test_to_separable_recovers_separable(spec_mid, fam_mid, rng):
     chirp = fk.preset_rough_chirp(spec_mid, 1.0, 0.5, seed=2, chi=fam_mid)
     back = fk.to_separable(chirp.densify(), fam_mid)
@@ -698,4 +726,18 @@ def test_separable_descriptor_refuses_a_repeated_band(spec_mid, tmp_path):
     fk.write_fiof(tmp_path / "two.fiof", fk.GridField(spec_mid, 2.0 * np.ones(spec_mid.shape)))
     doc = {"kind": "separable", "bands": [{"k": 1, "file": "one.fiof"}, {"k": 1, "file": "two.fiof"}]}
     with pytest.raises(fk.InvalidInputError, match="band 1 twice"):
+        fk.load_symbol(_descriptor(tmp_path, doc))
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "separable", "bands": [{"k": True, "file": "one.fiof"}]},
+    {"kind": "separable", "r": True, "bands": [{"k": 1, "file": "one.fiof"}]},
+    {"kind": "analytic-preset", "preset": "identity", "r": True},
+    {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {"m": False}},
+], ids=["band-k", "separable-r", "preset-r", "params-m"])
+def test_descriptor_refuses_booleans(spec_mid, tmp_path, doc):
+    # int(True) is 1 and float(True) 1.0: band k = true would be read as band 1
+    fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec_mid, np.ones(spec_mid.shape)))
+    doc = {"grid": {"N": spec_mid.N, "L": spec_mid.L}, **doc}
+    with pytest.raises(fk.InvalidInputError, match="symbol descriptor .*=(True|False) is not"):
         fk.load_symbol(_descriptor(tmp_path, doc))
