@@ -20,7 +20,7 @@ from scipy.integrate import trapezoid
 from . import __version__
 from .dyadic import AuxiliaryFamilies, build_lp_family
 from .errors import ParameterError, ToolkitError, _convert, _rng
-from .families import build_test_family
+from .families import _check_band, build_test_family
 from .grid import (
     GridField,
     GridSpec,
@@ -298,7 +298,11 @@ def cmd_smooth(cfg: dict, args, spec: GridSpec, fam) -> int:
 def cmd_bench(cfg: dict, args, spec: GridSpec, fam) -> int:
     if len(cfg["s_list"]) > 1:
         raise ParameterError(f"s_list={cfg['s_list']!r}: one s serves every p, give [] or [s]")
-    # refuse a bad p, delta, eps_slack or output name before building anything
+    # refuse a bad band, p, delta, eps_slack or output name before building anything
+    if not cfg["bands"]:
+        raise ParameterError("bands=[]: empty test family")
+    for k in cfg["bands"]:
+        _check_band(k, fam.J_max)
     budgets = [(p, budget(cfg["r"], cfg["delta"], p, spec.n, cfg["eps_slack"]))
                for p in cfg["p_list"]]
     for name in (cfg["csv_out"], cfg["json_out"]):

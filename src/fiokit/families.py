@@ -91,6 +91,11 @@ def focusing_member(spec: GridSpec, k: int, frame: ParabolicFrame) -> FamilyMemb
     return FamilyMember(f"focus_k{k}", k, _normalize(spec, spectrum))
 
 
+def _check_band(k: int, J_max: int) -> None:
+    if not (0 <= k <= J_max):
+        raise ParameterError(f"band {k} outside the grid's dyadic range")
+
+
 def build_test_family(
     spec: GridSpec,
     frame: ParabolicFrame,
@@ -108,8 +113,7 @@ def build_test_family(
     e1 = np.array([1.0, 0.0])
     members = []
     for k in bands:
-        if not (0 <= k <= fam.J_max):
-            raise ParameterError(f"band {k} outside the grid's dyadic range")
+        _check_band(k, fam.J_max)
         if "plane" in kinds:
             members.append(plane_wave_member(spec, k))
         if "packet" in kinds:

@@ -4,8 +4,7 @@ Conventions match the continuum: the forward transform carries the
 cell volume (L/N)^n, the inverse carries (2pi)^(-n) times the
 frequency-cell volume (2pi/L)^n.  A plane wave exp(i xi0.x) on the
 lattice therefore has a single spectral entry of value L^n, and the
-round trip is the identity to roundoff.  Every full-grid transform runs
-here, except the per-band ones of the separable operator cores.
+round trip is the identity to roundoff.  No other module calls scipy.fft.
 """
 
 from __future__ import annotations
@@ -154,6 +153,26 @@ def inverse_transform(spectrum: np.ndarray, spec: GridSpec) -> GridField:
     if spectrum.shape != spec.shape:
         raise InvalidInputError("spectrum shape does not match grid")
     return GridField(spec, sfft.ifftn(spectrum, norm="forward") * spec.L**-spec.n)
+
+
+def _band_sum(terms, x: np.ndarray) -> np.ndarray:
+    """Sum of w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised scipy.fft
+    inverse.  Every transform runs on one scratch grid, which scipy.fft may overwrite;
+    the array it returns is weighted and summed in place."""
+    out = np.zeros(x.shape, dtype=complex)
+    scratch = np.empty_like(out)
+    for u, w in terms:
+        part = sfft.ifftn(np.multiply(u, x, out=scratch), norm="forward", overwrite_x=True)
+        part *= w
+        out += part
+    return out
+
+
+def _line_inverse(part: np.ndarray, lines: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Unnormalised 2-D inverse of grid = part on rows `lines`, 0 elsewhere; overwrites grid."""
+    grid.fill(0.0)
+    grid[lines] = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True)
+    return sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True)
 
 
 def apply_multiplier(f: GridField, m: SpectralMultiplier) -> GridField:

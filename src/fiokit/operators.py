@@ -8,19 +8,19 @@ factors, for large grids) or a SpectralMultiplier.  Applying, adjoints
 and the p = 2 certificate all run its spectrum-level pair, so a dense
 certificate step takes the 4 grid transforms of a separable one.  The
 cores allocate no grid per band or frequency: one scratch grid per call
-takes every band transform or lattice row, and each sum is scaled, and
-in an adjoint conjugated, once.  A dense sum evaluates one x-slice per
-lattice frequency and forms each lattice row's coefficient-phase
-products in one array operation.  A densified separable symbol keeps its
-nonzero (band, weight) pairs once per distinct |eta|: on a band's plateau
-the slice is that band's samples, read and never copied, elsewhere the
-weighted sum of two bands.  The comment at MAX_DENSE_N gives the time per
-eta and the cap it sets.  Probing reports norm ratios over a test family;
-at p = 2 it also records sqrt(2) times a power-iteration estimate of the
-L^2 norm of a conjugated operator.  That number is what the probe ratios
-are compared against, but it is not a rigorous bound: power iteration
-estimates the norm from below and may stop at its iteration cap before
-it converges.
+(grid._band_sum's, for a separable symbol) takes every band transform or
+lattice row, and each sum is scaled, and in an adjoint conjugated, once.
+A dense sum evaluates one x-slice per lattice frequency and forms each
+lattice row's coefficient-phase products in one array operation.  A
+densified separable symbol keeps its nonzero (band, weight) pairs once
+per distinct |eta|: on a band's plateau the slice is that band's
+samples, read and never copied, elsewhere the weighted sum of two bands.
+The comment at MAX_DENSE_N gives the time per eta and the cap it sets.
+Probing reports norm ratios over a test family; at p = 2 it also records
+sqrt(2) times a power-iteration estimate of the L^2 norm of a conjugated
+operator.  That number is what the probe ratios are compared against,
+but it is not a rigorous bound: power iteration estimates the norm from
+below and may stop at its iteration cap before it converges.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import (
     DegenerateInputError,
@@ -43,6 +42,7 @@ from .grid import (
     GridField,
     GridSpec,
     SpectralMultiplier,
+    _band_sum,
     forward_transform,
     inverse_transform,
     lattice,
@@ -106,19 +106,6 @@ def _dense_analyze(a: DenseSymbol, samples: np.ndarray) -> np.ndarray:
     np.conjugate(spectrum, out=spectrum)
     spectrum *= a.spec.cell_volume
     return spectrum
-
-
-def _band_sum(terms, x: np.ndarray) -> np.ndarray:
-    """Sum of w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised scipy.fft
-    inverse.  Every transform runs on one scratch grid, which scipy.fft may overwrite;
-    the array it returns is weighted and summed in place."""
-    out = np.zeros(x.shape, dtype=complex)
-    scratch = np.empty_like(out)
-    for u, w in terms:
-        part = sfft.ifftn(np.multiply(u, x, out=scratch), norm="forward", overwrite_x=True)
-        part *= w
-        out += part
-    return out
 
 
 def _synth(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
@@ -276,7 +263,7 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     T and T* come from _pair for every kind: T starts from Phi^{-1} F v and T*
     ends in a spectrum, so a step runs four grid transforms (F v; F, F^{-1}
     around Phi^2; the last F^{-1}), a dense step too; T and T* each add one
-    scipy.fft transform per band of a separable symbol, or one for a multiplier.
+    band transform (grid._band_sum) per band of a separable symbol, or one for a multiplier.
 
     The returned number is not that bound itself.  Power iteration gives a
     lower estimate of the spectral norm, and it returns after 200

@@ -45,7 +45,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -55,6 +54,7 @@ from .grid import (
     GridField,
     GridSpec,
     SpectralMultiplier,
+    _line_inverse,
     apply_multiplier,
     forward_transform,
     lattice,
@@ -353,12 +353,11 @@ class ParabolicFrame:
         spectrum = forward_transform(f), or None when all of direction l's
         coefficients are exactly zero.
 
-        The coefficients, times L^-n, are scattered into the lattice lines
-        the sector touches (touched_lines); the first 1-D scipy.fft inverse
-        pass runs on those lines only and the second on the full grid.  On
-        columns the passes run on the transpose, whose transposed view is
-        yielded.  work is two complex scratch grids; a yielded array is
-        overwritten by the next step, and work[1] is free until then.
+        The coefficients, times L^-n, fill the lines the sector touches
+        (touched_lines); grid._line_inverse's first pass runs on those lines
+        only.  On columns the passes run on the transpose, whose transposed
+        view is yielded.  work is two complex scratch grids; a yielded array
+        is overwritten by the next step, and work[1] is free until then.
         """
         N, scale = self.spec.N, self.spec.L**-self.spec.n
         flat = spectrum.ravel()
@@ -379,9 +378,7 @@ class ParabolicFrame:
             part = spare[: lines.size]
             part.fill(0.0)
             part[slot[line], pos] = coeffs
-            grid.fill(0.0)
-            grid[lines] = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True)
-            g = sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True)
+            g = _line_inverse(part, lines, grid)
             yield g.T if axis == 1 else g
 
 

@@ -19,7 +19,7 @@ from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
 from .errors import _convert, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
-from .grid import _check_specs, forward_transform, inverse_transform
+from .grid import _band_sum, _check_specs, forward_transform
 from .norms import zygmund_norm
 from .parabolic import _derivative_table
 
@@ -43,6 +43,8 @@ class DenseSymbol:
 
     def __post_init__(self):
         _check_class(self.r, self.delta)
+        if not np.isfinite(self.m):
+            raise ParameterError(f"order m={self.m} must be finite")
 
     def eval(self, eta) -> np.ndarray:
         """x-grid slice a(., eta), always a full complex array.  The slice may be
@@ -229,20 +231,20 @@ def estimate_seminorms(
 
 
 def _paraproduct(b: GridField, f: GridField, fam, window) -> GridField:
-    """Sum_k (psi_k(D) f)(W_k(D) b) with W_k = Sum_{j in window(k)} psi_j: one forward
-    transform of b, then per k with a non-empty window a band of f and one inverse.
+    """Sum_k (psi_k(D) f)(W_k(D) b), W_k = Sum_{j in window(k)} psi_j: the band sum of terms
+    (W_k, psi_k(D) f) over F(b) for the k with a non-empty window, scaled by L^{-n} once.
     When no window is non-empty the sum is zero and nothing is transformed."""
     if b.spec != f.spec:
         raise DimensionError("paraproduct operands on different grids")
     if fam is None:
         fam = LittlewoodPaleyFamily(b.spec)
     _check_specs(fam.spec, f.spec)
-    out = np.zeros(b.spec.shape, dtype=complex)
     ks = [k for k in range(fam.J_max + 1) if fam.values[window(k)]]
-    if ks:
-        spectrum = forward_transform(b)
-        for k, fk in fam.bands(f, ks):
-            out += fk * inverse_transform(sum(fam.values[window(k)]) * spectrum, b.spec).samples
+    if not ks:
+        return GridField(b.spec, np.zeros(b.spec.shape, dtype=complex))
+    terms = ((sum(fam.values[window(k)]), fk) for k, fk in fam.bands(f, ks))
+    out = _band_sum(terms, forward_transform(b))
+    out *= b.spec.L ** -b.spec.n
     return GridField(b.spec, out)
 
 
@@ -448,14 +450,24 @@ def _scalar(path, name: str, kind, val):
         raise InvalidInputError(f"{path}: symbol descriptor {exc}") from None
 
 
+def _same_grid(path, declared: GridSpec | None, other: GridSpec | None, what: str):
+    """Refuse a descriptor whose declared grid differs from another known grid."""
+    if declared is not None and other is not None and other != declared:
+        raise InvalidInputError(f"{path}: symbol descriptor grid {declared} differs from "
+                                f"{what} {other}")
+
+
 def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
     kind = doc.get("kind")
     base = os.path.dirname(os.path.abspath(path))
-    if spec is None and "grid" in doc:
+    declared = None
+    if "grid" in doc:
         g = doc["grid"]
         if not isinstance(g, dict):
             raise InvalidInputError(f"{path}: symbol descriptor grid {g!r} is not an object")
-        spec = GridSpec(n=g.get("n", 2), N=g["N"], L=g["L"])
+        declared = GridSpec(n=g.get("n", 2), N=g["N"], L=g["L"])
+        _same_grid(path, declared, spec, "the given grid")
+        spec = declared
     if kind == "separable":
         fields = {}
         if not isinstance(doc["bands"], list):
@@ -467,6 +479,7 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
             if k in fields:
                 raise InvalidInputError(f"{path}: symbol descriptor lists band {k} twice")
             fields[k] = read_fiof(os.path.join(base, entry["file"]))
+            _same_grid(path, declared, fields[k].spec, f"band {k}'s file grid")
             spec = fields[k].spec
     elif kind not in ("analytic-preset", "dense"):
         raise InvalidInputError(f"{path}: unknown symbol kind {kind!r}")
@@ -486,7 +499,9 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
     if name == "multiplier_bessel":
         return preset_multiplier_bessel(spec, _scalar(path, "params.m", float, params["m"]), r=r)
     if name == "multiplication":
-        return preset_multiplication(read_fiof(os.path.join(base, params["b_file"])), r=r)
+        b = read_fiof(os.path.join(base, params["b_file"]))
+        _same_grid(path, declared, b.spec, "b_file's grid")
+        return preset_multiplication(b, r=r)
     if name == "rough_chirp":
         sym = preset_rough_chirp(
             spec,

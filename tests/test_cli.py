@@ -236,7 +236,10 @@ def test_bench_rejects_bad_s_list(tmp_path, capsys, monkeypatch, s_list):
     ({"csv_out": ""}, 3, "i/o error"),
     ({"csv_out": "missing/run.csv"}, 3, "i/o error"),
     ({"json_out": "."}, 3, "i/o error"),
-], ids=["delta", "p", "eps-slack", "csv-empty", "csv-missing-dir", "json-directory"])
+    ({"bands": [1, 99]}, 2, "band 99 outside the grid's dyadic range"),
+    ({"bands": []}, 2, "empty test family"),
+], ids=["delta", "p", "eps-slack", "csv-empty", "csv-missing-dir", "json-directory",
+        "band-out-of-range", "bands-empty"])
 def test_bench_refuses_before_building_the_frame(tmp_path, capsys, monkeypatch, doc, code, text):
     def no_frame(*args, **kwargs):
         raise AssertionError("the frame was built")
@@ -557,4 +560,41 @@ def test_apply_refuses_a_boolean_in_a_descriptor(tmp_path, capsys, symbol_doc):
     assert _apply_with_symbol(tmp_path, symbol_doc, fk.GridField(spec, np.ones(spec.shape))) == 1
     err = capsys.readouterr().err
     assert "symbol descriptor" in err and "True" in err and "Traceback" not in err
+    assert not (tmp_path / "out.fiof").exists()
+
+
+@pytest.mark.parametrize("grid, code, text", [
+    ({"N": 64, "L": 8 * np.pi}, 1, "differs from the given grid"),
+    ({"N": 30, "L": 1.0}, 2, "N=30"),
+], ids=["other-grid", "invalid-grid"])
+def test_apply_checks_a_descriptor_grid(tmp_path, capsys, grid, code, text):
+    # the field's grid is N = 32, L = 8 pi
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    doc = {"kind": "analytic-preset", "preset": "identity", "grid": grid}
+    assert _apply_with_symbol(tmp_path, doc, fk.GridField(spec, np.ones(spec.shape))) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert text in out.err and "Traceback" not in out.err
+    assert not (tmp_path / "out.fiof").exists()
+
+
+def test_smooth_refuses_a_descriptor_grid_other_than_the_config_grid(tmp_path, capsys):
+    path = tmp_path / "chirp.json"
+    path.write_text(json.dumps({"kind": "analytic-preset", "preset": "rough_chirp",
+                                "params": {"r": 1.5, "delta": 0.5},
+                                "grid": {"N": 32, "L": 8 * np.pi}}))
+    # the default config grid is N = 64, L = 32 pi
+    assert main(["smooth", "--symbol", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "N=32" in out.err and "N=64" in out.err and "Traceback" not in out.err
+
+
+def test_apply_refuses_a_non_finite_order(tmp_path, capsys):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    doc = {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {"m": float("nan")}}
+    assert _apply_with_symbol(tmp_path, doc, fk.GridField(spec, np.ones(spec.shape))) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and "m=nan" in out.err and "Traceback" not in out.err
     assert not (tmp_path / "out.fiof").exists()

@@ -1,7 +1,9 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import fiokit as fk
 from conftest import plane_wave, random_field, write_fiof_n3
@@ -286,3 +288,36 @@ def _fiof_with_version(path, version):
 def test_grid_input_checks(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+def test_only_grid_calls_scipy_fft(monkeypatch):
+    # one module owns the transform convention: every scipy.fft call of the
+    # operator cores, the paraproducts, the frame and the dyadic norms is grid's
+    spec = fk.GridSpec(N=64, L=2 * np.pi)
+    fam = fk.build_lp_family(spec)
+    assert fam.J_max == 7  # hl has windows for k <= 1 and lh for k >= 6
+    frame = fk.ParabolicFrame(spec)
+    chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=1, chi=fam)
+    rng = np.random.default_rng(2)
+    b, f = random_field(spec, rng), random_field(spec, rng)
+    callers = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fftn", "ifftn", "fft", "ifft"):
+        monkeypatch.setattr(scipy.fft, name, recorded(getattr(scipy.fft, name)))
+    fk.apply_separable(chirp, f)
+    fk.apply_separable_adjoint(chirp, f)
+    fk.certified_l2_bound(chirp, frame)
+    for piece in (fk.paraproduct_hh, fk.paraproduct_hl, fk.paraproduct_lh):
+        piece(b, f, fam)
+    fk.hpfio_norm(f, 0.0, 4.0 / 3.0, frame)
+    fk.frame_synthesize(fk.frame_analyze(f, frame), frame)
+    fk.square_function_norm(f, 0.5, 4.0, fam)
+    fk.zygmund_norm(f, 1.5, fam)
+    assert callers
+    assert set(callers) == {"fiokit.grid"}

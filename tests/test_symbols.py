@@ -674,6 +674,8 @@ def _descriptor(tmp, doc):
          fk.ParameterError, "r=0.0"),
         (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: 1.0, delta=1.5),
          fk.ParameterError, "delta=1.5"),
+        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: 1.0, m=np.nan),
+         fk.ParameterError, "order m=nan must be finite"),
         (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: np.ones((8, 8))).eval([1.0, 0.0]),
          fk.InvalidInputError, "slice shape"),
         (lambda spec, fam, tmp: fk.SeparableSymbol(
@@ -695,8 +697,9 @@ def _descriptor(tmp, doc):
             tmp, {"kind": "dense", "preset": "nope", "grid": {"N": 16, "L": 1.0}})),
          fk.InvalidInputError, "unknown preset 'nope'"),
     ],
-    ids=["dense-r", "dense-delta", "slice-shape", "separable-band-range", "separable-grid",
-         "seminorms-alpha>3", "paraproduct-grid", "descriptor-without-grid", "unknown-preset"],
+    ids=["dense-r", "dense-delta", "dense-m", "slice-shape", "separable-band-range",
+         "separable-grid", "seminorms-alpha>3", "paraproduct-grid", "descriptor-without-grid",
+         "unknown-preset"],
 )
 def test_symbols_input_checks(spec_mid, fam_mid, tmp_path, call, error, match):
     with pytest.raises(error, match=match):
@@ -741,3 +744,28 @@ def test_descriptor_refuses_booleans(spec_mid, tmp_path, doc):
     doc = {"grid": {"N": spec_mid.N, "L": spec_mid.L}, **doc}
     with pytest.raises(fk.InvalidInputError, match="symbol descriptor .*=(True|False) is not"):
         fk.load_symbol(_descriptor(tmp_path, doc))
+
+
+@pytest.mark.parametrize("doc, what", [
+    ({"kind": "separable", "bands": [{"k": 1, "file": "one.fiof"}]}, "band 1's file grid"),
+    ({"kind": "analytic-preset", "preset": "multiplication", "params": {"b_file": "one.fiof"}},
+     "b_file's grid"),
+], ids=["band-file", "b-file"])
+def test_descriptor_grid_must_match_its_files(tmp_path, doc, what):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec, np.ones(spec.shape)))
+    doc = {**doc, "grid": {"N": 64, "L": 1.0}}
+    with pytest.raises(fk.InvalidInputError, match=f"N=64, L=1.0.* differs from {what} .*N=32"):
+        fk.load_symbol(_descriptor(tmp_path, doc))
+    doc["grid"] = {"N": 32, "L": 8 * np.pi}
+    assert fk.load_symbol(_descriptor(tmp_path, doc)).spec == spec
+
+
+def test_descriptor_grid_must_match_the_given_grid(tmp_path):
+    doc = {"kind": "analytic-preset", "preset": "identity", "grid": {"N": 64, "L": 1.0}}
+    with pytest.raises(fk.InvalidInputError, match="differs from the given grid .*N=32"):
+        fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=32, L=1.0))
+    assert fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=64, L=1.0)).spec.N == 64
+    doc["grid"] = {"N": 30, "L": 1.0}
+    with pytest.raises(fk.ParameterError, match="N=30"):
+        fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=32, L=1.0))
