@@ -158,13 +158,15 @@ def inverse_transform(spectrum: np.ndarray, spec: GridSpec) -> GridField:
 def _band_sum(terms, x: np.ndarray) -> np.ndarray:
     """Sum of w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised scipy.fft
     inverse.  Every transform runs on one scratch grid, which scipy.fft may overwrite;
-    the array it returns is weighted and summed in place."""
+    the array it returns is weighted and summed in place.  A finished term is released
+    before terms builds the next, so a generator's fresh arrays never live two at a time."""
     out = np.zeros(x.shape, dtype=complex)
     scratch = np.empty_like(out)
     for u, w in terms:
         part = sfft.ifftn(np.multiply(u, x, out=scratch), norm="forward", overwrite_x=True)
         part *= w
         out += part
+        del u, w, part
     return out
 
 
@@ -188,7 +190,10 @@ def bessel_potential(f: GridField, s: float) -> GridField:
     """<D>^s f, the Bessel potential of order s."""
     if not np.isfinite(s):
         raise ParameterError("smoothness s must be finite")
-    return inverse_transform(bessel_values(f.spec, s) * forward_transform(f), f.spec)
+    spectrum = bessel_values(f.spec, s) * forward_transform(f)
+    if not np.isfinite(spectrum).all():
+        raise ParameterError(f"smoothness s={s}: <D>^s f overflows on this field")
+    return inverse_transform(spectrum, f.spec)
 
 
 def lp_norm(f: GridField, p: float) -> float:

@@ -40,7 +40,14 @@ def sobolev_s(p: float, n: int) -> float:
 
 def classical_norm(f: GridField, s: float, p: float) -> float:
     """Bessel-Sobolev norm ||<D>^s f||_{L^p}."""
-    return lp_norm(bessel_potential(f, s), p)
+    return _finite(lp_norm(bessel_potential(f, s), p), s, p)
+
+
+def _finite(norm: float, s: float, p: float) -> float:
+    """float(norm), refused when it overflowed to inf or nan: s is too large for this field."""
+    if not np.isfinite(norm):
+        raise ParameterError(f"the H^(s,p) norm with s={s}, p={p} overflows on this field")
+    return float(norm)
 
 
 def _check_regularity(r: float, J_max: int):
@@ -96,6 +103,8 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
       this process may use; each worker walks its own directions with
       its own scratch grids.  The terms are summed in direction order,
       so the result does not depend on thread scheduling.
+
+    A result that overflowed to inf or nan raises ParameterError naming s and p.
     """
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
@@ -110,7 +119,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     if p == 2.0:
         volume = spec.L**spec.n
         high = np.vdot(weighted, frame.energy * weighted).real
-        return float(np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume))
+        return _finite(np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume), s, p)
     low_part = lp_norm(inverse_transform(low, spec), p)
 
     M = frame.n_directions
@@ -130,7 +139,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     total = 0.0
     for weight, power in zip(frame.directions.weights, powers):
         total += weight * power
-    return float(low_part + total ** (1.0 / p))
+    return _finite(low_part + total ** (1.0 / p), s, p)
 
 
 def _direction_powers(parts, p: float, spec, spare) -> list:

@@ -10,8 +10,8 @@ certificate step takes the 4 grid transforms of a separable one.  The
 cores allocate no grid per band or frequency: one scratch grid per call
 (grid._band_sum's, for a separable symbol) takes every band transform or
 lattice row, and each sum is scaled, and in an adjoint conjugated, once.
-A dense sum evaluates one x-slice per lattice frequency and forms each
-lattice row's coefficient-phase products in one array operation.  A
+A dense sum evaluates one x-slice per lattice frequency and, in the apply,
+forms each lattice row's spectrum-phase products in one array operation.  A
 densified separable symbol keeps its nonzero (band, weight) pairs once
 per distinct |eta|: on a band's plateau the slice is that band's
 samples, read and never copied, elsewhere the weighted sum of two bands.
@@ -61,33 +61,25 @@ from .symbols import DenseSymbol, SeparableSymbol
 MAX_DENSE_N = 128
 
 
-def _lattice_walk(a: DenseSymbol, coef: np.ndarray):
-    """Yield (i1, e^{ix1.xi_i1}, row) for each lattice row i1 that holds a c_i = coef[i] != 0,
-    eta_i = (xi_i1, xi_i2); row yields (i2, a(., eta_i), c_i e^{ix2.xi_i2}) over those i2, the
-    row's products formed in one array operation.  The phase factors broadcast along x1
-    (axis 0) and x2 (axis 1) of a grid."""
-    etas = lattice(a.spec).points().reshape(a.spec.shape + (a.spec.n,))
-    E = np.exp(1j * np.outer(a.spec.x_axis(), lattice(a.spec).axis))
-
-    def row(i1):
-        i2s = np.flatnonzero(coef[i1])
-        for i2, ce2 in zip(i2s, coef[i1, i2s, None] * E.T[i2s]):
-            yield i2, a.eval(etas[i1, i2]), ce2
-
-    for i1 in np.flatnonzero(coef.any(axis=1)):
-        yield i1, E[:, i1, None], row(i1)
+def _lattice_tables(spec: GridSpec):
+    """(etas, E): etas[i1, i2] = eta_i = (xi_i1, xi_i2), and E = e^{ix.xi} with x along axis 0,
+    so E[:, i1, None] broadcasts e^{ix1.xi_i1} along x1 and E.T[i2] e^{ix2.xi_i2} along x2."""
+    etas = lattice(spec).points().reshape(spec.shape + (spec.n,))
+    return etas, np.exp(1j * np.outer(spec.x_axis(), lattice(spec).axis))
 
 
 def _dense_synth(a: DenseSymbol, spectrum: np.ndarray) -> np.ndarray:
     """Samples of L^{-n} sum_eta a(x,eta) s(eta) e^{ix.eta}; s(eta) = 0 evaluates no slice.
     Each row sums a(., eta) s(eta) e^{ix2.eta2} in one scratch grid, then applies e^{ix1.eta1}."""
+    etas, E = _lattice_tables(a.spec)
     out = np.zeros(a.spec.shape, dtype=complex)
     acc, term = np.empty_like(out), np.empty_like(out)
-    for _, e1, row in _lattice_walk(a, spectrum):
+    for i1 in np.flatnonzero(spectrum.any(axis=1)):
+        i2s = np.flatnonzero(spectrum[i1])
         acc.fill(0.0)
-        for _, slice_, ce2 in row:
-            acc += np.multiply(slice_, ce2, out=term)
-        acc *= e1
+        for i2, se2 in zip(i2s, spectrum[i1, i2s, None] * E.T[i2s]):
+            acc += np.multiply(a.eval(etas[i1, i2]), se2, out=term)
+        acc *= E[:, i1, None]
         out += acc
     out *= a.spec.L ** -a.spec.n
     return out
@@ -95,14 +87,15 @@ def _dense_synth(a: DenseSymbol, spectrum: np.ndarray) -> np.ndarray:
 
 def _dense_analyze(a: DenseSymbol, samples: np.ndarray) -> np.ndarray:
     """Spectrum (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n, every eta, as
-    conj(sum_x2 e^{ix2.eta2} sum_x1 a(x,eta) h(x)) with h = conj(g) e^{ix1.eta1} once per row.
-    The walk's coefficients are ones, which change no bit of e^{ix2.eta2}."""
+    conj(sum_x2 e^{ix2.eta2} sum_x1 a(x,eta) h(x)) with h = conj(g) e^{ix1.eta1} once per row."""
+    etas, E = _lattice_tables(a.spec)
     spectrum = np.empty(a.spec.shape, dtype=complex)
     g, h, term = np.conj(samples), np.empty_like(spectrum), np.empty_like(spectrum)
-    for i1, e1, row in _lattice_walk(a, np.ones(a.spec.shape)):
-        np.multiply(g, e1, out=h)
-        for i2, slice_, e2 in row:
-            spectrum[i1, i2] = (np.multiply(slice_, h, out=term).sum(axis=0) * e2).sum()
+    for i1 in range(a.spec.N):
+        np.multiply(g, E[:, i1, None], out=h)
+        for i2 in range(a.spec.N):
+            spectrum[i1, i2] = (np.multiply(a.eval(etas[i1, i2]), h, out=term).sum(axis=0)
+                                * E.T[i2]).sum()
     np.conjugate(spectrum, out=spectrum)
     spectrum *= a.spec.cell_volume
     return spectrum

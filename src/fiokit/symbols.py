@@ -457,8 +457,34 @@ def _same_grid(path, declared: GridSpec | None, other: GridSpec | None, what: st
                                 f"{what} {other}")
 
 
+# the params each preset reads; _unread_keys names any other
+_PRESET_PARAMS = {"identity": (), "multiplier_bessel": ("m",), "multiplication": ("b_file",),
+                  "rough_chirp": ("r", "delta", "seed")}
+
+
+def _unread_keys(doc: dict, kind: str) -> list:
+    """The keys of doc, at every level, that loading it as a `kind` descriptor does not read."""
+    read = ("kind", "grid", "r") + (("bands", "eps", "delta") if kind == "separable"
+                                    else ("preset", "params"))
+    unknown = [key for key in doc if key not in read]
+    if isinstance(doc.get("grid"), dict):
+        unknown += [f"grid.{key}" for key in doc["grid"] if key not in ("n", "N", "L")]
+    if isinstance(doc.get("bands"), list):
+        unknown += [f"bands[{i}].{key}" for i, entry in enumerate(doc["bands"])
+                    if isinstance(entry, dict) for key in entry if key not in ("k", "file")]
+    preset, params = doc.get("preset"), doc.get("params")
+    if isinstance(preset, str) and preset in _PRESET_PARAMS and isinstance(params, dict):
+        unknown += [f"params.{key}" for key in params if key not in _PRESET_PARAMS[preset]]
+    return unknown
+
+
 def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
     kind = doc.get("kind")
+    if kind not in ("separable", "analytic-preset", "dense"):
+        raise InvalidInputError(f"{path}: unknown symbol kind {kind!r}")
+    unknown = _unread_keys(doc, kind)
+    if unknown:
+        raise InvalidInputError(f"{path}: symbol descriptor has unknown keys {unknown}")
     base = os.path.dirname(os.path.abspath(path))
     declared = None
     if "grid" in doc:
@@ -481,8 +507,6 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
             fields[k] = read_fiof(os.path.join(base, entry["file"]))
             _same_grid(path, declared, fields[k].spec, f"band {k}'s file grid")
             spec = fields[k].spec
-    elif kind not in ("analytic-preset", "dense"):
-        raise InvalidInputError(f"{path}: unknown symbol kind {kind!r}")
     if spec is None:
         raise InvalidInputError(f"{path}: symbol descriptor lacks a grid")
     r = _scalar(path, "r", float, doc.get("r", 1.0))

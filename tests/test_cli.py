@@ -328,6 +328,7 @@ def _apply_with_symbol(tmp_path, symbol_doc, f):
     {"kind": "analytic-preset"},
     {"kind": "separable"},
     {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {}},
+    {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {"m": 1.0, "n": 2.0}},
 ])
 def test_apply_malformed_symbol_exits_1(tmp_path, capsys, symbol_doc):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
@@ -506,6 +507,39 @@ def test_norm_extreme_regularity_exits_2(tmp_path, capsys, r, text):
     assert out.out == ""
     assert "config error" in out.err and text in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("args, text", [
+    (["--s", "400"], "s=400.0"),
+    (["--s", "180", "--p", "4"], "s=180.0, p=4.0"),
+    (["--s", "200", "--p", "4"], "s=200.0"),
+], ids=["s400", "s180-p4", "s200-p4"])
+def test_norm_overflowing_smoothness_exits_2(tmp_path, capsys, args, text):
+    # xi_max = 45.3 at N=64, L=2 pi: <D>^s f or its p-th power overflows
+    spec = fk.GridSpec(N=64, L=2 * np.pi)
+    path = tmp_path / "f.fiof"
+    fk.write_fiof(path, fk.GridField(spec, np.random.default_rng(0).standard_normal(spec.shape)))
+    assert main(["norm", "--field", str(path), *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and text in out.err and "overflows" in out.err
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("s", [180.0, 200.0])
+def test_bench_refuses_an_overflowing_s(tmp_path, capsys, monkeypatch, p, s):
+    # the probe's first norm overflows, so bench exits 2 with nothing written
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 64, "L": 2 * np.pi}, "bands": [1, 2],
+                               "p_list": [p], "s_list": [s]}))
+    assert main(["--config", str(cfg), "bench-boundedness"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and f"p={p} overflows" in out.err
+    assert "Traceback" not in out.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["calibrate", "verify"])

@@ -1,5 +1,6 @@
 import struct
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -321,3 +322,26 @@ def test_only_grid_calls_scipy_fft(monkeypatch):
     fk.zygmund_norm(f, 1.5, fam)
     assert callers
     assert set(callers) == {"fiokit.grid"}
+
+
+def test_band_sum_releases_each_term_before_the_next():
+    # a paraproduct's term generator builds fresh grids per term; the band sum
+    # must hold none of a finished term's while the generator builds the next
+    from fiokit.grid import _band_sum
+
+    alive = []
+
+    def fresh(k):
+        term = (np.full((8, 8), float(k)), np.full((8, 8), 2.0))
+        alive[:] = [weakref.ref(a) for a in term]
+        return term
+
+    def terms():
+        for k in range(3):
+            assert all(ref() is None for ref in alive), "a finished term is still held"
+            yield fresh(k)
+
+    x = np.arange(64, dtype=complex).reshape(8, 8)
+    out = _band_sum(terms(), x)
+    want = sum(2.0 * scipy.fft.ifftn(k * x, norm="forward") for k in range(3))
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()

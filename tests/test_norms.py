@@ -316,3 +316,28 @@ def test_hpfio_norm_refuses_a_non_finite_s(frame64, monkeypatch, p, s):
     monkeypatch.setattr(fk.norms, "forward_transform", refuse)
     with pytest.raises(fk.ParameterError, match="finite"):
         fk.hpfio_norm(f, s, p, frame64)
+
+
+@pytest.fixture(scope="module")
+def frame64_2pi():
+    return fk.ParabolicFrame(fk.GridSpec(N=64, L=2.0 * np.pi))
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0], ids=["parseval", "directions"])
+@pytest.mark.parametrize("s", [180.0, 200.0])
+def test_hpfio_norm_refuses_an_overflowing_s(frame64_2pi, p, s):
+    # xi_max = 45.3 at N=64, L=2 pi: <xi>^s f^ or its p-th power overflows to inf or nan
+    f = random_field(frame64_2pi.spec, np.random.default_rng(0), real=True)
+    with pytest.raises(fk.ParameterError, match=f"s={s}, p={p} overflows"):
+        fk.hpfio_norm(f, s, p, frame64_2pi)
+
+
+@pytest.mark.parametrize("s, p, match", [
+    (400.0, 2.0, "smoothness s=400.0: <D>"),
+    (180.0, 4.0, "s=180.0, p=4.0 overflows"),
+], ids=["weights-overflow", "power-overflows"])
+def test_classical_norm_refuses_an_overflowing_s(s, p, match):
+    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
+    f = random_field(spec, np.random.default_rng(0), real=True)
+    with pytest.raises(fk.ParameterError, match=match):
+        fk.classical_norm(f, s, p)

@@ -696,10 +696,33 @@ def _descriptor(tmp, doc):
         (lambda spec, fam, tmp: fk.load_symbol(_descriptor(
             tmp, {"kind": "dense", "preset": "nope", "grid": {"N": 16, "L": 1.0}})),
          fk.InvalidInputError, "unknown preset 'nope'"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
+            "kind": "analytic-preset", "preset": "rough_chirp", "params": {"r": 2, "delta": 0.5},
+            "detla": 0.5, "grid": {"N": 16, "L": 1.0}})),
+         fk.InvalidInputError, r"unknown keys \['detla'\]"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
+            "kind": "separable", "bands": [], "preset": "identity", "grid": {"N": 16, "L": 1.0}})),
+         fk.InvalidInputError, r"unknown keys \['preset'\]"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
+            "kind": "analytic-preset", "preset": "identity", "grid": {"N": 16, "L": 1.0, "M": 5}})),
+         fk.InvalidInputError, r"unknown keys \['grid.M'\]"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
+            "kind": "separable", "grid": {"N": 16, "L": 1.0},
+            "bands": [{"k": 1, "file": "absent.fiof"}, {"k": 2, "file": "absent.fiof", "w": 2}]})),
+         fk.InvalidInputError, r"unknown keys \['bands\[1\].w'\]"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
+            "kind": "analytic-preset", "preset": "rough_chirp", "grid": {"N": 16, "L": 1.0},
+            "params": {"r": 2, "delta": 0.5, "sede": 3}})),
+         fk.InvalidInputError, r"unknown keys \['params.sede'\]"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
+            "kind": "analytic-preset", "preset": "identity", "grid": {"N": 16, "L": 1.0},
+            "params": {"m": 1.0}})),
+         fk.InvalidInputError, r"unknown keys \['params.m'\]"),
     ],
     ids=["dense-r", "dense-delta", "dense-m", "slice-shape", "separable-band-range",
          "separable-grid", "seminorms-alpha>3", "paraproduct-grid", "descriptor-without-grid",
-         "unknown-preset"],
+         "unknown-preset", "descriptor-key", "separable-descriptor-key", "descriptor-grid-key",
+         "descriptor-band-key", "descriptor-params-key", "identity-params-key"],
 )
 def test_symbols_input_checks(spec_mid, fam_mid, tmp_path, call, error, match):
     with pytest.raises(error, match=match):
