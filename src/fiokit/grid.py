@@ -170,6 +170,13 @@ def _band_sum(terms, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inverse_in_place(spectrum: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """inverse_transform's samples, computed in spectrum's own memory and not checked."""
+    out = sfft.ifftn(spectrum, norm="forward", overwrite_x=True)
+    out *= spec.L**-spec.n
+    return out
+
+
 def _line_inverse(part: np.ndarray, lines: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Unnormalised 2-D inverse of grid = part on rows `lines`, 0 elsewhere; overwrites grid."""
     grid.fill(0.0)
@@ -186,11 +193,21 @@ def bessel_values(spec: GridSpec, s: float) -> np.ndarray:
     return (1.0 + lattice(spec).mags ** 2) ** (s / 2.0)
 
 
+def _bessel_weighted(spec: GridSpec, s: float, spectrum: np.ndarray) -> np.ndarray:
+    """<xi>^s spectrum, multiplied only where spectrum != 0, so that a weight
+    that overflows to inf off f^'s support leaves 0 there, not inf * 0 = nan.
+    Overflow warns nowhere: the result is inf or nan exactly where a weight
+    overflowed on the support, and the caller refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.multiply(bessel_values(spec, s), spectrum, out=np.zeros_like(spectrum),
+                           where=spectrum != 0)
+
+
 def bessel_potential(f: GridField, s: float) -> GridField:
     """<D>^s f, the Bessel potential of order s."""
     if not np.isfinite(s):
         raise ParameterError("smoothness s must be finite")
-    spectrum = bessel_values(f.spec, s) * forward_transform(f)
+    spectrum = _bessel_weighted(f.spec, s, forward_transform(f))
     if not np.isfinite(spectrum).all():
         raise ParameterError(f"smoothness s={s}: <D>^s f overflows on this field")
     return inverse_transform(spectrum, f.spec)

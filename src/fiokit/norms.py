@@ -21,9 +21,9 @@ from .dyadic import LittlewoodPaleyFamily, build_lp_family
 from .errors import DimensionError, ParameterError
 from .grid import (
     GridField,
+    _bessel_weighted,
     _check_specs,
     bessel_potential,
-    bessel_values,
     forward_transform,
     inverse_transform,
     lp_norm,
@@ -40,14 +40,17 @@ def sobolev_s(p: float, n: int) -> float:
 
 def classical_norm(f: GridField, s: float, p: float) -> float:
     """Bessel-Sobolev norm ||<D>^s f||_{L^p}."""
-    return _finite(lp_norm(bessel_potential(f, s), p), s, p)
+    g = bessel_potential(f, s)
+    # a |<D>^s f|^p that overflows is refused below, without a warning first
+    with np.errstate(over="ignore"):
+        return float(_finite(lp_norm(g, p), s, p))
 
 
-def _finite(norm: float, s: float, p: float) -> float:
-    """float(norm), refused when it overflowed to inf or nan: s is too large for this field."""
-    if not np.isfinite(norm):
+def _finite(value, s: float, p: float):
+    """value, refused when any of it overflowed to inf or nan: s is too large for this field."""
+    if not np.isfinite(value).all():
         raise ParameterError(f"the H^(s,p) norm with s={s}, p={p} overflows on this field")
-    return float(norm)
+    return value
 
 
 def _check_regularity(r: float, J_max: int):
@@ -104,7 +107,10 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
       its own scratch grids.  The terms are summed in direction order,
       so the result does not depend on thread scheduling.
 
-    A result that overflowed to inf or nan raises ParameterError naming s and p.
+    <xi>^s f^ is formed where f^ != 0 only, and refused before any
+    direction runs when a weight overflows on that support.  A result that
+    overflowed to inf or nan raises ParameterError naming s and p, with no
+    RuntimeWarning first, in the caller's thread or a worker's.
     """
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
@@ -115,11 +121,11 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     spec = f.spec
     spectrum = forward_transform(f)
     low = frame.q_values * spectrum
-    weighted = bessel_values(spec, s) * spectrum
+    weighted = _finite(_bessel_weighted(spec, s, spectrum), s, p)
     if p == 2.0:
         volume = spec.L**spec.n
         high = np.vdot(weighted, frame.energy * weighted).real
-        return _finite(np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume), s, p)
+        return float(_finite(np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume), s, p))
     low_part = lp_norm(inverse_transform(low, spec), p)
 
     M = frame.n_directions
@@ -129,8 +135,11 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     work = np.empty((W, 2) + spec.shape, dtype=complex)
 
     def stride(w):
-        parts = frame.parts(weighted, range(w, M, W), work[w])
-        return _direction_powers(parts, p, spec, work[w, 1])
+        # np.errstate is per thread: a |g_l|^p that overflows gives inf,
+        # which the result check below refuses, and warns nowhere
+        with np.errstate(over="ignore"):
+            parts = frame.parts(weighted, range(w, M, W), work[w])
+            return _direction_powers(parts, p, spec, work[w, 1])
 
     powers = np.empty(M)
     with ThreadPoolExecutor(max_workers=W) as pool:
@@ -139,7 +148,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     total = 0.0
     for weight, power in zip(frame.directions.weights, powers):
         total += weight * power
-    return _finite(low_part + total ** (1.0 / p), s, p)
+    return float(_finite(low_part + total ** (1.0 / p), s, p))
 
 
 def _direction_powers(parts, p: float, spec, spare) -> list:

@@ -19,7 +19,7 @@ from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
 from .errors import _convert, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
-from .grid import _band_sum, _check_specs, forward_transform
+from .grid import _band_sum, _check_specs, _inverse_in_place, forward_transform
 from .norms import zygmund_norm
 from .parabolic import _derivative_table
 
@@ -242,8 +242,20 @@ def _paraproduct(b: GridField, f: GridField, fam, window) -> GridField:
     ks = [k for k in range(fam.J_max + 1) if fam.values[window(k)]]
     if not ks:
         return GridField(b.spec, np.zeros(b.spec.shape, dtype=complex))
-    terms = ((sum(fam.values[window(k)]), fk) for k, fk in fam.bands(f, ks))
-    out = _band_sum(terms, forward_transform(b))
+    spectrum = forward_transform(f)
+
+    def terms():
+        # _band_sum is done with a term before it asks for the next, so one
+        # W_k buffer and one band grid serve every k
+        W, band = np.empty(b.spec.shape), np.empty(b.spec.shape, dtype=complex)
+        for k in ks:
+            first, *rest = fam.values[window(k)]
+            np.copyto(W, first)
+            for v in rest:
+                W += v
+            yield W, _inverse_in_place(np.multiply(fam.values[k], spectrum, out=band), b.spec)
+
+    out = _band_sum(terms(), forward_transform(b))
     out *= b.spec.L ** -b.spec.n
     return GridField(b.spec, out)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,33 @@ def test_bench_refuses_an_overflowing_s(tmp_path, capsys, monkeypatch, p, s):
     assert "config error" in out.err and f"p={p} overflows" in out.err
     assert "Traceback" not in out.err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("case", ["norm-s400", "norm-s180-p4", "bench-s200"])
+def test_an_overflowing_s_is_refused_with_no_runtime_warning(tmp_path, capsys, monkeypatch,
+                                                             case, action):
+    # as under python -W error::RuntimeWarning ("error") and without it ("always"):
+    # exit 2, nothing written, and no warning first, from this thread or a direction worker
+    monkeypatch.chdir(tmp_path)
+    spec = fk.GridSpec(N=64, L=2 * np.pi)
+    fk.write_fiof("f.fiof", fk.GridField(spec, np.random.default_rng(0).standard_normal(spec.shape)))
+    grid = ["--N", "64", "--L", repr(2 * np.pi)]
+    argv = {
+        "norm-s400": grid + ["norm", "--field", "f.fiof", "--s", "400"],
+        "norm-s180-p4": grid + ["norm", "--field", "f.fiof", "--s", "180", "--p", "4"],
+        "bench-s200": ["--config", "cfg.json", "bench-boundedness"],
+    }[case]
+    (tmp_path / "cfg.json").write_text(json.dumps({"grid": {"N": 64, "L": 2 * np.pi}, "bands": [1, 2],
+                                                   "p_list": [4.0], "s_list": [200.0]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and "overflows" in out.err and "Traceback" not in out.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "f.fiof"]
 
 
 @pytest.mark.parametrize("command", ["calibrate", "verify"])

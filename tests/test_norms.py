@@ -332,6 +332,29 @@ def test_hpfio_norm_refuses_an_overflowing_s(frame64_2pi, p, s):
         fk.hpfio_norm(f, s, p, frame64_2pi)
 
 
+@pytest.mark.parametrize("s", [0.0, 180.0, 200.0, 400.0])
+def test_a_constant_field_has_finite_norms_at_every_s(frame64_2pi, s):
+    # f^ = 0 off xi = 0, where <xi>^s = 1: a weight that overflows to inf
+    # elsewhere leaves 0 there, not inf * 0 = nan
+    spec = frame64_2pi.spec
+    ones = fk.GridField(spec, np.ones(spec.shape))
+    for p in (4.0 / 3.0, 2.0, 4.0):
+        want = (2.0 * np.pi) ** (2.0 / p)
+        assert fk.hpfio_norm(ones, s, p, frame64_2pi) == pytest.approx(want, rel=1e-12)
+        assert fk.classical_norm(ones, s, p) == pytest.approx(want, rel=1e-12)
+    assert np.abs(fk.bessel_potential(ones, s).samples - 1.0).max() <= 1e-12
+
+
+def test_hpfio_norm_refuses_overflowing_weights_before_any_direction(frame64_2pi, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the direction pool started")
+
+    monkeypatch.setattr(fk.norms, "ThreadPoolExecutor", no_pool)
+    f = random_field(frame64_2pi.spec, np.random.default_rng(0), real=True)
+    with pytest.raises(fk.ParameterError, match="s=200.0, p=4.0 overflows"):
+        fk.hpfio_norm(f, 200.0, 4.0, frame64_2pi)
+
+
 @pytest.mark.parametrize("s, p, match", [
     (400.0, 2.0, "smoothness s=400.0: <D>"),
     (180.0, 4.0, "s=180.0, p=4.0 overflows"),

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
+from scipy.interpolate import CubicSpline
 
 import fiokit as fk
 from fiokit import parabolic
@@ -44,6 +48,49 @@ def test_c_sigma_table_matches_direct(frame64):
     for sigma in np.geomspace(table.sigma_min * 2, 40.0, 15):
         direct = fk.c_sigma(float(sigma))
         assert abs(float(table(sigma)) - direct) / direct < 1e-5
+
+
+def test_import_loads_scipy_fft_only():
+    # the c_sigma spline and the Calderon constant are numpy: importing the
+    # package and its CLI loads none of scipy's heavier subpackages
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.sparse",
+             "scipy.linalg", "scipy.optimize", "scipy.spatial")
+    code = ("import sys, fiokit, fiokit.cli; "
+            f"print('scipy.fft' in sys.modules, [m for m in {heavy!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fk.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "True []"
+
+
+@pytest.mark.parametrize("sigma_min", [0.5 / 45.25, 0.5 / 362.1, 0.3, 1e-3])
+def test_c_sigma_table_is_the_not_a_knot_spline(sigma_min):
+    # scipy's CubicSpline (not-a-knot by default) on the same knots is the oracle
+    table = parabolic.CSigmaTable(sigma_min)
+    knots = table._knots
+    oracle = CubicSpline(knots, [np.log(fk.c_sigma(float(np.exp(s)))) for s in knots])
+    h = knots[1] - knots[0]
+    logs = np.concatenate([
+        knots,
+        (knots[:-1] + knots[1:]) / 2.0,
+        knots[0] - h * np.array([2.0, 1.0, 0.5, 1e-3]),
+        np.linspace(knots[0], knots[-1], 2001),
+    ])
+    sigma = np.exp(logs)
+    want = np.where(sigma < 16.0, np.exp(oracle(np.log(sigma))), table.FLAT)
+    assert np.abs(table(sigma) / want - 1.0).max() <= 1e-13
+    below16 = np.nextafter(16.0, 0.0)
+    assert abs(float(table(below16)) / np.exp(oracle(np.log(below16))) - 1.0) <= 1e-13
+
+
+def test_calderon_constant_is_the_quadrature_value():
+    profile = parabolic.AngularCalderonProfile()
+
+    def theta_log(s):
+        return float(profile.theta(np.exp(s))) ** 2
+
+    val, _ = quad(theta_log, np.log(0.5), np.log(2.0), epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert abs(profile.constant - val) <= 1e-13 * val
 
 
 def test_calderon_normalization(frame64):

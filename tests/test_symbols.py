@@ -431,6 +431,25 @@ def test_modes_memory_ceiling(rng):
     assert peak <= 128 * 2**20
 
 
+@pytest.mark.parametrize("piece", ["paraproduct_hh", "paraproduct_hl", "paraproduct_lh"])
+def test_paraproduct_peak_memory(piece):
+    # b^, f^, the sum and the band sum's scratch grid are four complex grids
+    # (4.2 MB at N=256); one W_k buffer and one band grid serve every term
+    spec = fk.GridSpec(N=256, L=2.0 * np.pi)
+    fam = fk.build_lp_family(spec)
+    rng = np.random.default_rng(0)
+    b, f = random_field(spec, rng, real=True), random_field(spec, rng, real=True)
+    fn = getattr(fk, piece)
+    fn(b, f, fam)
+    tracemalloc.start()
+    try:
+        fn(b, f, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.4e6
+
+
 def test_mode_validation(spec_cm):
     a = fk.preset_identity(spec_cm)
     with pytest.raises(fk.ParameterError):
