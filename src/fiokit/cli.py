@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dyadic import AuxiliaryFamilies, build_lp_family
-from .errors import ParameterError, ToolkitError, _convert, _rng
+from .errors import ParameterError, ToolkitError, _convert, _read, _rng
 from .families import _check_band, build_test_family
 from .grid import (
     GridField,
@@ -59,32 +59,21 @@ DEFAULT_CONFIG = {
     "json_out": "boundedness.json",
 }
 
-
-# the type of each config field; load_config converts every field once
-_GRID_TYPES = {"n": int, "N": int, "L": float}
-_FIELD_TYPES = {"eps": float, "seed": int, "r": float, "delta": float, "eps_slack": float}
-_LIST_TYPES = {"p_list": float, "s_list": float, "bands": int}
+# the rules of a config document; load_config reads a user config through them
+_CONFIG = {
+    "grid": {"n": int, "N": int, "L": float}, "M_omega": None, "eps": float, "seed": int,
+    "r": float, "delta": float, "p_list": [float], "s_list": [float], "bands": [int],
+    "eps_slack": float, "csv_out": str, "json_out": str,
+}
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
         with open(path) as fh:
-            user = json.load(fh)
-        if not isinstance(user, dict):
-            raise ParameterError("config must be a JSON object")
-        unknown = [key for key in user if key not in DEFAULT_CONFIG]
-        if isinstance(user.get("grid"), dict):
-            unknown += [f"grid.{key}" for key in user["grid"] if key not in _GRID_TYPES]
-        if unknown:
-            raise ParameterError(f"config has unknown keys {unknown}")
-        for key, val in user.items():
-            if key == "grid":
-                if not isinstance(val, dict):
-                    raise ParameterError(f"grid={val!r} must be an object")
-                cfg["grid"].update(val)
-            else:
-                cfg[key] = val
+            user = _read(json.load(fh), _CONFIG, ParameterError)
+        cfg["grid"].update(user.pop("grid", {}))
+        cfg.update(user)
     for key, val in overrides.items():
         if val is None:
             continue
@@ -92,19 +81,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
             cfg["grid"][key] = val
         else:
             cfg[key] = val
-    for key, kind in _GRID_TYPES.items():
-        cfg["grid"][key] = _convert(f"grid.{key}", kind, cfg["grid"][key])
-    for key, kind in _FIELD_TYPES.items():
-        cfg[key] = _convert(key, kind, cfg[key])
     if cfg["M_omega"] is not None:
         cfg["M_omega"] = _convert("M_omega", int, cfg["M_omega"])
-    for key in ("csv_out", "json_out"):
-        if not isinstance(cfg[key], str):
-            raise ParameterError(f"{key}={cfg[key]!r} must be a file name")
-    for key, kind in _LIST_TYPES.items():
-        if not isinstance(cfg[key], list):
-            raise ParameterError(f"{key}={cfg[key]!r} must be a list")
-        cfg[key] = [_convert(key, kind, v) for v in cfg[key]]
     return cfg
 
 
@@ -246,11 +224,15 @@ def cmd_verify(cfg: dict, args, spec: GridSpec, fam) -> int:
 
 def cmd_norm(cfg: dict, args, spec: GridSpec, fam) -> int:
     field = read_fiof(args.field)
+    # the classical norms check p, s and r before the frame is built
+    lp = lp_norm(field, args.p)
+    sobolev = classical_norm(field, args.s, args.p)
+    zygmund = zygmund_norm(field, args.r, build_lp_family(field.spec, cfg["eps"]))
     frame = ParabolicFrame(field.spec, cfg["M_omega"])
     out = {
-        "lp": lp_norm(field, args.p),
-        "sobolev": classical_norm(field, args.s, args.p),
-        "zygmund": zygmund_norm(field, args.r, build_lp_family(field.spec, cfg["eps"])),
+        "lp": lp,
+        "sobolev": sobolev,
+        "zygmund": zygmund,
         "hpfio": hpfio_norm(field, args.s, args.p, frame),
         "p": args.p,
         "s": args.s,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
-from .errors import _convert, _rng
+from .errors import _read, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .grid import _band_sum, _check_specs, _inverse_in_place, forward_transform
 from .norms import zygmund_norm
@@ -454,14 +454,6 @@ def load_symbol(path, spec: GridSpec | None = None):
         raise InvalidInputError(f"{path}: symbol descriptor lacks {exc}") from None
 
 
-def _scalar(path, name: str, kind, val):
-    """A descriptor field through errors._convert; failing, an InvalidInputError naming it."""
-    try:
-        return _convert(name, kind, val)
-    except ParameterError as exc:
-        raise InvalidInputError(f"{path}: symbol descriptor {exc}") from None
-
-
 def _same_grid(path, declared: GridSpec | None, other: GridSpec | None, what: str):
     """Refuse a descriptor whose declared grid differs from another known grid."""
     if declared is not None and other is not None and other != declared:
@@ -469,51 +461,38 @@ def _same_grid(path, declared: GridSpec | None, other: GridSpec | None, what: st
                                 f"{what} {other}")
 
 
-# the params each preset reads; _unread_keys names any other
-_PRESET_PARAMS = {"identity": (), "multiplier_bessel": ("m",), "multiplication": ("b_file",),
-                  "rough_chirp": ("r", "delta", "seed")}
-
-
-def _unread_keys(doc: dict, kind: str) -> list:
-    """The keys of doc, at every level, that loading it as a `kind` descriptor does not read."""
-    read = ("kind", "grid", "r") + (("bands", "eps", "delta") if kind == "separable"
-                                    else ("preset", "params"))
-    unknown = [key for key in doc if key not in read]
-    if isinstance(doc.get("grid"), dict):
-        unknown += [f"grid.{key}" for key in doc["grid"] if key not in ("n", "N", "L")]
-    if isinstance(doc.get("bands"), list):
-        unknown += [f"bands[{i}].{key}" for i, entry in enumerate(doc["bands"])
-                    if isinstance(entry, dict) for key in entry if key not in ("k", "file")]
-    preset, params = doc.get("preset"), doc.get("params")
-    if isinstance(preset, str) and preset in _PRESET_PARAMS and isinstance(params, dict):
-        unknown += [f"params.{key}" for key in params if key not in _PRESET_PARAMS[preset]]
-    return unknown
+# the rules of a descriptor, per kind, and of each preset's params; GridSpec
+# checks the grid's values
+_GRID = {"n": None, "N": None, "L": None}
+_SEPARABLE = {"kind": None, "grid": _GRID, "r": float, "eps": float, "delta": float,
+              "bands": [{"k": int, "file": str}]}
+_PRESET = {"kind": None, "grid": _GRID, "r": float, "preset": None}
+_PARAMS = {"identity": {}, "multiplier_bessel": {"m": float}, "multiplication": {"b_file": str},
+           "rough_chirp": {"r": float, "delta": float, "seed": int}}
 
 
 def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
     kind = doc.get("kind")
     if kind not in ("separable", "analytic-preset", "dense"):
         raise InvalidInputError(f"{path}: unknown symbol kind {kind!r}")
-    unknown = _unread_keys(doc, kind)
-    if unknown:
-        raise InvalidInputError(f"{path}: symbol descriptor has unknown keys {unknown}")
+    schema = _SEPARABLE
+    if kind != "separable":
+        name = doc["preset"]
+        if not isinstance(name, str) or name not in _PARAMS:
+            raise InvalidInputError(f"{path}: unknown preset {name!r}")
+        schema = {**_PRESET, "params": _PARAMS[name]}
+    doc = _read(doc, schema, lambda msg: InvalidInputError(f"{path}: symbol descriptor {msg}"))
     base = os.path.dirname(os.path.abspath(path))
     declared = None
     if "grid" in doc:
         g = doc["grid"]
-        if not isinstance(g, dict):
-            raise InvalidInputError(f"{path}: symbol descriptor grid {g!r} is not an object")
         declared = GridSpec(n=g.get("n", 2), N=g["N"], L=g["L"])
         _same_grid(path, declared, spec, "the given grid")
         spec = declared
     if kind == "separable":
         fields = {}
-        if not isinstance(doc["bands"], list):
-            raise InvalidInputError(f"{path}: symbol descriptor bands are not a list")
         for entry in doc["bands"]:
-            if not isinstance(entry, dict):
-                raise InvalidInputError(f"{path}: symbol descriptor band {entry!r} is not an object")
-            k = _scalar(path, "band k", int, entry["k"])
+            k = entry["k"]
             if k in fields:
                 raise InvalidInputError(f"{path}: symbol descriptor lists band {k} twice")
             fields[k] = read_fiof(os.path.join(base, entry["file"]))
@@ -521,29 +500,18 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
             spec = fields[k].spec
     if spec is None:
         raise InvalidInputError(f"{path}: symbol descriptor lacks a grid")
-    r = _scalar(path, "r", float, doc.get("r", 1.0))
+    r = doc.get("r", 1.0)
     if kind == "separable":
-        eps = _scalar(path, "eps", float, doc.get("eps", 0.125))
-        delta = _scalar(path, "delta", float, doc.get("delta", 0.0))
-        return SeparableSymbol(spec, fields, LittlewoodPaleyFamily(spec, eps), r=r, delta=delta)
-    name = doc["preset"]
+        fam = LittlewoodPaleyFamily(spec, doc.get("eps", 0.125))
+        return SeparableSymbol(spec, fields, fam, r=r, delta=doc.get("delta", 0.0))
     params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidInputError(f"{path}: symbol descriptor params {params!r} are not an object")
     if name == "identity":
         return preset_identity(spec, r=r)
     if name == "multiplier_bessel":
-        return preset_multiplier_bessel(spec, _scalar(path, "params.m", float, params["m"]), r=r)
+        return preset_multiplier_bessel(spec, params["m"], r=r)
     if name == "multiplication":
         b = read_fiof(os.path.join(base, params["b_file"]))
         _same_grid(path, declared, b.spec, "b_file's grid")
         return preset_multiplication(b, r=r)
-    if name == "rough_chirp":
-        sym = preset_rough_chirp(
-            spec,
-            _scalar(path, "params.r", float, params["r"]),
-            _scalar(path, "params.delta", float, params["delta"]),
-            seed=_scalar(path, "params.seed", int, params.get("seed", 0)),
-        )
-        return sym.densify() if kind == "dense" else sym
-    raise InvalidInputError(f"{path}: unknown preset {name!r}")
+    sym = preset_rough_chirp(spec, params["r"], params["delta"], seed=params.get("seed", 0))
+    return sym.densify() if kind == "dense" else sym

@@ -344,6 +344,8 @@ def test_apply_malformed_symbol_exits_1(tmp_path, capsys, symbol_doc):
     [{"k": 2.7, "file": "b.fiof"}],
     ["b.fiof"],
     5,
+    [{"k": 1, "file": 5}],
+    [{"k": 1, "file": None}],
 ])
 def test_apply_malformed_band_entry_exits_1(tmp_path, capsys, bands):
     # the band index follows the config's integer rule: no truncation
@@ -370,8 +372,10 @@ _BESSEL = {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {
     ({**_CHIRP, "params": {"r": 2.0, "delta": 0.5, "seed": 1.7}}, "params.seed="),
     ({**_BESSEL, "params": {"m": "x"}}, "params.m="),
     ({**_BESSEL, "params": [1]}, "params [1]"),
+    ({"kind": "analytic-preset", "preset": "multiplication", "params": {"b_file": 5}},
+     "params.b_file=5"),
 ], ids=["identity-r", "separable-eps", "separable-r", "separable-delta", "chirp-r",
-        "chirp-seed", "bessel-m", "params-list"])
+        "chirp-seed", "bessel-m", "params-list", "b-file"])
 def test_apply_malformed_descriptor_field_exits_1(tmp_path, capsys, symbol_doc, field):
     # every scalar of a descriptor follows the config's conversion rule
     spec = fk.GridSpec(N=32, L=8 * np.pi)
@@ -452,6 +456,33 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, doc):
     cfg.write_text(json.dumps(doc))
     assert main(["--config", str(cfg), "calibrate"]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_config_names_unknown_keys_on_every_level_at_once(tmp_path):
+    from fiokit.cli import load_config
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p_lsit": [4.0], "grid": {"N": 32, "n2": 5}, "sede": 1}))
+    with pytest.raises(fk.ParameterError, match=r"unknown keys \['p_lsit', 'sede', 'grid.n2'\]"):
+        load_config(str(path), {})
+
+
+@pytest.mark.parametrize("flags, text", [(["--s", "400"], "s=400"), (["--r", "1000"], "r=1000"),
+                                         (["--p", "1"], "p=1")],
+                         ids=["s-overflows", "r-overflows", "p-one"])
+def test_norm_refuses_s_r_and_p_before_building_the_frame(tmp_path, capsys, monkeypatch, flags,
+                                                          text):
+    def no_frame(*args, **kwargs):
+        raise AssertionError("the frame was built")
+
+    monkeypatch.setattr("fiokit.cli.ParabolicFrame", no_frame)
+    spec = fk.GridSpec(N=64, L=2 * np.pi)
+    path = tmp_path / "f.fiof"
+    fk.write_fiof(path, fk.GridField(spec, np.random.default_rng(0).standard_normal(spec.shape)))
+    assert main(["norm", "--field", str(path), *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and text in out.err
 
 
 def test_zero_direction_count_exits_2(capsys):

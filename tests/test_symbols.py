@@ -737,11 +737,16 @@ def _descriptor(tmp, doc):
             "kind": "analytic-preset", "preset": "identity", "grid": {"N": 16, "L": 1.0},
             "params": {"m": 1.0}})),
          fk.InvalidInputError, r"unknown keys \['params.m'\]"),
+        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
+            "kind": "separable", "preset": "identity", "grid": {"N": 16, "L": 1.0, "M": 5},
+            "bands": [{"k": 1, "file": "absent.fiof", "w": 2}]})),
+         fk.InvalidInputError, r"unknown keys \['preset', 'grid.M', 'bands\[0\].w'\]"),
     ],
     ids=["dense-r", "dense-delta", "dense-m", "slice-shape", "separable-band-range",
          "separable-grid", "seminorms-alpha>3", "paraproduct-grid", "descriptor-without-grid",
          "unknown-preset", "descriptor-key", "separable-descriptor-key", "descriptor-grid-key",
-         "descriptor-band-key", "descriptor-params-key", "identity-params-key"],
+         "descriptor-band-key", "descriptor-params-key", "identity-params-key",
+         "descriptor-keys-on-three-levels"],
 )
 def test_symbols_input_checks(spec_mid, fam_mid, tmp_path, call, error, match):
     with pytest.raises(error, match=match):
