@@ -8,7 +8,6 @@ multiplier m grows like |xi|^{1/2} (the sector count per annulus).
 """
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 import fiokit as fk
 
@@ -22,7 +21,7 @@ psi = frame.geometry.psi
 worst = 0.0
 for rho in np.geomspace(0.1, 100.0, 10):
     s = np.linspace(np.log(0.5 / rho) - 0.05, np.log(2.0 / rho) + 0.05, 4096)
-    worst = max(worst, abs(float(trapezoid(psi(np.exp(s) * rho) ** 2, s)) - 1.0))
+    worst = max(worst, abs(float(np.trapezoid(psi(np.exp(s) * rho) ** 2, s)) - 1.0))
 print(f"Calderon normalization deviation: {worst:.2e}")
 
 # reconstruction of a high-pass field from its directional pieces

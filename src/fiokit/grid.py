@@ -4,7 +4,8 @@ Conventions match the continuum: the forward transform carries the
 cell volume (L/N)^n, the inverse carries (2pi)^(-n) times the
 frequency-cell volume (2pi/L)^n.  A plane wave exp(i xi0.x) on the
 lattice therefore has a single spectral entry of value L^n, and the
-round trip is the identity to roundoff.  No other module calls scipy.fft.
+round trip is the identity to roundoff.  Every transform is numpy.fft's,
+written into an explicit out= buffer, and no other module calls one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import DimensionError, InvalidInputError, ParameterError
 
@@ -141,47 +141,63 @@ def _check_specs(a: GridSpec, b: GridSpec):
         raise DimensionError(f"grid specs differ: {a} vs {b}")
 
 
+# numpy.fft reports IEEE overflow and invalid values as a RuntimeWarning; every
+# transform runs without it, and a non-finite result is refused where it is used
+# (GridField, norms._finite)
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
 def forward_transform(f: GridField) -> np.ndarray:
-    """Continuum-normalized DFT (scipy.fft): hat f(xi) = (L/N)^n sum_x e^{-i x.xi} f(x)."""
-    return sfft.fftn(f.samples) * f.spec.cell_volume
+    """Continuum-normalized DFT (numpy.fft): hat f(xi) = (L/N)^n sum_x e^{-i x.xi} f(x)."""
+    out = np.fft.fftn(f.samples, out=np.empty_like(f.samples))
+    out *= f.spec.cell_volume
+    return out
 
 
+@_quiet
 def inverse_transform(spectrum: np.ndarray, spec: GridSpec) -> GridField:
     """Inverse with (2pi)^{-n} (2pi/L)^n Riemann weight; exact round trip.
     A non-finite spectrum gives non-finite samples, which GridField rejects."""
     spectrum = np.asarray(spectrum, dtype=complex)
     if spectrum.shape != spec.shape:
         raise InvalidInputError("spectrum shape does not match grid")
-    return GridField(spec, sfft.ifftn(spectrum, norm="forward") * spec.L**-spec.n)
+    out = np.fft.ifftn(spectrum, norm="forward", out=np.empty_like(spectrum))
+    out *= spec.L**-spec.n
+    return GridField(spec, out)
 
 
+@_quiet
 def _band_sum(terms, x: np.ndarray) -> np.ndarray:
-    """Sum of w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised scipy.fft
-    inverse.  Every transform runs on one scratch grid, which scipy.fft may overwrite;
-    the array it returns is weighted and summed in place.  A finished term is released
-    before terms builds the next, so a generator's fresh arrays never live two at a time."""
+    """Sum of w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised numpy.fft
+    inverse.  Every transform runs in place on one scratch grid, which is weighted
+    and summed into the result.  A finished term is released before terms builds the
+    next, so a generator's fresh arrays never live two at a time."""
     out = np.zeros(x.shape, dtype=complex)
     scratch = np.empty_like(out)
     for u, w in terms:
-        part = sfft.ifftn(np.multiply(u, x, out=scratch), norm="forward", overwrite_x=True)
+        part = np.fft.ifftn(np.multiply(u, x, out=scratch), norm="forward", out=scratch)
         part *= w
         out += part
         del u, w, part
     return out
 
 
+@_quiet
 def _inverse_in_place(spectrum: np.ndarray, spec: GridSpec) -> np.ndarray:
     """inverse_transform's samples, computed in spectrum's own memory and not checked."""
-    out = sfft.ifftn(spectrum, norm="forward", overwrite_x=True)
+    out = np.fft.ifftn(spectrum, norm="forward", out=spectrum)
     out *= spec.L**-spec.n
     return out
 
 
+@_quiet
 def _line_inverse(part: np.ndarray, lines: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Unnormalised 2-D inverse of grid = part on rows `lines`, 0 elsewhere; overwrites grid."""
+    """Unnormalised 2-D inverse of grid = part on rows `lines`, 0 elsewhere; overwrites
+    part and grid."""
     grid.fill(0.0)
-    grid[lines] = sfft.ifft(part, axis=1, norm="forward", overwrite_x=True)
-    return sfft.ifft(grid, axis=0, norm="forward", overwrite_x=True)
+    grid[lines] = np.fft.ifft(part, axis=1, norm="forward", out=part)
+    return np.fft.ifft(grid, axis=0, norm="forward", out=grid)
 
 
 def apply_multiplier(f: GridField, m: SpectralMultiplier) -> GridField:

@@ -466,9 +466,12 @@ def _same_grid(path, declared: GridSpec | None, other: GridSpec | None, what: st
 _GRID = {"n": None, "N": None, "L": None}
 _SEPARABLE = {"kind": None, "grid": _GRID, "r": float, "eps": float, "delta": float,
               "bands": [{"k": int, "file": str}]}
-_PRESET = {"kind": None, "grid": _GRID, "r": float, "preset": None}
-_PARAMS = {"identity": {}, "multiplier_bessel": {"m": float}, "multiplication": {"b_file": str},
-           "rough_chirp": {"r": float, "delta": float, "seed": int}}
+_PRESET = {"kind": None, "grid": _GRID, "preset": None}
+# each preset's own top-level keys and params: a rough chirp reads r from its params
+_PARAMS = {"identity": ({"r": float}, {}),
+           "multiplier_bessel": ({"r": float}, {"m": float}),
+           "multiplication": ({"r": float}, {"b_file": str}),
+           "rough_chirp": ({}, {"r": float, "delta": float, "seed": int})}
 
 
 def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
@@ -480,7 +483,8 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
         name = doc["preset"]
         if not isinstance(name, str) or name not in _PARAMS:
             raise InvalidInputError(f"{path}: unknown preset {name!r}")
-        schema = {**_PRESET, "params": _PARAMS[name]}
+        top, params = _PARAMS[name]
+        schema = {**_PRESET, **top, "params": params}
     doc = _read(doc, schema, lambda msg: InvalidInputError(f"{path}: symbol descriptor {msg}"))
     base = os.path.dirname(os.path.abspath(path))
     declared = None

@@ -374,8 +374,10 @@ _BESSEL = {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {
     ({**_BESSEL, "params": [1]}, "params [1]"),
     ({"kind": "analytic-preset", "preset": "multiplication", "params": {"b_file": 5}},
      "params.b_file=5"),
+    # a rough chirp reads r from its params only
+    ({**_CHIRP, "r": 5}, "has unknown keys ['r']"),
 ], ids=["identity-r", "separable-eps", "separable-r", "separable-delta", "chirp-r",
-        "chirp-seed", "bessel-m", "params-list", "b-file"])
+        "chirp-seed", "bessel-m", "params-list", "b-file", "chirp-top-level-r"])
 def test_apply_malformed_descriptor_field_exits_1(tmp_path, capsys, symbol_doc, field):
     # every scalar of a descriptor follows the config's conversion rule
     spec = fk.GridSpec(N=32, L=8 * np.pi)

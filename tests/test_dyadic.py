@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 import fiokit as fk
 from conftest import plane_wave, random_field
@@ -146,13 +145,13 @@ def test_bands_equal_lp_project(spec64, fam64, rng):
 def test_square_function_norm_one_forward_fft(spec64, fam64, rng, monkeypatch):
     f = random_field(spec64, rng)
     calls = []
-    fftn = scipy.fft.fftn
+    fftn = np.fft.fftn
 
     def counted(*args, **kwargs):
         calls.append(1)
         return fftn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "fftn", counted)
+    monkeypatch.setattr(np.fft, "fftn", counted)
     fk.square_function_norm(f, 0.5, 3.0, fam64)
     assert len(calls) == 1
 

@@ -1,5 +1,6 @@
 import struct
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -291,8 +292,24 @@ def test_grid_input_checks(tmp_path, call, error, match):
         call(tmp_path)
 
 
-def test_only_grid_calls_scipy_fft(monkeypatch):
-    # one module owns the transform convention: every scipy.fft call of the
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, np.inf), np.nan],
+                         ids=["inf", "-inf", "inf-inf", "nan"])
+def test_non_finite_spectrum_is_refused_without_a_warning(bad):
+    # numpy.fft warns on inf and nan input; grid's transforms stay quiet and
+    # the refusal that follows is the only report
+    spec = fk.GridSpec(N=16, L=2 * np.pi)
+    spectrum = np.ones(spec.shape, dtype=complex)
+    spectrum[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fk.InvalidInputError, match="non-finite"):
+            fk.inverse_transform(spectrum, spec)
+        huge = fk.GridField(spec, np.full(spec.shape, 1e308))
+        assert not np.isfinite(fk.forward_transform(huge)).all()
+
+
+def test_only_grid_calls_numpy_fft(monkeypatch):
+    # one module owns the transform convention: every numpy.fft call of the
     # operator cores, the paraproducts, the frame and the dyadic norms is grid's
     spec = fk.GridSpec(N=64, L=2 * np.pi)
     fam = fk.build_lp_family(spec)
@@ -310,7 +327,7 @@ def test_only_grid_calls_scipy_fft(monkeypatch):
         return wrapper
 
     for name in ("fftn", "ifftn", "fft", "ifft"):
-        monkeypatch.setattr(scipy.fft, name, recorded(getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
     fk.apply_separable(chirp, f)
     fk.apply_separable_adjoint(chirp, f)
     fk.certified_l2_bound(chirp, frame)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 import fiokit as fk
 from conftest import random_field
@@ -263,11 +262,11 @@ def test_separable_cores_match_band_definitions(spec_op, complex_sym, rng):
 def test_separable_cores_read_only_returned_arrays(
     spec_op, spec64, frame64, fam64, complex_sym, rng, monkeypatch
 ):
-    # scipy.fft's overwrite_x permits destroying the input; it does not
-    # promise the output lands there.  Model the strictest reading: each
-    # transform returns a fresh array and, where allowed, fills its
-    # argument with NaN.  The results must not change, and the caller's
-    # samples and spectrum must come back untouched.
+    # numpy.fft's out= contract: the transform reads its input, writes the
+    # result into out and returns out, and touches no other array.  Model
+    # exactly that, with the result computed from a copy of the input, and
+    # refuse a call without out=.  The results must not change, and the
+    # caller's samples and spectrum must come back untouched.
     f = random_field(spec_op, rng)
     spectrum = fk.forward_transform(f)
     chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
@@ -285,21 +284,24 @@ def test_separable_cores_read_only_returned_arrays(
     }
     expected = {name: run() for name, run in runs.items()}
 
-    def fresh_output(transform):
-        def run(x, *args, overwrite_x=False, **kwargs):
-            out = transform(np.array(x, copy=True), *args, **kwargs)
-            if overwrite_x:
-                x[...] = np.nan
+    calls = []
+
+    def into_out(transform):
+        def run(x, *args, out, **kwargs):
+            calls.append(transform.__name__)
+            out[...] = transform(np.array(x, copy=True), *args, **kwargs)
             return out
 
         return run
 
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(scipy.fft, name, fresh_output(getattr(scipy.fft, name)))
+    for name in ("fftn", "ifftn", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, into_out(getattr(np.fft, name)))
     inputs = {"f": f.samples, "spectrum": spectrum, "v": v.samples}
     before = {name: x.tobytes() for name, x in inputs.items()}
     for name, run in runs.items():
+        calls.clear()
         out = run()
+        assert calls, name
         assert np.abs(out - expected[name]).max() <= 1e-13 * np.abs(expected[name]).max(), name
         for key, x in inputs.items():
             assert x.tobytes() == before[key], (name, key)
@@ -477,7 +479,7 @@ def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, 
         return run
 
     for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
     adjoint_fn(apply_fn(v))
     assert count["n"] == 2 * len(chirp.bands) + 4
@@ -558,7 +560,7 @@ def test_dense_certificate_step_runs_four_transforms(spec64, frame64, monkeypatc
         return run
 
     for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
     w = adjoint_fn(apply_fn(v))
     assert count["n"] == 4

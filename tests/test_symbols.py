@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import fiokit as fk
 from conftest import plane_wave, random_field
@@ -97,13 +96,13 @@ def test_smooth_split_flat_evaluates_symbol_once(spec_mid, fam_mid, monkeypatch)
 
     a.field = counted_field
     split = fk.smooth_split(a, 0.75, fam_mid)
-    fftn = scipy.fft.fftn
+    fftn = np.fft.fftn
 
     def counted(*args, **kwargs):
         calls.append(1)
         return fftn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "fftn", counted)
+    monkeypatch.setattr(np.fft, "fftn", counted)
     split.flat.eval(np.array([1.9, 0.8]))
     assert len(evals) == 1
     assert len(calls) == 1
@@ -238,7 +237,7 @@ def test_paraproduct_transform_counts(spec_fine, fam_fine, rng, monkeypatch, pie
         return wrapper
 
     for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     piece(random_field(spec_fine, rng), random_field(spec_fine, rng), fam_fine)
     assert len(calls) == count
     assert calls.count("fftn") == 2
@@ -261,7 +260,7 @@ def test_paraproduct_with_no_window_transforms_nothing(rng, monkeypatch, piece, 
         return wrapper
 
     for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     got = piece(b, f, fam)
     assert len(calls) == count
     if count == 0:
