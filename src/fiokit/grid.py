@@ -184,6 +184,14 @@ def _band_sum(terms, x: np.ndarray) -> np.ndarray:
 
 
 @_quiet
+def _forward_in_place(samples: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """forward_transform's spectrum, computed in samples' own memory and not checked."""
+    out = np.fft.fftn(samples, out=samples)
+    out *= spec.cell_volume
+    return out
+
+
+@_quiet
 def _inverse_in_place(spectrum: np.ndarray, spec: GridSpec) -> np.ndarray:
     """inverse_transform's samples, computed in spectrum's own memory and not checked."""
     out = np.fft.ifftn(spectrum, norm="forward", out=spectrum)

@@ -5,9 +5,11 @@ One seam, _pair, decides the operator's kind once: a dense symbol (the
 literal frequency sum, quadratic in the lattice size, for small grids),
 a separable one (a short sum of band projections times pointwise
 factors, for large grids) or a SpectralMultiplier.  Applying, adjoints
-and the p = 2 certificate all run its spectrum-level pair, so a dense
-certificate step takes the 4 grid transforms of a separable one.  The
-cores allocate no grid per band or frequency: one scratch grid per call
+and the p = 2 certificate all run its spectrum-level pair.  The
+certificate iterates on spectra: a step runs the pair and two grid
+transforms around Phi^2, 2K+2 transforms for K bands and 2 for a dense
+symbol, and builds no GridField.  The cores allocate no grid per band
+or frequency: one scratch grid per call
 (grid._band_sum's, for a separable symbol) takes every band transform or
 lattice row, and each sum is scaled, and in an adjoint conjugated, once.
 A dense sum evaluates one x-slice per lattice frequency and, in the apply,
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     DimensionError,
+    InvalidInputError,
     ParameterError,
     ResolutionError,
     _rng,
@@ -43,10 +46,11 @@ from .grid import (
     GridSpec,
     SpectralMultiplier,
     _band_sum,
+    _forward_in_place,
+    _inverse_in_place,
     forward_transform,
     inverse_transform,
     lattice,
-    lp_norm,
 )
 from .norms import ExponentBudget, hpfio_norm
 from .parabolic import ParabolicFrame
@@ -126,8 +130,8 @@ def _pair(a, spec: GridSpec):
     if a.spec != spec:
         raise DimensionError("symbol and field grids differ")
     if isinstance(a, SpectralMultiplier):
-        return (lambda s: inverse_transform(a.values * s, spec).samples,
-                lambda x: np.conj(a.values) * forward_transform(GridField(spec, x)))
+        return (lambda s: _inverse_in_place(a.values * s, spec),
+                lambda x: np.conj(a.values) * _forward_in_place(np.array(x, dtype=complex), spec))
     if isinstance(a, SeparableSymbol):
         return partial(_synth, a), partial(_analyze, a)
     if spec.N > MAX_DENSE_N:
@@ -210,27 +214,46 @@ def verify_band_support(a_k: GridField, f_k: GridField, k: int, gamma: float = 1
 # ---------------------------------------------------------------------------
 
 
+def _start(spec: GridSpec, seed: int) -> np.ndarray:
+    """Seeded complex Gaussian samples of unit L^2 norm."""
+    rng = _rng(seed)
+    v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    return v / _l2(v, spec.dx ** (spec.n / 2))
+
+
+def _l2(w: np.ndarray, scale: float) -> float:
+    """scale * ||w||_2; inf or nan when the sum of squares overflows, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(np.vdot(w, w).real) * scale)
+
+
+def _power(step, v: np.ndarray, scale: float, iters: int = 200) -> float:
+    """Power iteration from the unit vector v, normed as scale * ||.||_2: the square root
+    of the step's norm once it changes by less than 1e-8 relative, or after iters steps.
+    A step whose norm is not finite is refused, not divided into a zero iterate."""
+    sigma = 0.0
+    for _ in range(iters):
+        w = step(v)
+        nw = _l2(w, scale)
+        if not np.isfinite(nw):
+            raise InvalidInputError("power iteration: a step has a non-finite norm")
+        if nw < 1e-300:
+            return 0.0
+        new_sigma = np.sqrt(nw)
+        v = w / nw
+        if sigma > 0 and abs(new_sigma - sigma) < 1e-8 * sigma:
+            return float(new_sigma)
+        sigma = new_sigma
+    return float(sigma)
+
+
 def power_iteration(
     apply_fn, adjoint_fn, spec: GridSpec, iters: int = 200, seed: int = 0
 ) -> float:
     """Spectral norm estimate via power iteration on T*T (fixed seed); it
     stops once the estimate changes by less than 1e-8 relative."""
-    rng = _rng(seed)
-    v = GridField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
-    nv = lp_norm(v, 2.0)
-    v = GridField(spec, v.samples / nv)
-    sigma = 0.0
-    for _ in range(iters):
-        w = adjoint_fn(apply_fn(v))
-        nw = lp_norm(w, 2.0)
-        if nw < 1e-300:
-            return 0.0
-        new_sigma = np.sqrt(nw)
-        v = GridField(spec, w.samples / nw)
-        if sigma > 0 and abs(new_sigma - sigma) < 1e-8 * sigma:
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+    return _power(lambda x: adjoint_fn(apply_fn(GridField(spec, x))).samples,
+                  _start(spec, seed), spec.dx ** (spec.n / 2), iters)
 
 
 def _frame_weight_multipliers(frame: ParabolicFrame):
@@ -242,6 +265,25 @@ def _frame_weight_multipliers(frame: ParabolicFrame):
     return SpectralMultiplier(frame.spec, phi), SpectralMultiplier(frame.spec, 1.0 / phi)
 
 
+def _conjugated_step(a, frame: ParabolicFrame):
+    """v^ -> the spectrum of B*B v, B = Phi(D) T Phi(D)^{-1}: Phi^{-1} v^, synth,
+    F, Phi^2, F^{-1}, analyze, Phi^{-1}.  Both transforms run in the step's own
+    scratch, so a step runs 2K+2 grid transforms for K bands, 2 for a dense
+    symbol, and builds no GridField."""
+    synth, analyze = _pair(a, frame.spec)
+    phi, phi_inv = _frame_weight_multipliers(frame)
+    spec, phi_inv, phi_sq = frame.spec, phi_inv.values, phi.values**2
+
+    def step(v_hat):
+        u = _forward_in_place(synth(phi_inv * v_hat), spec)
+        u *= phi_sq
+        w = analyze(_inverse_in_place(u, spec))
+        w *= phi_inv
+        return w
+
+    return step
+
+
 def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     """sqrt(2) times a power-iteration estimate of ||Phi(D) T Phi(D)^{-1}||_2.
 
@@ -251,30 +293,22 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     frame.energy (energy = sum_l w_l phi_l^2).  Hence every probe ratio
     is at most sqrt(2) times the L^2 spectral norm of Phi(D) T Phi(D)^{-1}.
 
-    Power iteration runs on B*B = (T Phi^{-1})* Phi^2 (T Phi^{-1}), with
-    B = Phi T Phi^{-1}: apply_fn = T Phi^{-1} and adjoint_fn = Phi^{-1} T* Phi^2.
-    T and T* come from _pair for every kind: T starts from Phi^{-1} F v and T*
-    ends in a spectrum, so a step runs four grid transforms (F v; F, F^{-1}
-    around Phi^2; the last F^{-1}), a dense step too; T and T* each add one
-    band transform (grid._band_sum) per band of a separable symbol, or one for a multiplier.
+    Power iteration runs on B*B = Phi^{-1} T* Phi^2 T Phi^{-1}, with
+    B = Phi T Phi^{-1}, on spectra (_conjugated_step): it starts from F of
+    power_iteration's seeded start and norms w by Parseval, L^{-n/2} ||w^||_2.
+    T and T* come from _pair for every kind, and each runs one band transform
+    (grid._band_sum) per band of a separable symbol, or one for a multiplier;
+    with F, F^{-1} around Phi^2 a step runs 2K+2 transforms, 2 if dense.
 
     The returned number is not that bound itself.  Power iteration gives a
     lower estimate of the spectral norm, and it returns after 200
     applies whether or not it has converged, without saying which; so
     the result may sit below the true sqrt(2) ||Phi T Phi^{-1}||_2.
     """
-    synth, analyze = _pair(a, frame.spec)
-    phi, phi_inv = _frame_weight_multipliers(frame)
-    spec, phi_inv, phi_sq = frame.spec, phi_inv.values, phi.values**2
-
-    def apply_fn(v):
-        return GridField(spec, synth(phi_inv * forward_transform(v)))
-
-    def adjoint_fn(u):
-        g = inverse_transform(phi_sq * forward_transform(u), spec)
-        return inverse_transform(phi_inv * analyze(g.samples), spec)
-
-    return float(np.sqrt(2.0) * power_iteration(apply_fn, adjoint_fn, spec, seed=seed))
+    step = _conjugated_step(a, frame)
+    spec = frame.spec
+    v_hat = forward_transform(GridField(spec, _start(spec, seed)))
+    return float(np.sqrt(2.0) * _power(step, v_hat, spec.L ** (-spec.n / 2)))
 
 
 @dataclass

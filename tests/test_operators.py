@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -270,17 +272,14 @@ def test_separable_cores_read_only_returned_arrays(
     f = random_field(spec_op, rng)
     spectrum = fk.forward_transform(f)
     chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
-    steps = []
-    monkeypatch.setattr(fk.operators, "power_iteration", lambda *args, **kw: steps.append(args) or 0.0)
-    fk.certified_l2_bound(chirp, frame64)
-    apply_fn, adjoint_fn = steps[0][:2]
-    v = random_field(spec64, rng)
+    step = fk.operators._conjugated_step(chirp, frame64)
+    v_hat = fk.forward_transform(random_field(spec64, rng))
     runs = {
         "apply": lambda: fk.apply_separable(complex_sym, f).samples,
         "adjoint": lambda: fk.apply_separable_adjoint(complex_sym, f).samples,
         "synth": lambda: fk.operators._synth(complex_sym, spectrum),
         "analyze": lambda: fk.operators._analyze(complex_sym, f.samples),
-        "step": lambda: adjoint_fn(apply_fn(v)).samples,
+        "step": lambda: step(v_hat),
     }
     expected = {name: run() for name, run in runs.items()}
 
@@ -296,7 +295,7 @@ def test_separable_cores_read_only_returned_arrays(
 
     for name in ("fftn", "ifftn", "fft", "ifft"):
         monkeypatch.setattr(np.fft, name, into_out(getattr(np.fft, name)))
-    inputs = {"f": f.samples, "spectrum": spectrum, "v": v.samples}
+    inputs = {"f": f.samples, "spectrum": spectrum, "v_hat": v_hat}
     before = {name: x.tobytes() for name, x in inputs.items()}
     for name, run in runs.items():
         calls.clear()
@@ -442,33 +441,28 @@ def capture_power_iteration(monkeypatch):
     return calls
 
 
-def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, monkeypatch):
-    # oracle: Phi T Phi^{-1} and its adjoint, composed from the public
-    # multiplier and separable applies
-    chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
-    phi = np.sqrt(frame64.q_values**2 + frame64.energy)
-    phi_m = fk.SpectralMultiplier(spec64, phi)
-    phi_inv = fk.SpectralMultiplier(spec64, 1.0 / phi)
-    oracle_applies = 0
+def count_steps(monkeypatch):
+    """Wrap fiokit.operators._conjugated_step: record each step it returns
+    and the number of times that step is run."""
+    calls = []
+    original = fk.operators._conjugated_step
 
-    def conj_apply(v):
-        nonlocal oracle_applies
-        oracle_applies += 1
-        inner = fk.apply_separable(chirp, fk.apply_multiplier(v, phi_inv))
-        return fk.apply_multiplier(inner, phi_m)
+    def wrapped(a, frame):
+        record = {"step": original(a, frame), "steps": 0}
+        calls.append(record)
 
-    def conj_adjoint(v):
-        inner = fk.apply_separable_adjoint(chirp, fk.apply_multiplier(v, phi_m))
-        return fk.apply_multiplier(inner, phi_inv)
+        def counted(v_hat):
+            record["steps"] += 1
+            return record["step"](v_hat)
 
-    oracle = np.sqrt(2.0) * fk.power_iteration(conj_apply, conj_adjoint, spec64)
-    calls = capture_power_iteration(monkeypatch)
-    bound = fk.certified_l2_bound(chirp, frame64)
-    assert bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
-    assert calls[0]["applies"] == oracle_applies
+        return counted
 
-    # one power step: 4 grid transforms plus one per band in each of T, T*
-    apply_fn, adjoint_fn = calls[0]["pair"]
+    monkeypatch.setattr(fk.operators, "_conjugated_step", wrapped)
+    return calls
+
+
+def count_transforms(monkeypatch):
+    """Count every numpy.fft.fftn and ifftn call from here on."""
     count = {"n": 0}
 
     def counting(fn):
@@ -480,9 +474,71 @@ def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, 
 
     for name in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    return count
+
+
+def public_composition(a, frame, apply_fn, adjoint_fn):
+    """Phi T Phi^{-1} and its adjoint, composed from the public multiplier
+    apply and apply_fn(a, .), adjoint_fn(a, .) for T and T*."""
+    phi = np.sqrt(frame.q_values**2 + frame.energy)
+    phi_m = fk.SpectralMultiplier(frame.spec, phi)
+    phi_inv = fk.SpectralMultiplier(frame.spec, 1.0 / phi)
+
+    def conj_apply(v):
+        return fk.apply_multiplier(apply_fn(a, fk.apply_multiplier(v, phi_inv)), phi_m)
+
+    def conj_adjoint(v):
+        return fk.apply_multiplier(adjoint_fn(a, fk.apply_multiplier(v, phi_m)), phi_inv)
+
+    return conj_apply, conj_adjoint
+
+
+def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, monkeypatch):
+    # oracle: Phi T Phi^{-1} and its adjoint, composed from the public
+    # multiplier and separable applies
+    chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
+    conj_apply, conj_adjoint = public_composition(
+        chirp, frame64, fk.apply_separable, fk.apply_separable_adjoint)
+    oracle_applies = 0
+
+    def counted_apply(v):
+        nonlocal oracle_applies
+        oracle_applies += 1
+        return conj_apply(v)
+
+    oracle = np.sqrt(2.0) * fk.power_iteration(counted_apply, conj_adjoint, spec64)
+    calls = count_steps(monkeypatch)
+    bound = fk.certified_l2_bound(chirp, frame64)
+    assert bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert calls[0]["steps"] == oracle_applies
+
+    # one power step: 2 grid transforms around Phi^2 plus one per band in each of T, T*
     v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
-    adjoint_fn(apply_fn(v))
-    assert count["n"] == 2 * len(chirp.bands) + 4
+    v_hat = fk.forward_transform(v)
+    count = count_transforms(monkeypatch)
+    calls[0]["step"](v_hat)
+    assert count["n"] == 2 * len(chirp.bands) + 2
+
+
+@pytest.mark.parametrize("kind", ["separable", "dense", "multiplier"])
+def test_conjugated_step_is_the_public_step_on_spectra(spec64, frame64, fam64, kind, rng):
+    # one certificate step on F v is F of one step of the public composition on v
+    chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
+    mags = fk.lattice(spec64).mags
+    # not unitary, so a lost conjugation or |m|^2 shows
+    damped_wave = fk.SpectralMultiplier(spec64, (1.0 + mags**2) ** -0.25 * np.exp(-0.5j * mags))
+    a, apply_fn, adjoint_fn = {
+        "separable": (chirp, fk.apply_separable, fk.apply_separable_adjoint),
+        "dense": (chirp.densify(), fk.apply_dense, fk.apply_dense_adjoint),
+        "multiplier": (damped_wave, lambda m, v: fk.apply_multiplier(v, m),
+                       lambda m, v: fk.apply_multiplier(
+                           v, fk.SpectralMultiplier(spec64, np.conj(m.values)))),
+    }[kind]
+    conj_apply, conj_adjoint = public_composition(a, frame64, apply_fn, adjoint_fn)
+    v = random_field(spec64, rng)
+    want = fk.forward_transform(conj_adjoint(conj_apply(v)))
+    got = fk.operators._conjugated_step(a, frame64)(fk.forward_transform(v))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_certified_bound_rejects_other_grid(spec64, frame64, monkeypatch):
@@ -500,9 +556,9 @@ def test_certified_bound_dense_branch(spec64, frame64, fam64, monkeypatch):
     # the identity commutes with Phi, so B*B = I and the iteration stops
     # after its second step
     sym = fk.SeparableSymbol(spec64, identity_bands(spec64, fam64), fam64)
-    calls = capture_power_iteration(monkeypatch)
+    calls = count_steps(monkeypatch)
     dense = fk.certified_l2_bound(sym.densify(), frame64)
-    assert calls[0]["applies"] == 2
+    assert calls[0]["steps"] == 2
     assert dense == pytest.approx(np.sqrt(2.0), rel=0.0, abs=1e-10)
     assert dense == pytest.approx(fk.certified_l2_bound(sym, frame64), rel=0.0, abs=1e-10)
 
@@ -544,28 +600,39 @@ def test_multiplier_adjointness(spec64, half_wave, rng):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-def test_dense_certificate_step_runs_four_transforms(spec64, frame64, monkeypatch):
+def test_dense_certificate_step_runs_two_transforms(spec64, frame64, monkeypatch):
     # the dense lattice walk runs no transform, so a step costs the
-    # four grid transforms of the conjugation alone
-    calls = capture_power_iteration(monkeypatch)
-    fk.certified_l2_bound(fk.preset_identity(spec64), frame64)
-    apply_fn, adjoint_fn = calls[0]["pair"]
-    count = {"n": 0}
-
-    def counting(fn):
-        def run(*args, **kwargs):
-            count["n"] += 1
-            return fn(*args, **kwargs)
-
-        return run
-
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    # two grid transforms around Phi^2 alone
+    step = fk.operators._conjugated_step(fk.preset_identity(spec64), frame64)
     v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
-    w = adjoint_fn(apply_fn(v))
-    assert count["n"] == 4
+    v_hat = fk.forward_transform(v)
+    count = count_transforms(monkeypatch)
+    w_hat = step(v_hat)
+    assert count["n"] == 2
     # the identity commutes with Phi, so the step returns v
-    assert np.abs(w.samples - v.samples).max() <= 1e-10
+    assert np.abs(fk.inverse_transform(w_hat, spec64).samples - v.samples).max() <= 1e-10
+
+
+@pytest.mark.parametrize("magnitude", [1e150, 1e300])
+@pytest.mark.parametrize("entry", ["certified_l2_bound", "power_iteration"])
+def test_overflowing_power_step_is_refused_without_a_warning(entry, magnitude):
+    # at 1e150 a step's norm overflows, and dividing by it once made every
+    # later iterate zero and the certificate 0.0; at 1e300 the step itself
+    # overflows.  Both are one refusal, with no RuntimeWarning before it.
+    spec = fk.GridSpec(N=32, L=2 * np.pi)
+    fam = fk.build_lp_family(spec)
+    frame = fk.ParabolicFrame(spec)
+    big = fk.GridField(spec, np.full(spec.shape, magnitude, dtype=complex))
+    sym = fk.SeparableSymbol(spec, {k: big for k in range(fam.J_max + 1)}, fam)
+    run = {
+        "certified_l2_bound": lambda: fk.certified_l2_bound(sym, frame),
+        "power_iteration": lambda: fk.power_iteration(
+            lambda v: fk.apply_separable(sym, v), lambda v: fk.apply_separable_adjoint(sym, v), spec),
+    }[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fk.InvalidInputError, match="non-finite"):
+            run()
 
 
 # ---------------------------------------------------------------------------
