@@ -7,7 +7,6 @@ smoothing, paraproducts, and an operator-boundedness probing harness.
 __version__ = "0.1.0"
 
 from .dyadic import (
-    AuxiliaryFamilies,
     LittlewoodPaleyFamily,
     build_lp_family,
     lp_project,

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dyadic import AuxiliaryFamilies, build_lp_family
+from .dyadic import build_lp_family, low_cutoff
 from .errors import ParameterError, ToolkitError, _convert, _read, _rng
 from .families import _check_band, build_test_family
 from .grid import (
@@ -96,7 +96,7 @@ def _checked(cfg: dict):
     checked here too, so an unusable config exits before a command prints."""
     g = cfg["grid"]
     spec = GridSpec(n=g["n"], N=g["N"], L=g["L"])
-    fam = AuxiliaryFamilies(spec, cfg["eps"])
+    fam = build_lp_family(spec, cfg["eps"])
     if cfg["M_omega"] is not None:
         DirectionSet(cfg["M_omega"])
     _rng(cfg["seed"])
@@ -137,9 +137,8 @@ def _calibration_checks(cfg: dict, spec: GridSpec, fam, suite: CheckSuite):
     for k in (0, 1, min(2, fam.J_max)):
         prod = fam.tilde_multiplier(k).values * fam.values[k]
         suite.check(f"wide-cutoff-band-{k}", float(np.abs(prod - fam.values[k]).max()), 0.0)
-    suite.check(
-        "low-cutoff-caps-band-0", float(np.abs(fam.q_values * fam.values[0] - fam.values[0]).max()), 0.0
-    )
+    q = low_cutoff(lattice(spec).mags)
+    suite.check("low-cutoff-caps-band-0", float(np.abs(q * fam.values[0] - fam.values[0]).max()), 0.0)
 
     suite.check(
         "c-sigma-closed-form",
@@ -306,8 +305,8 @@ def cmd_bench(cfg: dict, args, spec: GridSpec, fam) -> int:
         }
         if p == 2.0:
             # spectral cross-check lives at s = 0, where the directional
-            # norm is L^2-comparable
-            rep0 = operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame, family)
+            # norm is L^2-comparable; tau = 0 at p = 2, so at s = 0 it is rep
+            rep0 = rep if s == 0.0 else operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame, family)
             entry["spectral_bound"] = rep0.spectral_bound
             entry["l2_sup_ratio"] = rep0.sup_ratio
         summary["trends"][repr(p)] = entry

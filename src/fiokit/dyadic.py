@@ -72,6 +72,19 @@ class LittlewoodPaleyFamily:
             raise ParameterError(f"band index j={j} outside 0..{self.J_max}")
         return SpectralMultiplier(self.spec, self.values[j])
 
+    def tilde_profile(self, k: int, rho) -> np.ndarray:
+        """Radial profile of the wide cutoff psi~_k, with psi~_k psi_k = psi_k."""
+        rho = np.asarray(rho, dtype=float)
+        if k == 0:
+            return falling(rho, 1.0, 2.0)
+        t = rho * 2.0 ** (1 - k)
+        return rising(t, 0.5, (1.0 + self.eps) / 2.0) * falling(t, 2.0 - self.eps, 2.0)
+
+    def tilde_multiplier(self, k: int) -> SpectralMultiplier:
+        if not (0 <= k <= self.J_max):
+            raise ParameterError(f"band index k={k} outside 0..{self.J_max}")
+        return SpectralMultiplier(self.spec, self.tilde_profile(k, lattice(self.spec).mags))
+
     def bands(self, f: GridField, js=None):
         """Yield (j, samples of psi_j(D) f) for each j in js (default: every
         band, in order), from one forward transform of f."""
@@ -90,27 +103,6 @@ class LittlewoodPaleyFamily:
 def low_cutoff(rho) -> np.ndarray:
     """The low cutoff q: 1 on |zeta| <= 2, 0 beyond 4."""
     return falling(np.asarray(rho, dtype=float), 2.0, 4.0)
-
-
-class AuxiliaryFamilies(LittlewoodPaleyFamily):
-    """The family psi_j, which is also the chi band family, with the wide
-    cutoffs psi~_k, psi~_k psi_k = psi_k, and the low cutoff q."""
-
-    def __init__(self, spec: GridSpec, eps: float = 0.125):
-        super().__init__(spec, eps)
-        self.q_values = low_cutoff(lattice(spec).mags)
-
-    def tilde_profile(self, k: int, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        if k == 0:
-            return falling(rho, 1.0, 2.0)
-        t = rho * 2.0 ** (1 - k)
-        return rising(t, 0.5, (1.0 + self.eps) / 2.0) * falling(t, 2.0 - self.eps, 2.0)
-
-    def tilde_multiplier(self, k: int) -> SpectralMultiplier:
-        if not (0 <= k <= self.J_max):
-            raise ParameterError(f"band index k={k} outside 0..{self.J_max}")
-        return SpectralMultiplier(self.spec, self.tilde_profile(k, lattice(self.spec).mags))
 
 
 def build_lp_family(spec: GridSpec, eps: float = 0.125) -> LittlewoodPaleyFamily:

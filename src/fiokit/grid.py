@@ -5,7 +5,8 @@ cell volume (L/N)^n, the inverse carries (2pi)^(-n) times the
 frequency-cell volume (2pi/L)^n.  A plane wave exp(i xi0.x) on the
 lattice therefore has a single spectral entry of value L^n, and the
 round trip is the identity to roundoff.  Every transform is numpy.fft's,
-written into an explicit out= buffer, and no other module calls one.
+written into an explicit out= buffer; the checked pair runs on the in-place
+pair.  No other module calls a transform or sets numpy's error state (_quiet).
 """
 
 from __future__ import annotations
@@ -141,37 +142,32 @@ def _check_specs(a: GridSpec, b: GridSpec):
         raise DimensionError(f"grid specs differ: {a} vs {b}")
 
 
-# numpy.fft reports IEEE overflow and invalid values as a RuntimeWarning; every
-# transform runs without it, and a non-finite result is refused where it is used
-# (GridField, norms._finite)
+# numpy reports IEEE overflow and invalid values as a RuntimeWarning.  Each function
+# that may overflow runs under this one state, and a non-finite result is refused
+# where it is used (GridField, norms._finite).  Decorator only: numpy >= 2.0 sets the
+# state per call and thread, and refuses to enter a shared instance twice with `with`.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-@_quiet
 def forward_transform(f: GridField) -> np.ndarray:
     """Continuum-normalized DFT (numpy.fft): hat f(xi) = (L/N)^n sum_x e^{-i x.xi} f(x)."""
-    out = np.fft.fftn(f.samples, out=np.empty_like(f.samples))
-    out *= f.spec.cell_volume
-    return out
+    return _forward_in_place(np.array(f.samples), f.spec)
 
 
-@_quiet
 def inverse_transform(spectrum: np.ndarray, spec: GridSpec) -> GridField:
     """Inverse with (2pi)^{-n} (2pi/L)^n Riemann weight; exact round trip.
     A non-finite spectrum gives non-finite samples, which GridField rejects."""
-    spectrum = np.asarray(spectrum, dtype=complex)
+    spectrum = np.array(spectrum, dtype=complex)
     if spectrum.shape != spec.shape:
         raise InvalidInputError("spectrum shape does not match grid")
-    out = np.fft.ifftn(spectrum, norm="forward", out=np.empty_like(spectrum))
-    out *= spec.L**-spec.n
-    return GridField(spec, out)
+    return GridField(spec, _inverse_in_place(spectrum, spec))
 
 
 @_quiet
-def _band_sum(terms, x: np.ndarray) -> np.ndarray:
-    """Sum of w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised numpy.fft
-    inverse.  Every transform runs in place on one scratch grid, which is weighted
-    and summed into the result.  A finished term is released before terms builds the
+def _band_sum(terms, x: np.ndarray, scale: float) -> np.ndarray:
+    """scale * Sum w * F^{-1}(u x) over (u, w) in terms, F^{-1} the unnormalised numpy.fft
+    inverse.  Every transform runs in place on one scratch grid, weighted and summed into
+    the result, which is scaled once.  A finished term is released before terms builds the
     next, so a generator's fresh arrays never live two at a time."""
     out = np.zeros(x.shape, dtype=complex)
     scratch = np.empty_like(out)
@@ -180,6 +176,7 @@ def _band_sum(terms, x: np.ndarray) -> np.ndarray:
         part *= w
         out += part
         del u, w, part
+    out *= scale
     return out
 
 
@@ -217,14 +214,14 @@ def bessel_values(spec: GridSpec, s: float) -> np.ndarray:
     return (1.0 + lattice(spec).mags ** 2) ** (s / 2.0)
 
 
+@_quiet
 def _bessel_weighted(spec: GridSpec, s: float, spectrum: np.ndarray) -> np.ndarray:
     """<xi>^s spectrum, multiplied only where spectrum != 0, so that a weight
     that overflows to inf off f^'s support leaves 0 there, not inf * 0 = nan.
     Overflow warns nowhere: the result is inf or nan exactly where a weight
     overflowed on the support, and the caller refuses it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.multiply(bessel_values(spec, s), spectrum, out=np.zeros_like(spectrum),
-                           where=spectrum != 0)
+    return np.multiply(bessel_values(spec, s), spectrum, out=np.zeros_like(spectrum),
+                       where=spectrum != 0)
 
 
 def bessel_potential(f: GridField, s: float) -> GridField:
@@ -237,8 +234,9 @@ def bessel_potential(f: GridField, s: float) -> GridField:
     return inverse_transform(spectrum, f.spec)
 
 
+@_quiet
 def lp_norm(f: GridField, p: float) -> float:
-    """Riemann-sum L^p norm, p strictly inside (1, inf)."""
+    """Riemann-sum L^p norm, p strictly inside (1, inf); inf, without a warning, on overflow."""
     if not (1.0 < p < np.inf):
         raise ParameterError(f"p={p} must lie in (1, inf)")
     return float((np.abs(f.samples) ** p).sum() ** (1.0 / p) * f.spec.dx ** (f.spec.n / p))

@@ -23,6 +23,7 @@ from .grid import (
     GridField,
     _bessel_weighted,
     _check_specs,
+    _quiet,
     bessel_potential,
     forward_transform,
     inverse_transform,
@@ -40,10 +41,8 @@ def sobolev_s(p: float, n: int) -> float:
 
 def classical_norm(f: GridField, s: float, p: float) -> float:
     """Bessel-Sobolev norm ||<D>^s f||_{L^p}."""
-    g = bessel_potential(f, s)
-    # a |<D>^s f|^p that overflows is refused below, without a warning first
-    with np.errstate(over="ignore"):
-        return float(_finite(lp_norm(g, p), s, p))
+    # a |<D>^s f|^p that overflows is refused here, without a warning first
+    return float(_finite(lp_norm(bessel_potential(f, s), p), s, p))
 
 
 def _finite(value, s: float, p: float):
@@ -135,11 +134,8 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     work = np.empty((W, 2) + spec.shape, dtype=complex)
 
     def stride(w):
-        # np.errstate is per thread: a |g_l|^p that overflows gives inf,
-        # which the result check below refuses, and warns nowhere
-        with np.errstate(over="ignore"):
-            parts = frame.parts(weighted, range(w, M, W), work[w])
-            return _direction_powers(parts, p, spec, work[w, 1])
+        return _direction_powers(frame.parts(weighted, range(w, M, W), work[w]), p, spec,
+                                 work[w, 1])
 
     powers = np.empty(M)
     with ThreadPoolExecutor(max_workers=W) as pool:
@@ -151,6 +147,8 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     return float(_finite(low_part + total ** (1.0 / p), s, p))
 
 
+# error state is per thread, and this runs, with the parts generator, in worker threads
+@_quiet
 def _direction_powers(parts, p: float, spec, spare) -> list:
     """||g_l||_p^p = dx^n sum |g_l|^p, p != 2, for each g_l = phi_l(D) f
     that frame.parts yields (0 for None); spare is a complex grid that is

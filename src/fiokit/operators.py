@@ -48,6 +48,7 @@ from .grid import (
     _band_sum,
     _forward_in_place,
     _inverse_in_place,
+    _quiet,
     forward_transform,
     inverse_transform,
     lattice,
@@ -108,9 +109,8 @@ def _dense_analyze(a: DenseSymbol, samples: np.ndarray) -> np.ndarray:
 def _synth(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
     """Samples of Sum_k a_k(x) (chi_k(D) f)(x) from spectrum = forward_transform(f),
     scaled by L^{-n} once."""
-    out = _band_sum(((a.chi.values[k], a_k.samples) for k, a_k in a.bands.items()), spectrum)
-    out *= a.spec.L ** -a.spec.n
-    return out
+    return _band_sum(((a.chi.values[k], a_k.samples) for k, a_k in a.bands.items()), spectrum,
+                     a.spec.L ** -a.spec.n)
 
 
 def _analyze(a: SeparableSymbol, samples: np.ndarray) -> np.ndarray:
@@ -118,10 +118,8 @@ def _analyze(a: SeparableSymbol, samples: np.ndarray) -> np.ndarray:
     so it equals conj(Sum_k chi_k F^{-1}(a_k conj(g))): g and the sum are conjugated once,
     no a_k is, and dx^n scales the sum once."""
     out = _band_sum(((a_k.samples, a.chi.values[k]) for k, a_k in a.bands.items()),
-                    np.conj(samples))
-    np.conjugate(out, out=out)
-    out *= a.spec.cell_volume
-    return out
+                    np.conj(samples), a.spec.cell_volume)
+    return np.conjugate(out, out=out)
 
 
 def _pair(a, spec: GridSpec):
@@ -221,10 +219,10 @@ def _start(spec: GridSpec, seed: int) -> np.ndarray:
     return v / _l2(v, spec.dx ** (spec.n / 2))
 
 
+@_quiet
 def _l2(w: np.ndarray, scale: float) -> float:
     """scale * ||w||_2; inf or nan when the sum of squares overflows, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sqrt(np.vdot(w, w).real) * scale)
+    return float(np.sqrt(np.vdot(w, w).real) * scale)
 
 
 def _power(step, v: np.ndarray, scale: float, iters: int = 200) -> float:

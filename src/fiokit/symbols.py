@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import AuxiliaryFamilies, LittlewoodPaleyFamily
+from .dyadic import LittlewoodPaleyFamily
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
 from .errors import _read, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
@@ -255,9 +255,7 @@ def _paraproduct(b: GridField, f: GridField, fam, window) -> GridField:
                 W += v
             yield W, _inverse_in_place(np.multiply(fam.values[k], spectrum, out=band), b.spec)
 
-    out = _band_sum(terms(), forward_transform(b))
-    out *= b.spec.L ** -b.spec.n
-    return GridField(b.spec, out)
+    return GridField(b.spec, _band_sum(terms(), forward_transform(b), b.spec.L ** -b.spec.n))
 
 
 def paraproduct_hh(b: GridField, f: GridField, fam: LittlewoodPaleyFamily | None = None) -> GridField:
@@ -289,14 +287,14 @@ class FourierModeDecomposition:
     beta_max: int
     subgrid: int
     coeffs: dict
-    aux: AuxiliaryFamilies
+    fam: LittlewoodPaleyFamily
 
 
 def coifman_meyer_decompose(
     a: DenseSymbol,
     beta_max: int,
     bands=None,
-    aux: AuxiliaryFamilies | None = None,
+    fam: LittlewoodPaleyFamily | None = None,
 ) -> FourierModeDecomposition:
     """Fourier modes of the band-k symbol on a uniform P x P grid of zeta in [-1/2, 1/2)^n,
     c_beta = P^-2 Sum_zeta (psi_k a)(., 2^{k+1} pi zeta) e^{-2 pi i beta.zeta},
@@ -304,13 +302,13 @@ def coifman_meyer_decompose(
     the kept modes plus P N^n for one zeta_1 row of symbol slices."""
     if beta_max < 0:
         raise ParameterError("beta_max must be >= 0")
-    if aux is None:
-        aux = AuxiliaryFamilies(a.spec)
+    if fam is None:
+        fam = LittlewoodPaleyFamily(a.spec)
     P = 32
     while P < 4 * max(beta_max, 1):
         P *= 2
     if bands is None:
-        bands = range(aux.J_max + 1)
+        bands = range(fam.J_max + 1)
     zeta = (np.arange(P) - P / 2) / P
     Z1, Z2 = np.meshgrid(zeta, zeta, indexing="ij")
     betas = range(-beta_max, beta_max + 1)
@@ -319,7 +317,7 @@ def coifman_meyer_decompose(
     coeffs = {}
     for k in bands:
         scale = 2.0 ** (k + 1) * np.pi
-        window = aux.band_profile(k, scale * np.hypot(Z1, Z2))
+        window = fam.band_profile(k, scale * np.hypot(Z1, Z2))
         acc = np.zeros((len(betas), len(betas)) + a.spec.shape, dtype=complex)
         for i1 in np.flatnonzero(window.any(axis=1)):
             cols = np.flatnonzero(window[i1])
@@ -330,7 +328,7 @@ def coifman_meyer_decompose(
                 acc[j1] += phase[j1, i1] * inner
         coeffs[k] = {(b1, b2): acc[j1, j2] for j1, b1 in enumerate(betas)
                      for j2, b2 in enumerate(betas)}
-    return FourierModeDecomposition(a.spec, beta_max, P, coeffs, aux)
+    return FourierModeDecomposition(a.spec, beta_max, P, coeffs, fam)
 
 
 def reconstruct_modes(d: FourierModeDecomposition, k: int, eta) -> np.ndarray:
@@ -339,7 +337,7 @@ def reconstruct_modes(d: FourierModeDecomposition, k: int, eta) -> np.ndarray:
         raise ParameterError(f"band {k} not present in the decomposition")
     eta = np.asarray(eta, dtype=float)
     rho = float(np.hypot(eta[0], eta[1]))
-    wide = float(d.aux.tilde_profile(k, rho))
+    wide = float(d.fam.tilde_profile(k, rho))
     out = np.zeros(d.spec.shape, dtype=complex)
     if wide == 0.0:
         return out

@@ -17,11 +17,6 @@ def fam64(spec64):
 
 
 @pytest.fixture(scope="session")
-def aux64(spec64):
-    return fk.AuxiliaryFamilies(spec64)
-
-
-@pytest.fixture(scope="session")
 def frame64(spec64):
     return fk.ParabolicFrame(spec64)
 

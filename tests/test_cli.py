@@ -218,6 +218,28 @@ def test_bench_csv_and_determinism(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "run.csv").read_bytes() == csv1
 
 
+@pytest.mark.parametrize("s_list, p2_probes", [([], 2), ([0.0], 1)], ids=["default", "s0"])
+def test_bench_probes_p2_once_when_s_is_zero(tmp_path, capsys, monkeypatch, s_list, p2_probes):
+    # tau = 0 at p = 2, so at s = 0 the s = 0 cross-check is the row's own probe
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    original = fk.cli.operator_norm_probe
+
+    def counted(a, s_in, s_out, p, *args, **kwargs):
+        calls.append(p)
+        return original(a, s_in, s_out, p, *args, **kwargs)
+
+    monkeypatch.setattr(fk.cli, "operator_norm_probe", counted)
+    (tmp_path / "cfg.json").write_text(json.dumps({"s_list": s_list}))
+    code, _ = run(["--config", "cfg.json", "bench-boundedness"], capsys)
+    assert code == 0
+    assert calls.count(2.0) == p2_probes and len(calls) == 2 + p2_probes
+    p2 = json.loads((tmp_path / "boundedness.json").read_text())["trends"]["2.0"]
+    assert np.isfinite(p2["spectral_bound"])
+    if s_list == [0.0]:
+        assert p2["l2_sup_ratio"] == p2["sup_ratio"]
+
+
 @pytest.mark.parametrize("s_list", [[0.1, 0.2], 0.2])
 def test_bench_rejects_bad_s_list(tmp_path, capsys, monkeypatch, s_list):
     # one s serves every p: a longer list or a bare number is a config error
@@ -577,18 +599,24 @@ def test_bench_refuses_an_overflowing_s(tmp_path, capsys, monkeypatch, p, s):
 
 
 @pytest.mark.parametrize("action", ["error", "always"])
-@pytest.mark.parametrize("case", ["norm-s400", "norm-s180-p4", "bench-s200"])
+@pytest.mark.parametrize("case", ["norm-s400", "norm-s180-p4", "bench-s200", "norm-1e100-p4"])
 def test_an_overflowing_s_is_refused_with_no_runtime_warning(tmp_path, capsys, monkeypatch,
                                                              case, action):
     # as under python -W error::RuntimeWarning ("error") and without it ("always"):
     # exit 2, nothing written, and no warning first, from this thread or a direction worker
     monkeypatch.chdir(tmp_path)
-    spec = fk.GridSpec(N=64, L=2 * np.pi)
-    fk.write_fiof("f.fiof", fk.GridField(spec, np.random.default_rng(0).standard_normal(spec.shape)))
+    if case == "norm-1e100-p4":
+        # at s = 0 no weight overflows, but |f|^4 does, in lp_norm first
+        spec = fk.GridSpec(N=32, L=8 * np.pi)
+        fk.write_fiof("f.fiof", fk.GridField(spec, np.full(spec.shape, 1e100)))
+    else:
+        spec = fk.GridSpec(N=64, L=2 * np.pi)
+        fk.write_fiof("f.fiof", fk.GridField(spec, np.random.default_rng(0).standard_normal(spec.shape)))
     grid = ["--N", "64", "--L", repr(2 * np.pi)]
     argv = {
         "norm-s400": grid + ["norm", "--field", "f.fiof", "--s", "400"],
         "norm-s180-p4": grid + ["norm", "--field", "f.fiof", "--s", "180", "--p", "4"],
+        "norm-1e100-p4": ["norm", "--field", "f.fiof", "--p", "4"],
         "bench-s200": ["--config", "cfg.json", "bench-boundedness"],
     }[case]
     (tmp_path / "cfg.json").write_text(json.dumps({"grid": {"N": 64, "L": 2 * np.pi}, "bands": [1, 2],

@@ -104,21 +104,21 @@ def test_square_function_l2_comparison(spec64, fam64, rng):
     assert 1.0 / np.sqrt(2.0) - 1e-10 <= ratio <= 1.0 + 1e-10
 
 
-def test_wide_cutoffs_fix_bands_exactly(spec64, fam64, aux64):
+def test_wide_cutoffs_fix_bands_exactly(spec64, fam64):
     for k in range(fam64.J_max + 1):
-        prod = aux64.tilde_multiplier(k).values * fam64.values[k]
+        prod = fam64.tilde_multiplier(k).values * fam64.values[k]
         assert np.array_equal(prod, fam64.values[k])
 
 
-def test_q_caps_band_zero_exactly(fam64, aux64):
-    assert np.array_equal(aux64.q_values * fam64.values[0], fam64.values[0])
+def test_q_caps_band_zero_exactly(fam64, frame64):
+    assert np.array_equal(frame64.q_values * fam64.values[0], fam64.values[0])
     assert fk.dyadic.low_cutoff(1.9) == 1.0
     assert fk.dyadic.low_cutoff(4.1) == 0.0
 
 
-def test_chi_family_window(aux64):
+def test_chi_family_window(fam64):
     # chi_1 vanishes outside [1/2, 2] (family hypothesis window [1/4, 4])
-    chi = aux64
+    chi = fam64
     assert float(chi.band_profile(1, 0.49)) == 0.0
     assert float(chi.band_profile(1, 2.01)) == 0.0
     assert float(chi.band_profile(1, 1.0)) > 0.0
@@ -175,7 +175,7 @@ def test_band_weights_equal_band_profile(fam64):
         _assert_weights_match_profiles(fam64, rho)
 
 
-def test_tilde_multiplier_rejects_band_outside_range(aux64):
-    for k in (-1, aux64.J_max + 1):
+def test_tilde_multiplier_rejects_band_outside_range(fam64):
+    for k in (-1, fam64.J_max + 1):
         with pytest.raises(fk.ParameterError, match="outside 0.."):
-            aux64.tilde_multiplier(k)
+            fam64.tilde_multiplier(k)

@@ -183,12 +183,13 @@ def test_frame_is_byte_identical_to_the_reference_build(monkeypatch, N):
 @pytest.mark.parametrize("N, L", [(64, 2 * np.pi), (128, 2 * np.pi), (64, 32 * np.pi)])
 def test_lp_families_are_byte_identical_to_the_reference_build(monkeypatch, N, L):
     spec = fk.GridSpec(N=N, L=L)
-    ref = _reference_build(monkeypatch, lambda: dyadic.AuxiliaryFamilies(spec))
-    got = dyadic.AuxiliaryFamilies(spec)
+    ref = _reference_build(monkeypatch, lambda: dyadic.LittlewoodPaleyFamily(spec))
+    got = dyadic.LittlewoodPaleyFamily(spec)
     for j in range(got.J_max + 1):
         assert got.values[j].tobytes() == ref.values[j].tobytes(), j
-    assert got.q_values.tobytes() == ref.q_values.tobytes()
     mags = fk.lattice(spec).mags
+    q = _reference_build(monkeypatch, lambda: dyadic.low_cutoff(mags))
+    assert dyadic.low_cutoff(mags).tobytes() == q.tobytes()
     tilde = _reference_build(monkeypatch, lambda: [ref.tilde_profile(k, mags) for k in range(3)])
     for k in range(3):
         assert got.tilde_profile(k, mags).tobytes() == tilde[k].tobytes(), k

@@ -359,6 +359,6 @@ def test_band_sum_releases_each_term_before_the_next():
             yield fresh(k)
 
     x = np.arange(64, dtype=complex).reshape(8, 8)
-    out = _band_sum(terms(), x)
+    out = _band_sum(terms(), x, 1.0)
     want = sum(2.0 * scipy.fft.ifftn(k * x, norm="forward") for k in range(3))
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()

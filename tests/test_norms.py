@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -364,3 +365,17 @@ def test_classical_norm_refuses_an_overflowing_s(s, p, match):
     f = random_field(spec, np.random.default_rng(0), real=True)
     with pytest.raises(fk.ParameterError, match=match):
         fk.classical_norm(f, s, p)
+
+
+def test_a_power_that_overflows_at_s_zero_is_refused_with_no_warning():
+    # no weight overflows at s = 0, but |f|^4 of a 1e100 field does
+    spec = fk.GridSpec(N=32, L=8.0 * np.pi)
+    f = fk.GridField(spec, np.full(spec.shape, 1e100))
+    frame = fk.ParabolicFrame(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fk.lp_norm(f, 4.0) == np.inf
+        with pytest.raises(fk.ParameterError, match="s=0.0, p=4.0 overflows"):
+            fk.hpfio_norm(f, 0.0, 4.0, frame)
+        with pytest.raises(fk.ParameterError, match="s=0.0, p=4.0 overflows"):
+            fk.classical_norm(f, 0.0, 4.0)

@@ -422,25 +422,6 @@ def identity_bands(spec, fam):
     return {k: fk.GridField(spec, np.ones(spec.shape, complex)) for k in range(fam.J_max + 1)}
 
 
-def capture_power_iteration(monkeypatch):
-    """Wrap fiokit.operators.power_iteration: record each call's
-    (apply_fn, adjoint_fn) pair and the number of apply_fn calls."""
-    calls = []
-    original = fk.operators.power_iteration
-
-    def wrapped(apply_fn, adjoint_fn, spec, **kwargs):
-        calls.append({"pair": (apply_fn, adjoint_fn), "applies": 0})
-
-        def counted(v):
-            calls[-1]["applies"] += 1
-            return apply_fn(v)
-
-        return original(counted, adjoint_fn, spec, **kwargs)
-
-    monkeypatch.setattr(fk.operators, "power_iteration", wrapped)
-    return calls
-
-
 def count_steps(monkeypatch):
     """Wrap fiokit.operators._conjugated_step: record each step it returns
     and the number of times that step is run."""
@@ -546,9 +527,12 @@ def test_certified_bound_rejects_other_grid(spec64, frame64, monkeypatch):
     spec = fk.GridSpec(N=64, L=2.0 * np.pi)
     fam = fk.build_lp_family(spec)
     sym = fk.SeparableSymbol(spec, identity_bands(spec, fam), fam)
-    calls = capture_power_iteration(monkeypatch)
+    calls = count_steps(monkeypatch)
+    count = count_transforms(monkeypatch)
     with pytest.raises(fk.DimensionError, match="grids differ"):
         fk.certified_l2_bound(sym, frame64)
+    # refused before any transform ran or any step was built
+    assert count["n"] == 0
     assert calls == []
 
 

@@ -286,8 +286,8 @@ def test_frame_build_is_deterministic(spec64, frame64):
     assert np.array_equal(frame64.q_values, again.q_values)
 
 
-def test_frame_q_values_match_auxiliary_q(frame64, aux64):
-    assert np.array_equal(frame64.q_values, aux64.q_values)
+def test_frame_q_values_are_the_low_cutoff_of_the_lattice(spec64, frame64):
+    assert np.array_equal(frame64.q_values, fk.dyadic.low_cutoff(fk.lattice(spec64).mags))
 
 
 @pytest.mark.parametrize("M", [None, 57])

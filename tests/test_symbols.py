@@ -285,9 +285,9 @@ def test_modes_of_eta_independent_symbol(spec_cm):
         spec_cm,
     )
     a = fk.preset_multiplication(g)
-    aux = fk.AuxiliaryFamilies(spec_cm)
+    aux = fk.LittlewoodPaleyFamily(spec_cm)
     k, beta_max = 3, 12
-    d = fk.coifman_meyer_decompose(a, beta_max, bands=[k], aux=aux)
+    d = fk.coifman_meyer_decompose(a, beta_max, bands=[k], fam=aux)
     fam = aux
     # independent window-coefficient oracle: direct sums on the same
     # sub-grid, no FFT indexing shared with the implementation
@@ -356,12 +356,12 @@ def test_mode_decay_on_smooth_symbol(spec_cm):
 def test_mode_error_decreases_in_beta_max(spec_cm):
     b = plane_wave(spec_cm, (1.0, 0.5))
     a = fk.preset_multiplication(b)
-    aux = fk.AuxiliaryFamilies(spec_cm)
+    aux = fk.LittlewoodPaleyFamily(spec_cm)
     k = 3
     eta = np.array([2.0 ** (k - 1) * 1.1, 0.7])
     errs = []
     for beta_max in (1, 4, 10):
-        d = fk.coifman_meyer_decompose(a, beta_max, bands=[k], aux=aux)
+        d = fk.coifman_meyer_decompose(a, beta_max, bands=[k], fam=aux)
         ref = a.eval(eta) * float(aux.band_profile(k, np.hypot(eta[0], eta[1])))
         errs.append(float(np.abs(fk.reconstruct_modes(d, k, eta) - ref).max()))
     assert errs[2] <= errs[1] <= errs[0] * (1 + 1e-12)
@@ -388,7 +388,7 @@ def _fft2_modes(a, beta_max, k, aux, P):
 
 
 def _assert_modes_match_fft2(a, beta_max, aux):
-    d = fk.coifman_meyer_decompose(a, beta_max, aux=aux)
+    d = fk.coifman_meyer_decompose(a, beta_max, fam=aux)
     assert sorted(d.coeffs) == list(range(aux.J_max + 1))
     for k, got in d.coeffs.items():
         ref = _fft2_modes(a, beta_max, k, aux, d.subgrid)
@@ -408,22 +408,22 @@ def test_modes_match_fft2_formula(spec_cm, beta_max):
         rho = np.hypot(eta[0], eta[1])
         return g * np.exp(0.3j * (eta[0] - 0.5 * eta[1])) + h * eta[0] / (1.0 + rho)
 
-    _assert_modes_match_fft2(fk.DenseSymbol(spec_cm, fn), beta_max, fk.AuxiliaryFamilies(spec_cm))
+    _assert_modes_match_fft2(fk.DenseSymbol(spec_cm, fn), beta_max, fk.LittlewoodPaleyFamily(spec_cm))
 
 
 def test_modes_match_fft2_formula_on_chirp(spec_mid, fam_mid):
     chirp = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=0, chi=fam_mid)
-    _assert_modes_match_fft2(chirp.densify(), 2, fk.AuxiliaryFamilies(spec_mid))
+    _assert_modes_match_fft2(chirp.densify(), 2, fk.LittlewoodPaleyFamily(spec_mid))
 
 
 def test_modes_memory_ceiling(rng):
     # the sub-grid FFT held P^2 N^2 complex values per band, 1.07 GB here
     spec = fk.GridSpec(N=256, L=2.0 * np.pi)
     a = fk.preset_multiplication(random_field(spec, rng))
-    aux = fk.AuxiliaryFamilies(spec)
+    aux = fk.LittlewoodPaleyFamily(spec)
     tracemalloc.start()
     try:
-        fk.coifman_meyer_decompose(a, 2, bands=[3], aux=aux)
+        fk.coifman_meyer_decompose(a, 2, bands=[3], fam=aux)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
