@@ -253,7 +253,6 @@ def cmd_smooth(cfg: dict, args, spec: GridSpec, fam) -> int:
     sym = load_symbol(args.symbol, spec=spec)
     if isinstance(sym, SeparableSymbol):
         sym = sym.densify()
-    fam = build_lp_family(sym.spec, cfg["eps"])
     split = smooth_split(sym, args.gamma, fam)
     etas = [np.array([rho, 0.3 * rho]) for rho in (0.5, 2.0, min(8.0, sym.spec.xi_max / 2))]
     worst = 0.0

@@ -17,6 +17,7 @@ from .grid import (
     GridSpec,
     SpectralMultiplier,
     _check_specs,
+    _quiet,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -67,6 +68,34 @@ class LittlewoodPaleyFamily:
         h[1:] -= h[:-1]
         return h
 
+    def radial_sum(self, grids: dict):
+        """eta -> Sum_k psi_k(|eta|) grids[k], for x-grids keyed by band.  A dict keyed by
+        the radius holds, from one band_weights call per new radius, the (grids[k], w_k)
+        with w_k != 0 in the order of grids: at most two, as only adjacent bands overlap.
+        The sum is grids[j] itself when w_j = 1 is alone, grids[j] w_j + w_k grids[k] when
+        two are nonzero, and a zero grid when none is; a caller must not write into it.  The
+        dict holds references and floats, no grid: densify's lattice walk adds 505 entries at
+        N = 64, L = 8 pi and 1 831 at N = 128, L = 2 pi (0.11 and 0.51 MB), each new radius one."""
+        terms = {}
+
+        def fn(eta):
+            rho = float(np.hypot(eta[0], eta[1]))
+            pairs = terms.get(rho)
+            if pairs is None:
+                w = self.band_weights(rho).tolist()
+                pairs = terms[rho] = [(g, w[k]) for k, g in grids.items() if w[k] != 0.0]
+            if not pairs:
+                return np.zeros(self.spec.shape, dtype=complex)
+            (g_j, w_j), *rest = pairs
+            if not rest and w_j == 1.0:
+                return g_j
+            out = g_j * w_j
+            for g_k, w_k in rest:
+                out += w_k * g_k
+            return out
+
+        return fn
+
     def multiplier(self, j: int) -> SpectralMultiplier:
         if not (0 <= j <= self.J_max):
             raise ParameterError(f"band index j={j} outside 0..{self.J_max}")
@@ -109,13 +138,23 @@ def build_lp_family(spec: GridSpec, eps: float = 0.125) -> LittlewoodPaleyFamily
     return LittlewoodPaleyFamily(spec, eps)
 
 
+def _family(fam: LittlewoodPaleyFamily | None, spec: GridSpec) -> LittlewoodPaleyFamily:
+    """fam, checked to lie on spec (DimensionError), or spec's own family when fam is None."""
+    if fam is None:
+        return LittlewoodPaleyFamily(spec)
+    _check_specs(fam.spec, spec)
+    return fam
+
+
 def lp_project(f: GridField, j: int, fam: LittlewoodPaleyFamily) -> GridField:
     return apply_multiplier(f, fam.multiplier(j))
 
 
+@_quiet
 def square_function_norm(f: GridField, s: float, p: float, fam: LittlewoodPaleyFamily) -> float:
-    """L^p norm of the dyadic square function (Sum_k 4^{ks}|chi_k(D)f|^2)^{1/2}."""
+    """L^p norm of the dyadic square function (Sum_k 4^{ks}|chi_k(D)f|^2)^{1/2}; inf on overflow."""
     acc = np.zeros(f.spec.shape)
     for k, fk in fam.bands(f):
         acc += 4.0 ** (k * s) * np.abs(fk) ** 2
-    return lp_norm(GridField(f.spec, np.sqrt(acc)), p)
+    # GridField refuses the inf grid of a sum that overflowed, whose norm is inf
+    return lp_norm(GridField(f.spec, np.sqrt(acc)), p) if np.isfinite(acc).all() else np.inf

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import LittlewoodPaleyFamily
+from .dyadic import LittlewoodPaleyFamily, _family
 from .errors import DegenerateInputError, ParameterError, _rng
-from .grid import GridField, GridSpec, forward_transform, inverse_transform, lattice, lp_norm
+from .grid import GridField, GridSpec, _check_specs, forward_transform, inverse_transform, lattice, lp_norm
 from .parabolic import ParabolicFrame
 
 
@@ -108,8 +108,8 @@ def build_test_family(
     if unknown:
         raise ParameterError(f"unknown member kinds {sorted(unknown)}")
     rng = _rng(seed)
-    if fam is None:
-        fam = LittlewoodPaleyFamily(spec)
+    _check_specs(frame.spec, spec)
+    fam = _family(fam, spec)
     e1 = np.array([1.0, 0.0])
     members = []
     for k in bands:

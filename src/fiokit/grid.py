@@ -242,6 +242,7 @@ def lp_norm(f: GridField, p: float) -> float:
     return float((np.abs(f.samples) ** p).sum() ** (1.0 / p) * f.spec.dx ** (f.spec.n / p))
 
 
+@_quiet
 def l2_inner(f: GridField, g: GridField) -> complex:
     _check_specs(f.spec, g.spec)
     return complex((f.samples * np.conj(g.samples)).sum() * f.spec.cell_volume)

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import LittlewoodPaleyFamily, build_lp_family
+from .dyadic import LittlewoodPaleyFamily, _family
 from .errors import DimensionError, ParameterError
 from .grid import (
     GridField,
     _bessel_weighted,
-    _check_specs,
     _quiet,
     bessel_potential,
     forward_transform,
@@ -72,10 +71,8 @@ def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = Non
     found, when no band left can exceed it.  The maximum of the terms
     transformed is the same float as the maximum over every band.
     """
-    if fam is None:
-        fam = build_lp_family(f.spec)
+    fam = _family(fam, f.spec)
     _check_regularity(r, fam.J_max)
-    _check_specs(fam.spec, f.spec)
     spectrum = forward_transform(f)
     modulus = np.abs(spectrum)
     scale = f.spec.L**-f.spec.n * (1.0 + 1e-9)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import LittlewoodPaleyFamily
+from .dyadic import LittlewoodPaleyFamily, _family
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
 from .errors import _read, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
@@ -72,6 +72,7 @@ class SeparableSymbol:
 
     def __post_init__(self):
         _check_class(self.r, self.delta)
+        _check_specs(self.chi.spec, self.spec)
         for k, a_k in self.bands.items():
             if not (0 <= k <= self.chi.J_max):
                 raise ParameterError(f"band index {k} outside family range")
@@ -79,37 +80,9 @@ class SeparableSymbol:
                 raise DimensionError("band field grid differs from symbol grid")
 
     def densify(self) -> DenseSymbol:
-        """The same symbol as a DenseSymbol.  Its band weights depend on |eta|
-        only, so a dict keyed by the radius holds, from one band_weights call
-        the first time a radius is seen, the (a_k.samples, w_k) pairs with
-        w_k != 0 in band order: at most two, as only adjacent bands overlap.
-        A slice is a_k.samples itself when one band has weight 1,
-        out = a_j w_j then out += w_k a_k when two are nonzero (the band sum
-        from zero, in the same order), and a zero grid when none is.  The
-        dict holds references to the bands and floats, no grid: a full
-        lattice walk adds 505 entries at N = 64, L = 8 pi and 1 831 at
-        N = 128, L = 2 pi (0.11 and 0.51 MB), and each off-lattice
-        evaluation at a new radius, such as a seminorm finite difference,
-        adds one."""
-        terms = {}
-
-        def fn(eta):
-            rho = float(np.hypot(eta[0], eta[1]))
-            pairs = terms.get(rho)
-            if pairs is None:
-                w = self.chi.band_weights(rho).tolist()
-                pairs = terms[rho] = [(a_k.samples, w[k]) for k, a_k in self.bands.items()
-                                      if w[k] != 0.0]
-            if not pairs:
-                return np.zeros(self.spec.shape, dtype=complex)
-            (a_j, w_j), *rest = pairs
-            if not rest and w_j == 1.0:
-                return a_j
-            out = a_j * w_j
-            for a_k, w_k in rest:
-                out += w_k * a_k
-            return out
-
+        """The same symbol as a DenseSymbol, whose slice at eta is the band sum
+        chi.radial_sum of the a_k: a_k.samples itself on band k's plateau."""
+        fn = self.chi.radial_sum({k: a_k.samples for k, a_k in self.bands.items()})
         return DenseSymbol(self.spec, fn, r=self.r, m=0.0, delta=self.delta)
 
     def constants(self) -> dict:
@@ -135,20 +108,17 @@ class SmoothingSplit:
 
 def smooth_split(a: DenseSymbol, gamma: float, fam: LittlewoodPaleyFamily | None = None) -> SmoothingSplit:
     """Per eta-band k, low-pass a(., eta) in x below scale 2^{gamma k};
-    the flat part is the closure a - sharp, so the split is exact."""
+    the flat part is the closure a - sharp, so the split is exact.  The cutoff at eta is
+    fam.radial_sum of the grids lowpass_profile(2^{-gamma k}|xi|), k <= J_max, built once."""
     if not (a.delta <= gamma <= 1.0):
         raise ParameterError(f"gamma={gamma} must lie in [delta={a.delta}, 1]")
-    if fam is None:
-        fam = LittlewoodPaleyFamily(a.spec)
-    mags = lattice(a.spec).mags
+    fam = _family(fam, a.spec)
+    cut = fam.radial_sum({k: fam.lowpass_profile(2.0 ** (-gamma * k) * lattice(a.spec).mags)
+                          for k in range(fam.J_max + 1)})
 
     def smoothed(s, eta):
         # Sum_k w_k ifft(h_k fft(s)) = ifft((Sum_k w_k h_k) fft(s)): one pair
-        cut = np.zeros(a.spec.shape)
-        for k, w in enumerate(fam.band_weights(np.hypot(eta[0], eta[1])).tolist()):
-            if w != 0.0:
-                cut += w * fam.lowpass_profile(2.0 ** (-gamma * k) * mags)
-        return apply_multiplier(GridField(a.spec, s), SpectralMultiplier(a.spec, cut)).samples
+        return apply_multiplier(GridField(a.spec, s), SpectralMultiplier(a.spec, cut(eta))).samples
 
     def flat_fn(eta):
         s = a.eval(eta)
@@ -203,8 +173,7 @@ def estimate_seminorms(
     the pointwise one |d^alpha a| <eta>^{|alpha|-m} and the x-Zygmund
     one ||d^alpha a(., eta)||_{C^r_*} <eta>^{|alpha|-m-r delta}.
     """
-    if fam is None:
-        fam = LittlewoodPaleyFamily(a.spec)
+    fam = _family(fam, a.spec)
 
     def measure(eta, a1, a2, deriv):
         rho = float(np.hypot(eta[0], eta[1]))
@@ -236,9 +205,7 @@ def _paraproduct(b: GridField, f: GridField, fam, window) -> GridField:
     When no window is non-empty the sum is zero and nothing is transformed."""
     if b.spec != f.spec:
         raise DimensionError("paraproduct operands on different grids")
-    if fam is None:
-        fam = LittlewoodPaleyFamily(b.spec)
-    _check_specs(fam.spec, f.spec)
+    fam = _family(fam, b.spec)
     ks = [k for k in range(fam.J_max + 1) if fam.values[window(k)]]
     if not ks:
         return GridField(b.spec, np.zeros(b.spec.shape, dtype=complex))
@@ -302,8 +269,7 @@ def coifman_meyer_decompose(
     the kept modes plus P N^n for one zeta_1 row of symbol slices."""
     if beta_max < 0:
         raise ParameterError("beta_max must be >= 0")
-    if fam is None:
-        fam = LittlewoodPaleyFamily(a.spec)
+    fam = _family(fam, a.spec)
     P = 32
     while P < 4 * max(beta_max, 1):
         P *= 2
@@ -353,8 +319,7 @@ def to_separable(
     """Band-center sampling a_k(x) = a(x, eta_k*) with eta_k* on the chi_k
     plateau; exact when a is eta-flat within each band (residual reported).
     Each a_k is a copy, as a slice may be an array a keeps."""
-    if chi is None:
-        chi = LittlewoodPaleyFamily(a.spec)
+    chi = _family(chi, a.spec)
     eps = chi.eps
     bands = {}
     for k in range(chi.J_max + 1):
@@ -409,8 +374,7 @@ def preset_rough_chirp(
     2^{k delta}, with lacunary amplitudes 2^{(k delta - j) r} capped at 1,
     rescaled so the recorded size constants equal 1."""
     rng = _rng(seed)
-    if chi is None:
-        chi = LittlewoodPaleyFamily(spec)
+    chi = _family(chi, spec)
     bands = {}
     for k in range(chi.J_max + 1):
         if k == 0:
@@ -431,8 +395,7 @@ def preset_rough_chirp(
         if size < 1e-14:
             raise ResolutionError(f"chirp band {k} has no resolvable x-content")
         bands[k] = GridField(spec, (v / size).astype(complex))
-    sym = SeparableSymbol(spec, bands, chi, r=r, delta=delta)
-    return sym
+    return SeparableSymbol(spec, bands, chi, r=r, delta=delta)
 
 
 def load_symbol(path, spec: GridSpec | None = None):
@@ -452,11 +415,10 @@ def load_symbol(path, spec: GridSpec | None = None):
         raise InvalidInputError(f"{path}: symbol descriptor lacks {exc}") from None
 
 
-def _same_grid(path, declared: GridSpec | None, other: GridSpec | None, what: str):
-    """Refuse a descriptor whose declared grid differs from another known grid."""
-    if declared is not None and other is not None and other != declared:
-        raise InvalidInputError(f"{path}: symbol descriptor grid {declared} differs from "
-                                f"{what} {other}")
+def _same_grid(path, grid: GridSpec | None, name: str, other: GridSpec | None, what: str):
+    """Refuse a grid other than the grid the descriptor runs on, when that one is known."""
+    if grid is not None and other is not None and other != grid:
+        raise InvalidInputError(f"{path}: {name} {grid} differs from {what} {other}")
 
 
 # the rules of a descriptor, per kind, and of each preset's params; GridSpec
@@ -485,12 +447,12 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
         schema = {**_PRESET, **top, "params": params}
     doc = _read(doc, schema, lambda msg: InvalidInputError(f"{path}: symbol descriptor {msg}"))
     base = os.path.dirname(os.path.abspath(path))
-    declared = None
+    ref, ref_name = spec, "the given grid"
     if "grid" in doc:
         g = doc["grid"]
-        declared = GridSpec(n=g.get("n", 2), N=g["N"], L=g["L"])
-        _same_grid(path, declared, spec, "the given grid")
-        spec = declared
+        ref = GridSpec(n=g.get("n", 2), N=g["N"], L=g["L"])
+        _same_grid(path, ref, "symbol descriptor grid", spec, "the given grid")
+        spec, ref_name = ref, "symbol descriptor grid"
     if kind == "separable":
         fields = {}
         for entry in doc["bands"]:
@@ -498,7 +460,7 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
             if k in fields:
                 raise InvalidInputError(f"{path}: symbol descriptor lists band {k} twice")
             fields[k] = read_fiof(os.path.join(base, entry["file"]))
-            _same_grid(path, declared, fields[k].spec, f"band {k}'s file grid")
+            _same_grid(path, ref, ref_name, fields[k].spec, f"band {k}'s file grid")
             spec = fields[k].spec
     if spec is None:
         raise InvalidInputError(f"{path}: symbol descriptor lacks a grid")
@@ -513,7 +475,7 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
         return preset_multiplier_bessel(spec, params["m"], r=r)
     if name == "multiplication":
         b = read_fiof(os.path.join(base, params["b_file"]))
-        _same_grid(path, declared, b.spec, "b_file's grid")
+        _same_grid(path, ref, ref_name, b.spec, "b_file's grid")
         return preset_multiplication(b, r=r)
     sym = preset_rough_chirp(spec, params["r"], params["delta"], seed=params.get("seed", 0))
     return sym.densify() if kind == "dense" else sym

@@ -713,6 +713,20 @@ def test_smooth_refuses_a_descriptor_grid_other_than_the_config_grid(tmp_path, c
     assert "N=32" in out.err and "N=64" in out.err and "Traceback" not in out.err
 
 
+def test_smooth_refuses_band_files_on_a_grid_other_than_the_config_grid(tmp_path, capsys):
+    # the descriptor declares no grid; its band files lie on N = 32, L = 8 pi
+    sym = fk.preset_rough_chirp(fk.GridSpec(N=32, L=8 * np.pi), 1.5, 0.5, seed=3)
+    for k, a_k in sym.bands.items():
+        fk.write_fiof(tmp_path / f"band_{k}.fiof", a_k)
+    path = tmp_path / "separable.json"
+    path.write_text(json.dumps({"kind": "separable", "r": 1.5, "delta": 0.5, "bands": [
+        {"k": k, "file": f"band_{k}.fiof"} for k in sym.bands]}))
+    assert main(["--N", "64", "smooth", "--symbol", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "the given grid" in out.err and "N=32" in out.err and "Traceback" not in out.err
+
+
 def test_apply_refuses_a_non_finite_order(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     doc = {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {"m": float("nan")}}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,14 @@ def test_tilde_multiplier_rejects_band_outside_range(fam64):
     for k in (-1, fam64.J_max + 1):
         with pytest.raises(fk.ParameterError, match="outside 0.."):
             fam64.tilde_multiplier(k)
+
+
+def test_square_function_and_l2_inner_overflow_to_inf_with_no_warning():
+    # |f|^2 of a 1e160 field overflows; lp_norm already returns inf here quietly
+    spec = fk.GridSpec(N=32, L=8.0 * np.pi)
+    f = fk.GridField(spec, np.full(spec.shape, 1e160))
+    fam = fk.build_lp_family(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fk.square_function_norm(f, 0.0, 2.0, fam) == np.inf
+        assert fk.l2_inner(f, f).real == np.inf

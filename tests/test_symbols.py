@@ -546,6 +546,81 @@ def test_densified_slices_are_shared_and_never_written(spec_mid, fam_mid, rng):
                for b in result.bands.values() for a_k in chirp.bands.values())
 
 
+def _per_eta_cutoff(fam, gamma, eta):
+    """The x-cutoff of smooth_split at eta as a sum rebuilt for each eta, the reference."""
+    mags = fk.lattice(fam.spec).mags
+    cut = np.zeros(fam.spec.shape)
+    for k, w in enumerate(fam.band_weights(np.hypot(eta[0], eta[1])).tolist()):
+        if w != 0.0:
+            cut += w * fam.lowpass_profile(2.0 ** (-gamma * k) * mags)
+    return cut
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.75, 1.0])
+def test_smooth_split_builds_its_cutoffs_once(spec_mid, fam_mid, monkeypatch, gamma):
+    a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid).densify()
+    # band 2's plateau, an overlap, and a radius beyond every band, where the cutoff is 0
+    etas = MID_ETAS + [np.array([2.0, 0.0]), np.array([100.0, 0.0])]
+    want = [_per_eta_cutoff(fam_mid, gamma, eta) for eta in etas]
+    slices = [a.eval(eta) for eta in etas]
+    calls, cuts = [], []
+    lowpass = fk.LittlewoodPaleyFamily.lowpass_profile
+
+    def counted(self, t):
+        calls.append(1)
+        return lowpass(self, t)
+
+    class Recorded(fk.SpectralMultiplier):
+        def __post_init__(self):
+            super().__post_init__()
+            cuts.append(self.values)
+
+    monkeypatch.setattr(fk.LittlewoodPaleyFamily, "lowpass_profile", counted)
+    monkeypatch.setattr(fk.symbols, "SpectralMultiplier", Recorded)
+    split = fk.smooth_split(a, gamma, fam_mid)
+    assert len(calls) == fam_mid.J_max + 1
+    for eta, cut, s in zip(etas, want, slices):
+        # a new radius costs one band_weights call, a repeated one none
+        for count in (1, 0):
+            calls.clear()
+            sharp = split.sharp.eval(eta)
+            assert len(calls) == count
+            assert cuts.pop().astype(complex).tobytes() == cut.astype(complex).tobytes()
+        ref = fk.apply_multiplier(fk.GridField(spec_mid, s), fk.SpectralMultiplier(spec_mid, cut))
+        assert sharp.tobytes() == ref.samples.tobytes()
+
+
+OTHER_L = 4.0 * np.pi
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, other, frame, other_frame: fk.zygmund_norm(a.bands[1], 1.5, other),
+    lambda a, other, frame, other_frame: fk.build_test_family(a.spec, frame, [1], fam=other),
+    lambda a, other, frame, other_frame: fk.build_test_family(a.spec, other_frame, [1]),
+    lambda a, other, frame, other_frame: fk.smooth_split(a.densify(), 0.75, other),
+    lambda a, other, frame, other_frame: fk.estimate_seminorms(a.densify(), 1, other),
+    lambda a, other, frame, other_frame: fk.paraproduct_hh(a.bands[1], a.bands[2], other),
+    lambda a, other, frame, other_frame: fk.paraproduct_hl(a.bands[1], a.bands[2], other),
+    lambda a, other, frame, other_frame: fk.paraproduct_lh(a.bands[1], a.bands[2], other),
+    lambda a, other, frame, other_frame: fk.coifman_meyer_decompose(
+        a.densify(), 1, bands=[1], fam=other),
+    lambda a, other, frame, other_frame: fk.to_separable(a.densify(), other),
+    lambda a, other, frame, other_frame: fk.preset_rough_chirp(a.spec, 1.5, 0.5, chi=other),
+    lambda a, other, frame, other_frame: fk.SeparableSymbol(a.spec, a.bands, other),
+], ids=["zygmund_norm", "build_test_family", "build_test_family-frame", "smooth_split",
+        "estimate_seminorms", "paraproduct_hh", "paraproduct_hl", "paraproduct_lh",
+        "coifman_meyer_decompose", "to_separable", "preset_rough_chirp", "SeparableSymbol"])
+def test_entry_points_refuse_a_family_on_another_grid(spec_mid, fam_mid, call):
+    # the N = 64, L = 4 pi family has bands 0..6, so spec_mid's bands 0..5 all index it
+    other_spec = fk.GridSpec(N=64, L=OTHER_L)
+    other = fk.build_lp_family(other_spec)
+    assert other.J_max > fam_mid.J_max
+    a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid)
+    frame, other_frame = fk.ParabolicFrame(spec_mid), fk.ParabolicFrame(other_spec)
+    with pytest.raises(fk.DimensionError, match="grid specs differ"):
+        call(a, other, frame, other_frame)
+
+
 def test_to_separable_recovers_separable(spec_mid, fam_mid, rng):
     chirp = fk.preset_rough_chirp(spec_mid, 1.0, 0.5, seed=2, chi=fam_mid)
     back = fk.to_separable(chirp.densify(), fam_mid)
@@ -805,6 +880,19 @@ def test_descriptor_grid_must_match_its_files(tmp_path, doc, what):
         fk.load_symbol(_descriptor(tmp_path, doc))
     doc["grid"] = {"N": 32, "L": 8 * np.pi}
     assert fk.load_symbol(_descriptor(tmp_path, doc)).spec == spec
+
+
+@pytest.mark.parametrize("doc, what", [
+    ({"kind": "separable", "bands": [{"k": 1, "file": "one.fiof"}]}, "band 1's file grid"),
+    ({"kind": "analytic-preset", "preset": "multiplication", "params": {"b_file": "one.fiof"}},
+     "b_file's grid"),
+], ids=["band-file", "b-file"])
+def test_undeclared_files_must_lie_on_the_given_grid(tmp_path, doc, what):
+    spec = fk.GridSpec(N=32, L=8 * np.pi)
+    fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec, np.ones(spec.shape)))
+    with pytest.raises(fk.InvalidInputError, match=f"the given grid .*N=64.* differs from {what} .*N=32"):
+        fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=64, L=8 * np.pi))
+    assert fk.load_symbol(_descriptor(tmp_path, doc), spec=spec).spec == spec
 
 
 def test_descriptor_grid_must_match_the_given_grid(tmp_path):
