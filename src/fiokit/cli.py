@@ -31,7 +31,7 @@ from .grid import (
     write_fiof,
 )
 from .norms import _check_regularity, budget, classical_norm, hpfio_norm, zygmund_norm
-from .operators import apply_symbol, apply_dense, apply_separable, operator_norm_probe
+from .operators import _check_dense, apply_symbol, apply_dense, apply_separable, operator_norm_probe
 from .parabolic import DirectionSet, ParabolicFrame, c_sigma, frame_analyze, frame_synthesize
 from .symbols import (
     SeparableSymbol,
@@ -182,6 +182,7 @@ def cmd_calibrate(cfg: dict, args, spec: GridSpec, fam) -> int:
 
 
 def cmd_verify(cfg: dict, args, spec: GridSpec, fam) -> int:
+    _check_dense(spec)
     suite = CheckSuite()
     print(f"# verify  config={config_hash(cfg)}  version={__version__}")
     frame, rng = _calibration_checks(cfg, spec, fam, suite)
@@ -200,7 +201,7 @@ def cmd_verify(cfg: dict, args, spec: GridSpec, fam) -> int:
 
     chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
     dense = chirp.densify()
-    split = smooth_split(dense, 0.75, fam)
+    split = smooth_split(dense, max(0.75, cfg["delta"]), fam)
     eta = np.array([1.7, 0.4])
     got = split.sharp.eval(eta) + split.flat.eval(eta)
     suite.check("smoothing-split-exactness", _rel(got, dense.eval(eta)), 1e-12)
@@ -276,9 +277,11 @@ def cmd_smooth(cfg: dict, args, spec: GridSpec, fam) -> int:
 def cmd_bench(cfg: dict, args, spec: GridSpec, fam) -> int:
     if len(cfg["s_list"]) > 1:
         raise ParameterError(f"s_list={cfg['s_list']!r}: one s serves every p, give [] or [s]")
-    # refuse a bad band, p, delta, eps_slack or output name before building anything
+    # refuse a bad band, p, p_list, delta, eps_slack or output name before building anything
     if not cfg["bands"]:
         raise ParameterError("bands=[]: empty test family")
+    if not cfg["p_list"]:
+        raise ParameterError("p_list=[]: no exponent to probe")
     for k in cfg["bands"]:
         _check_band(k, fam.J_max)
     budgets = [(p, budget(cfg["r"], cfg["delta"], p, spec.n, cfg["eps_slack"]))

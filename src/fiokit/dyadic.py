@@ -155,6 +155,8 @@ def square_function_norm(f: GridField, s: float, p: float, fam: LittlewoodPaleyF
     """L^p norm of the dyadic square function (Sum_k 4^{ks}|chi_k(D)f|^2)^{1/2}; inf on overflow."""
     acc = np.zeros(f.spec.shape)
     for k, fk in fam.bands(f):
-        acc += 4.0 ** (k * s) * np.abs(fk) ** 2
+        # an overflowed weight is inf, and a band that is exactly 0 adds 0, not inf * 0
+        if (mod2 := np.abs(fk) ** 2).any():
+            acc += np.power(4.0, k * s) * mod2
     # GridField refuses the inf grid of a sum that overflowed, whose norm is inf
     return lp_norm(GridField(f.spec, np.sqrt(acc)), p) if np.isfinite(acc).all() else np.inf

@@ -170,6 +170,7 @@ def _band_sum(terms, x: np.ndarray, scale: float) -> np.ndarray:
     the result, which is scaled once.  A finished term is released before terms builds the
     next, so a generator's fresh arrays never live two at a time."""
     out = np.zeros(x.shape, dtype=complex)
+    # fresh grids per term took two N = 128 certificates 0.89-0.99 -> 1.31-1.35 s on 2 vCPUs
     scratch = np.empty_like(out)
     for u, w in terms:
         part = np.fft.ifftn(np.multiply(u, x, out=scratch), norm="forward", out=scratch)

@@ -210,19 +210,9 @@ def _paraproduct(b: GridField, f: GridField, fam, window) -> GridField:
     if not ks:
         return GridField(b.spec, np.zeros(b.spec.shape, dtype=complex))
     spectrum = forward_transform(f)
-
-    def terms():
-        # _band_sum is done with a term before it asks for the next, so one
-        # W_k buffer and one band grid serve every k
-        W, band = np.empty(b.spec.shape), np.empty(b.spec.shape, dtype=complex)
-        for k in ks:
-            first, *rest = fam.values[window(k)]
-            np.copyto(W, first)
-            for v in rest:
-                W += v
-            yield W, _inverse_in_place(np.multiply(fam.values[k], spectrum, out=band), b.spec)
-
-    return GridField(b.spec, _band_sum(terms(), forward_transform(b), b.spec.L ** -b.spec.n))
+    terms = ((sum(fam.values[window(k)]), _inverse_in_place(fam.values[k] * spectrum, b.spec))
+             for k in ks)
+    return GridField(b.spec, _band_sum(terms, forward_transform(b), b.spec.L ** -b.spec.n))
 
 
 def paraproduct_hh(b: GridField, f: GridField, fam: LittlewoodPaleyFamily | None = None) -> GridField:

@@ -36,6 +36,24 @@ def test_verify_default_config(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_splits_at_delta_above_three_quarters(tmp_path, capsys):
+    # the class admits delta <= 1 and the split needs gamma in [delta, 1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta": 0.9}))
+    code, out = run(["--config", str(cfg), "verify"], capsys)
+    assert code == 0
+    assert "smoothing-split-exactness" in out and "budget-rho-subcritical" in out
+    assert "FAIL" not in out
+
+
+def test_verify_refuses_a_grid_above_the_dense_cap_before_any_output(capsys):
+    code = main(["--N", "256", "verify"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "dense application restricted to N <= 128" in out.err
+
+
 def test_config_file_and_flag_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {"N": 32}, "seed": 7}))
@@ -261,8 +279,9 @@ def test_bench_rejects_bad_s_list(tmp_path, capsys, monkeypatch, s_list):
     ({"json_out": "."}, 3, "i/o error"),
     ({"bands": [1, 99]}, 2, "band 99 outside the grid's dyadic range"),
     ({"bands": []}, 2, "empty test family"),
+    ({"p_list": []}, 2, "p_list=[]"),
 ], ids=["delta", "p", "eps-slack", "csv-empty", "csv-missing-dir", "json-directory",
-        "band-out-of-range", "bands-empty"])
+        "band-out-of-range", "bands-empty", "p-list-empty"])
 def test_bench_refuses_before_building_the_frame(tmp_path, capsys, monkeypatch, doc, code, text):
     def no_frame(*args, **kwargs):
         raise AssertionError("the frame was built")

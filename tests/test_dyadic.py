@@ -192,3 +192,15 @@ def test_square_function_and_l2_inner_overflow_to_inf_with_no_warning():
         warnings.simplefilter("error")
         assert fk.square_function_norm(f, 0.0, 2.0, fam) == np.inf
         assert fk.l2_inner(f, f).real == np.inf
+
+
+def test_square_function_overflowing_weight_skips_zero_bands_with_no_warning():
+    # 4^{ks} overflows at s = 400 from k = 2 on; ones live in band 0 alone, and a
+    # plane wave at |xi| = 1.5 reaches band 2, where the overflow makes the norm inf
+    spec = fk.GridSpec(N=32, L=8.0 * np.pi)
+    fam = fk.build_lp_family(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ones = fk.GridField(spec, np.ones(spec.shape))
+        assert fk.square_function_norm(ones, 400.0, 4.0, fam) == 5.013256549262001
+        assert fk.square_function_norm(plane_wave(spec, (1.5, 0.0)), 400.0, 4.0, fam) == np.inf

@@ -433,7 +433,7 @@ def test_modes_memory_ceiling(rng):
 @pytest.mark.parametrize("piece", ["paraproduct_hh", "paraproduct_hl", "paraproduct_lh"])
 def test_paraproduct_peak_memory(piece):
     # b^, f^, the sum and the band sum's scratch grid are four complex grids
-    # (4.2 MB at N=256); one W_k buffer and one band grid serve every term
+    # (4.2 MB at N=256); each term's fresh W_k and band grid are released before the next
     spec = fk.GridSpec(N=256, L=2.0 * np.pi)
     fam = fk.build_lp_family(spec)
     rng = np.random.default_rng(0)
