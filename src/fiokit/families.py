@@ -17,7 +17,8 @@ import numpy as np
 
 from .dyadic import LittlewoodPaleyFamily, _family
 from .errors import DegenerateInputError, ParameterError, _rng
-from .grid import GridField, GridSpec, _check_specs, forward_transform, inverse_transform, lattice, lp_norm
+from .grid import GridField, GridSpec, _check_specs, _sq_sum, forward_transform, inverse_transform
+from .grid import lattice, lp_norm
 from .parabolic import ParabolicFrame
 
 
@@ -87,7 +88,7 @@ def focusing_member(spec: GridSpec, k: int, frame: ParabolicFrame) -> FamilyMemb
     spectrum = np.zeros(spec.shape, dtype=complex)
     for omega in frame.directions.omegas[::4]:
         g = _packet_spectrum(spec, k, omega)
-        spectrum += g * (spec.L ** (spec.n / 2) / np.linalg.norm(g))
+        spectrum += g * (spec.L ** (spec.n / 2) / np.sqrt(_sq_sum(g)))
     return FamilyMember(f"focus_k{k}", k, _normalize(spec, spectrum))
 
 

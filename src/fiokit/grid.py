@@ -41,8 +41,14 @@ class GridSpec:
             raise ParameterError(f"dimension n={self.n} must be 2: fiokit computes in the plane")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
             raise ParameterError(f"N={self.N} must be a power of two >= 16")
-        if not (self.L > 0 and np.isfinite(self.L)):
-            raise ParameterError(f"period L={self.L} must be positive")
+        L = float(self.L)
+        try:  # the powers of L that the transforms and the lattice take
+            powers = (L, L**self.n, L**-self.n, (L / self.N) ** self.n, self.n * (np.pi * self.N / L) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            powers = (0.0,)
+        if not all(0.0 < v < np.inf for v in powers):
+            raise ParameterError(f"period L={self.L} must be > 0, with L^n, L^-n, dx^n and "
+                                 "n (pi N/L)^2 finite and > 0")
 
     @property
     def shape(self) -> tuple:
@@ -147,6 +153,16 @@ def _check_specs(a: GridSpec, b: GridSpec):
 # where it is used (GridField, norms._finite).  Decorator only: numpy >= 2.0 sets the
 # state per call and thread, and refuses to enter a shared instance twice with `with`.
 _quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
+def _sq_sum(w: np.ndarray, weight=None) -> float:
+    """Sum of weight |w|^2: einsum row sums, then their pairwise sum; no BLAS, whose threaded
+    sums change their last bits with the thread count.  inf or nan, unwarned, on overflow."""
+    if weight is None:  # einsum's two-operand loop on w's float view is the fast one
+        v = np.ascontiguousarray(w).view(float)
+        return float(np.einsum("ij,ij->i", v, v).sum())
+    return float(sum(np.einsum("ij,ij,ij->i", weight, x, x) for x in (w.real, w.imag)).sum())
 
 
 def forward_transform(f: GridField) -> np.ndarray:

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LittlewoodPaleyFamily, _family
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .grid import (
     GridField,
     _bessel_weighted,
+    _check_specs,
     _quiet,
+    _sq_sum,
     bessel_potential,
     forward_transform,
     inverse_transform,
@@ -76,7 +78,7 @@ def zygmund_norm(f: GridField, r: float, fam: LittlewoodPaleyFamily | None = Non
     spectrum = forward_transform(f)
     modulus = np.abs(spectrum)
     scale = f.spec.L**-f.spec.n * (1.0 + 1e-9)
-    bounds = [2.0 ** (j * r) * scale * float(np.vdot(np.abs(v), modulus))
+    bounds = [2.0 ** (j * r) * scale * float(np.einsum("ij,ij->", v, modulus))
               for j, v in enumerate(fam.values)]
     best = 0.0
     for j in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
@@ -112,16 +114,15 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
         raise ParameterError(f"p={p} must lie in (1, inf)")
     if not np.isfinite(s):
         raise ParameterError("smoothness s must be finite")
-    if f.spec != frame.spec:
-        raise DimensionError("field and frame grids differ")
+    _check_specs(f.spec, frame.spec)
     spec = f.spec
     spectrum = forward_transform(f)
     low = frame.q_values * spectrum
     weighted = _finite(_bessel_weighted(spec, s, spectrum), s, p)
     if p == 2.0:
         volume = spec.L**spec.n
-        high = np.vdot(weighted, frame.energy * weighted).real
-        return float(_finite(np.sqrt(np.vdot(low, low).real / volume) + np.sqrt(high / volume), s, p))
+        high = _sq_sum(weighted, frame.energy) / volume
+        return float(_finite(np.sqrt(_sq_sum(low) / volume) + np.sqrt(high), s, p))
     low_part = lp_norm(inverse_transform(low, spec), p)
 
     M = frame.n_directions

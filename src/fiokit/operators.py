@@ -48,7 +48,7 @@ from .grid import (
     _band_sum,
     _forward_in_place,
     _inverse_in_place,
-    _quiet,
+    _sq_sum,
     forward_transform,
     inverse_transform,
     lattice,
@@ -220,13 +220,7 @@ def _start(spec: GridSpec, seed: int) -> np.ndarray:
     """Seeded complex Gaussian samples of unit L^2 norm."""
     rng = _rng(seed)
     v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    return v / _l2(v, spec.dx ** (spec.n / 2))
-
-
-@_quiet
-def _l2(w: np.ndarray, scale: float) -> float:
-    """scale * ||w||_2; inf or nan when the sum of squares overflows, without a warning."""
-    return float(np.sqrt(np.vdot(w, w).real) * scale)
+    return v / (np.sqrt(_sq_sum(v)) * spec.dx ** (spec.n / 2))
 
 
 def _power(step, v: np.ndarray, scale: float, iters: int = 200) -> float:
@@ -236,7 +230,7 @@ def _power(step, v: np.ndarray, scale: float, iters: int = 200) -> float:
     sigma = 0.0
     for _ in range(iters):
         w = step(v)
-        nw = _l2(w, scale)
+        nw = np.sqrt(_sq_sum(w)) * scale
         if not np.isfinite(nw):
             raise InvalidInputError("power iteration: a step has a non-finite norm")
         if nw < 1e-300:
@@ -354,7 +348,8 @@ class BoundednessReport:
             return 0.0
         ks = np.array(sorted(prof))
         ys = np.log2([prof[k] for k in ks])
-        return float(np.polyfit(ks, ys, 1)[0])
+        dk = ks - ks.mean()
+        return float((dk * (ys - ys.mean())).sum() / (dk * dk).sum())
 
 
 def operator_norm_probe(

@@ -52,6 +52,7 @@ from .grid import (
     GridField,
     GridSpec,
     SpectralMultiplier,
+    _check_specs,
     _line_inverse,
     apply_multiplier,
     forward_transform,
@@ -130,11 +131,14 @@ class CSigmaTable:
         logc = np.array([np.log(c_sigma(float(np.exp(s)))) for s in logs])
         h = logs[1] - logs[0]
         d = np.diff(logc) / h
-        system = 4.0 * np.eye(count) + np.eye(count, k=1) + np.eye(count, k=-1)
-        system[0, :2] = 1.0, 2.0
-        system[-1, -2:] = 2.0, 1.0
-        rhs = np.r_[(5.0 * d[0] + d[1]) / 2.0, 3.0 * (d[:-1] + d[1:]), (d[-2] + 5.0 * d[-1]) / 2.0]
-        slopes = np.linalg.solve(system, rhs)
+        # end rows halved: unit off-diagonals, and elimination's pivots 1/2, 2, 3.5, ... need no exchange
+        rhs = np.r_[(5.0 * d[0] + d[1]) / 4.0, 3.0 * (d[:-1] + d[1:]), (d[-2] + 5.0 * d[-1]) / 4.0]
+        piv = np.r_[0.5, np.full(count - 2, 4.0), 0.5]
+        for i in range(1, count):
+            piv[i], rhs[i] = piv[i] - 1.0 / piv[i - 1], rhs[i] - rhs[i - 1] / piv[i - 1]
+        slopes = rhs / piv
+        for i in range(count - 2, -1, -1):
+            slopes[i] -= slopes[i + 1] / piv[i]
         t = (slopes[:-1] + slopes[1:] - 2.0 * d) / h
         # the cubic on [logs_i, logs_{i+1}] in u = log sigma - logs_i, highest power first
         self._cubics = (t / h, (d - slopes[:-1]) / h - t, slopes[:-1], logc[:-1])
@@ -434,8 +438,7 @@ def frame_analyze(f: GridField, frame: ParabolicFrame) -> list:
     """[phi_{omega_l}(D) f for every frame direction l], from one forward
     transform and the line-pruned inverse passes of frame.parts.  A
     direction whose coefficients are all exactly zero gives exact zeros."""
-    if f.spec != frame.spec:
-        raise ParameterError("field and frame grids differ")
+    _check_specs(f.spec, frame.spec)
     spec = frame.spec
     work = np.empty((2,) + spec.shape, dtype=complex)
     out = []
@@ -453,8 +456,7 @@ def frame_synthesize(collection, frame: ParabolicFrame) -> GridField:
         raise ParameterError("collection size does not match frame directions")
     acc = np.zeros(frame.spec.shape, dtype=complex)
     for w, g in zip(frame.directions.weights, collection):
-        if g.spec != frame.spec:
-            raise ParameterError("collection member grid differs from frame grid")
+        _check_specs(g.spec, frame.spec)
         acc += w * g.samples
     return apply_multiplier(GridField(frame.spec, acc), frame.m)
 

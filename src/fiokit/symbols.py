@@ -256,7 +256,7 @@ def coifman_meyer_decompose(
     """Fourier modes of the band-k symbol on a uniform P x P grid of zeta in [-1/2, 1/2)^n,
     c_beta = P^-2 Sum_zeta (psi_k a)(., 2^{k+1} pi zeta) e^{-2 pi i beta.zeta},
     summed directly for |beta|_inf <= beta_max.  Memory is (2 beta_max + 1)^2 N^n for
-    the kept modes plus P N^n for one zeta_1 row of symbol slices."""
+    the kept modes plus 2 (2 beta_max + 1) N^n for one zeta_1 row's sums."""
     if beta_max < 0:
         raise ParameterError("beta_max must be >= 0")
     fam = _family(fam, a.spec)
@@ -269,17 +269,16 @@ def coifman_meyer_decompose(
     Z1, Z2 = np.meshgrid(zeta, zeta, indexing="ij")
     betas = range(-beta_max, beta_max + 1)
     phase = np.exp(-2j * np.pi * np.outer(betas, zeta)) / P
-    row = np.empty((P,) + a.spec.shape, dtype=complex)
     coeffs = {}
     for k in bands:
         scale = 2.0 ** (k + 1) * np.pi
         window = fam.band_profile(k, scale * np.hypot(Z1, Z2))
         acc = np.zeros((len(betas), len(betas)) + a.spec.shape, dtype=complex)
         for i1 in np.flatnonzero(window.any(axis=1)):
-            cols = np.flatnonzero(window[i1])
-            for j, i2 in enumerate(cols):
-                row[j] = window[i1, i2] * a.eval(scale * np.array([zeta[i1], zeta[i2]]))
-            inner = np.tensordot(phase[:, cols], row[: len(cols)], axes=1)
+            inner = np.zeros(acc.shape[1:], dtype=complex)
+            for i2 in np.flatnonzero(window[i1]):
+                slice_a = a.eval(scale * np.array([zeta[i1], zeta[i2]]))
+                inner += (window[i1, i2] * phase[:, i2])[:, None, None] * slice_a
             for j1 in range(len(betas)):
                 acc[j1] += phase[j1, i1] * inner
         coeffs[k] = {(b1, b2): acc[j1, j2] for j1, b1 in enumerate(betas)

@@ -66,6 +66,19 @@ def test_bad_grid_parameter_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("L", [1e-200, 1e200])
+def test_a_period_whose_powers_overflow_exits_2_before_any_output(tmp_path, capsys, L):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 16, "L": L}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "calibrate"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"period L={L}" in out.err
+    assert "Traceback" not in out.err and "RuntimeWarning" not in out.err
+
+
 def test_bad_eps_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"eps": 0.3}))

@@ -32,6 +32,27 @@ def test_grid_spec_validation():
         fk.GridSpec(n=0)
 
 
+@pytest.mark.parametrize("L", [1e-200, 1e200, 1e-160, 1e160, 5e-324, np.inf, np.nan, 0.0,
+                               pytest.param(np.float64(1e200), id="float64-1e+200")])
+def test_grid_spec_refuses_a_period_whose_powers_are_not_finite_and_nonzero(L):
+    # L^-n, L^n, dx^n or the squared Nyquist corner |xi|^2 overflows or vanishes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(fk.ParameterError, match=r"finite and > 0"):
+            fk.GridSpec(N=16, L=L)
+
+
+@pytest.mark.parametrize("L", [1e-100, 1e100])
+def test_grid_spec_keeps_a_period_whose_powers_are_finite(L):
+    spec = fk.GridSpec(N=16, L=L)
+    f = fk.GridField(spec, np.random.default_rng(0).standard_normal(spec.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        back = fk.inverse_transform(fk.forward_transform(f), spec)
+        assert np.isfinite(fk.lattice(spec).mags).all()
+    assert np.abs(back.samples - f.samples).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_grid_spec_is_planar(n):
     with pytest.raises(fk.ParameterError, match=f"dimension n={n} must be 2"):

@@ -309,24 +309,29 @@ def test_frame_energy_is_weighted_square_sum(frame64, M):
 
 
 @pytest.mark.parametrize(
-    "call, match",
+    "call, error, match",
     [
-        (lambda frame, other: fk.DirectionSet(3), "too small"),
-        (lambda frame, other: fk.frame_analyze(other, frame), "grids differ"),
-        (lambda frame, other: fk.frame_synthesize([], frame), "collection size"),
+        (lambda frame, other: fk.DirectionSet(3), fk.ParameterError, "too small"),
+        # a grid mismatch is a DimensionError here as in hpfio_norm and the symbols
+        (lambda frame, other: fk.frame_analyze(other, frame), fk.DimensionError,
+         "grid specs differ"),
+        (lambda frame, other: fk.frame_synthesize([], frame), fk.ParameterError,
+         "collection size"),
         (lambda frame, other: fk.frame_synthesize([other] * frame.n_directions, frame),
-         "member grid differs"),
-        (lambda frame, other: fk.anisotropic_bound_check(frame, alpha_max=4), "alpha_max"),
-        (lambda frame, other: fk.DirectionSet(4.5), "must be an integer"),
-        (lambda frame, other: fk.DirectionSet(True), "must be an integer"),
-        (lambda frame, other: fk.ParabolicFrame(other.spec, True), "must be an integer"),
+         fk.DimensionError, "grid specs differ"),
+        (lambda frame, other: fk.anisotropic_bound_check(frame, alpha_max=4), fk.ParameterError,
+         "alpha_max"),
+        (lambda frame, other: fk.DirectionSet(4.5), fk.ParameterError, "must be an integer"),
+        (lambda frame, other: fk.DirectionSet(True), fk.ParameterError, "must be an integer"),
+        (lambda frame, other: fk.ParabolicFrame(other.spec, True), fk.ParameterError,
+         "must be an integer"),
     ],
     ids=["directions-M<4", "analyze-grid", "synthesize-count", "synthesize-grid",
          "anisotropic-alpha>3", "directions-float", "directions-bool", "frame-bool"],
 )
-def test_parabolic_input_checks(frame64, call, match):
+def test_parabolic_input_checks(frame64, call, error, match):
     other = fk.GridField(fk.GridSpec(N=32), np.zeros((32, 32)))
-    with pytest.raises(fk.ParameterError, match=match):
+    with pytest.raises(error, match=match):
         call(frame64, other)
 
 
