@@ -32,7 +32,7 @@ from .grid import (
 )
 from .norms import _check_regularity, budget, classical_norm, hpfio_norm, zygmund_norm
 from .operators import _check_dense, apply_symbol, apply_dense, apply_separable, operator_norm_probe
-from .parabolic import DirectionSet, ParabolicFrame, c_sigma, frame_analyze, frame_synthesize
+from .parabolic import ParabolicFrame, _directions, c_sigma, frame_analyze, frame_synthesize
 from .symbols import (
     SeparableSymbol,
     _check_class,
@@ -92,13 +92,13 @@ def config_hash(cfg: dict) -> str:
 
 def _checked(cfg: dict):
     """(spec, fam), the config's grid and LP family.  Building them checks the
-    grid and eps; M_omega, the seed, r (against fam.J_max) and delta are
-    checked here too, so an unusable config exits before a command prints."""
+    grid and eps; the direction count (M_omega or the default, at most N^n), the
+    seed, r (against fam.J_max) and delta are checked here too, so an unusable
+    config exits before a command prints."""
     g = cfg["grid"]
     spec = GridSpec(n=g["n"], N=g["N"], L=g["L"])
     fam = build_lp_family(spec, cfg["eps"])
-    if cfg["M_omega"] is not None:
-        DirectionSet(cfg["M_omega"])
+    _directions(spec, cfg["M_omega"])
     _rng(cfg["seed"])
     _check_regularity(cfg["r"], fam.J_max)
     _check_class(cfg["r"], cfg["delta"])

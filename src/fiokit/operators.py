@@ -4,11 +4,22 @@ operator-norm probing.
 One seam, _pair, decides the operator's kind once: a dense symbol (the
 literal frequency sum, quadratic in the lattice size, for small grids),
 a separable one (a short sum of band projections times pointwise
-factors, for large grids) or a SpectralMultiplier.  Applying, adjoints
-and the p = 2 certificate all run its spectrum-level pair.  The
-certificate iterates on spectra: a step runs the pair and two grid
-transforms around Phi^2, 2K+2 transforms for K bands and 2 for a dense
-symbol, and builds no GridField.  The separable core allocates no grid per
+factors, for large grids) or a SpectralMultiplier.  Its pair maps
+spectrum to spectrum: applying and adjoints are F^{-1} pair F, and the
+p = 2 certificate iterates on spectra with no transform of its own.  A
+separable symbol runs band k's product a_k chi_k(D)f on the smallest grid
+that holds it, M_k points per axis with M_k > 2 (A_k + C_k): C_k bounds
+chi_k's FFT indices, A_k a_k's up to 1e-12 of its l1 spectral mass
+(SeparableSymbol._grids).  On that grid the product aliases nothing onto the
+band, so it differs from the N-grid product only by the share left out; a
+band whose product wraps on N (A_k + C_k >= N/2) stays there, wrapped.  The bands
+of one grid run as one band sum on the box of the spectrum the grid holds,
+with a_k read at every (N/M)-th sample, and one transform there, so a
+certificate step runs Sum over grids of 2K_M + 2 transforms, K_M bands on
+grid M, 2 for a dense symbol and none for a multiplier, and builds no
+GridField.  At N = 256, L = 2 pi six of the r = 2, delta = 1/2 chirp's ten
+bands run on 16 to 128 points: 10 transforms at 256^2 and 20 smaller ones
+where 22 at 256^2 ran.  The separable core allocates no grid per
 band, as measured to pay: grid._band_sum's one scratch grid per call takes
 every band transform.  The dense cores evaluate one x-slice and allocate one
 product per lattice frequency, as measured free, and the apply forms each
@@ -48,6 +59,7 @@ from .grid import (
     _band_sum,
     _forward_in_place,
     _inverse_in_place,
+    _quiet,
     _sq_sum,
     forward_transform,
     inverse_transform,
@@ -111,46 +123,78 @@ def _dense_analyze(a: DenseSymbol, samples: np.ndarray) -> np.ndarray:
     return spectrum
 
 
+@_quiet
+def _grid_sum(a: SeparableSymbol, part) -> np.ndarray:
+    """Sum over a's product grids, largest first, of part(grid, box, stride, bands): the
+    spectrum on grid of the bands (k, a_k) that run there, added into box, the index of grid's
+    FFT indices [0, M/2) and [N - M/2, N) per axis in a's spectrum (a view of all of it when
+    M = N); a_k is read at every stride = N/M-th sample.  The N-grid's part, when there is
+    one, comes first and starts the sum itself: a zero grid written and read in its place took
+    a 2-vCPU N = 256 certificate step 13.4 -> 14.3 ms (medians of 12 blocks of 10 steps)."""
+    N, out = a.spec.N, None
+    for grid, ks in a._grids:
+        index = np.concatenate((np.arange(grid.N // 2), np.arange(N - grid.N // 2, N)))
+        box = np.s_[:, :] if grid.N == N else np.ix_(index, index)
+        spectrum = part(grid, box, N // grid.N, [(k, a.bands[k]) for k in ks])
+        if grid.N == N:
+            out = spectrum
+        else:
+            out = np.zeros(a.spec.shape, dtype=complex) if out is None else out
+            out[box] += spectrum
+    return np.zeros(a.spec.shape, dtype=complex) if out is None else out
+
+
 def _synth(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
-    """Samples of Sum_k a_k(x) (chi_k(D) f)(x) from spectrum = forward_transform(f),
-    scaled by L^{-n} once."""
-    return _band_sum(((a.chi.values[k], a_k.samples) for k, a_k in a.bands.items()), spectrum,
-                     a.spec.L ** -a.spec.n)
+    """Spectrum of Sum_k a_k(x) (chi_k(D) f)(x) from spectrum = forward_transform(f): per
+    product grid, one band sum on spectrum's box, scaled by L^{-n} once, and one forward
+    transform there."""
+    def part(grid, box, stride, bands):
+        terms = ((a.chi.values[k][box], a_k.samples[::stride, ::stride]) for k, a_k in bands)
+        return _forward_in_place(_band_sum(terms, spectrum[box], a.spec.L ** -a.spec.n), grid)
+
+    return _grid_sum(a, part)
 
 
-def _analyze(a: SeparableSymbol, samples: np.ndarray) -> np.ndarray:
-    """Spectrum Sum_k chi_k F(conj(a_k) g) of the adjoint on g's samples.  chi_k is real,
-    so it equals conj(Sum_k chi_k F^{-1}(a_k conj(g))): g and the sum are conjugated once,
-    no a_k is, and dx^n scales the sum once."""
-    out = _band_sum(((a_k.samples, a.chi.values[k]) for k, a_k in a.bands.items()),
-                    np.conj(samples), a.spec.cell_volume)
-    return np.conjugate(out, out=out)
+def _analyze(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
+    """Spectrum Sum_k chi_k F(conj(a_k) g) of the adjoint from spectrum = forward_transform(g):
+    per product grid, one inverse transform of spectrum's box, then, as chi_k is real,
+    conj(Sum_k chi_k F^{-1}(a_k conj(g))): g and the sum are conjugated once, no a_k is, and
+    that grid's dx^n scales the sum once."""
+    def part(grid, box, stride, bands):
+        g = _inverse_in_place(np.array(spectrum[box]), grid)
+        terms = ((a_k.samples[::stride, ::stride], a.chi.values[k][box]) for k, a_k in bands)
+        out = _band_sum(terms, np.conjugate(g, out=g), grid.cell_volume)
+        return np.conjugate(out, out=out)
+
+    return _grid_sum(a, part)
 
 
 def _pair(a, spec: GridSpec):
-    """(synth, analyze) for a on spec: synth(F f) = samples of a(x,D)f, analyze(samples of g)
-    = spectrum of a(x,D)*g.  Its checks and choice of kind precede any transform or evaluation."""
+    """(synth, analyze) for a on spec, spectrum to spectrum: synth(F f) = F(a(x,D)f) and
+    analyze(F g) = F(a(x,D)*g); neither writes into its argument.  A multiplier runs no
+    transform, a dense symbol one around its lattice walk.  Its checks and choice of kind
+    precede any transform or evaluation."""
     if a.spec != spec:
         raise DimensionError("symbol and field grids differ")
     if isinstance(a, SpectralMultiplier):
-        return (lambda s: _inverse_in_place(a.values * s, spec),
-                lambda x: np.conj(a.values) * _forward_in_place(np.array(x, dtype=complex), spec))
+        return (lambda s: a.values * s), (lambda u: np.conj(a.values) * u)
     if isinstance(a, SeparableSymbol):
         return partial(_synth, a), partial(_analyze, a)
     _check_dense(spec)
-    return partial(_dense_synth, a), partial(_dense_analyze, a)
+    return (lambda s: _forward_in_place(_dense_synth(a, s), spec),
+            lambda u: _dense_analyze(a, _inverse_in_place(np.array(u), spec)))
 
 
 def apply_symbol(a, f: GridField) -> GridField:
     """a(x,D)f for a SeparableSymbol, a DenseSymbol or a SpectralMultiplier a."""
     synth, _ = _pair(a, f.spec)
-    return GridField(f.spec, synth(forward_transform(f)))
+    return inverse_transform(synth(forward_transform(f)), f.spec)
 
 
 def _adjoint(a, g: GridField) -> GridField:
     """a(x,D)*g on the grid inner product, for every kind apply_symbol takes."""
     _, analyze = _pair(a, g.spec)
-    return inverse_transform(analyze(g.samples), g.spec)
+    return inverse_transform(analyze(forward_transform(g)), g.spec)
 
 
 def apply_dense(a: DenseSymbol, f: GridField) -> GridField:
@@ -262,18 +306,18 @@ def _frame_weight_multipliers(frame: ParabolicFrame):
 
 
 def _conjugated_step(a, frame: ParabolicFrame):
-    """v^ -> the spectrum of B*B v, B = Phi(D) T Phi(D)^{-1}: Phi^{-1} v^, synth,
-    F, Phi^2, F^{-1}, analyze, Phi^{-1}.  Both transforms run in the step's own
-    scratch, so a step runs 2K+2 grid transforms for K bands, 2 for a dense
-    symbol, and builds no GridField."""
+    """v^ -> the spectrum of B*B v, B = Phi(D) T Phi(D)^{-1}: Phi^{-1} analyze(Phi^2
+    synth(Phi^{-1} v^)).  The step runs no transform of its own: the pair's are
+    Sum over product grids of 2K_M + 2 for K_M bands on grid M, 2 for a dense symbol
+    and none for a multiplier.  It builds no GridField."""
     synth, analyze = _pair(a, frame.spec)
     phi, phi_inv = _frame_weight_multipliers(frame)
-    spec, phi_inv, phi_sq = frame.spec, phi_inv.values, phi.values**2
+    phi_inv, phi_sq = phi_inv.values, phi.values**2
 
     def step(v_hat):
-        u = _forward_in_place(synth(phi_inv * v_hat), spec)
+        u = synth(phi_inv * v_hat)
         u *= phi_sq
-        w = analyze(_inverse_in_place(u, spec))
+        w = analyze(u)
         w *= phi_inv
         return w
 
@@ -292,9 +336,11 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     Power iteration runs on B*B = Phi^{-1} T* Phi^2 T Phi^{-1}, with
     B = Phi T Phi^{-1}, on spectra (_conjugated_step): it starts from F of
     power_iteration's seeded start and norms w by Parseval, L^{-n/2} ||w^||_2.
-    T and T* come from _pair for every kind, and each runs one band transform
-    (grid._band_sum) per band of a separable symbol, or one for a multiplier;
-    with F, F^{-1} around Phi^2 a step runs 2K+2 transforms, 2 if dense.
+    T and T* come from _pair for every kind, spectrum to spectrum.  For a
+    separable symbol each runs, per product grid M, one band transform
+    (grid._band_sum) per band on that grid and one transform between grid and
+    spectrum, so a step runs Sum over grids of 2K_M + 2 transforms; 2 if dense,
+    none for a multiplier.
 
     The returned number is not that bound itself.  Power iteration gives a
     lower estimate of the spectral norm, and it returns after 200

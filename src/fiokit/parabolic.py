@@ -266,6 +266,17 @@ def default_direction_count(spec: GridSpec) -> int:
     return 8 * int(np.ceil(np.sqrt(spec.xi_max)))
 
 
+def _directions(spec: GridSpec, M_omega: int | None) -> DirectionSet:
+    """The frame's directions: M_omega, or the default count when it is None.  A count above
+    the grid's N^n lattice points is refused before anything is allocated: at N = 16 and
+    L = 1e-100 the default count has 52 digits."""
+    M = default_direction_count(spec) if M_omega is None else M_omega
+    if isinstance(M, numbers.Integral) and M > spec.N**spec.n:
+        raise ParameterError(f"direction count M={M} exceeds the grid's N^n = {spec.N**spec.n} "
+                             "lattice points")
+    return DirectionSet(M)
+
+
 # the 7 symmetries of the square lattice other than the identity, as
 # signed permutation matrices acting on frequency vectors
 _LATTICE_SYMMETRIES = tuple(
@@ -317,7 +328,7 @@ class ParabolicFrame:
 
     def __init__(self, spec: GridSpec, M_omega: int | None = None):
         self.spec = spec
-        self.directions = DirectionSet(default_direction_count(spec) if M_omega is None else M_omega)
+        self.directions = _directions(spec, M_omega)
         self.geometry = PhiGeometry(AngularCalderonProfile(), CSigmaTable(0.5 / spec.xi_max))
         N, half = spec.N, spec.N // 2
         pts = lattice(spec).points()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .dyadic import LittlewoodPaleyFamily, _family
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
 from .errors import _read, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
-from .grid import _band_sum, _check_specs, _inverse_in_place, forward_transform
+from .grid import _band_sum, _check_specs, _forward_in_place, _inverse_in_place, _quiet
+from .grid import forward_transform
 from .norms import zygmund_norm
 from .parabolic import _derivative_table
 
@@ -79,6 +81,16 @@ class SeparableSymbol:
             if a_k.spec != self.spec:
                 raise DimensionError("band field grid differs from symbol grid")
 
+    @cached_property
+    def _grids(self) -> tuple:
+        """((GridSpec(n, M, L), (k, ...)), ...): the bands whose product a_k chi_k(D)f runs on
+        M points per axis (operators._synth, operators._analyze), largest M first.  Computed on
+        first use, from the band samples alone, so a symbol read from its files gets the plan
+        of the one written."""
+        plan = {k: _product_grid(a_k, self.chi.values[k]) for k, a_k in self.bands.items()}
+        return tuple((GridSpec(self.spec.n, M, self.spec.L), tuple(k for k in plan if plan[k] == M))
+                     for M in sorted(set(plan.values()), reverse=True))
+
     def densify(self) -> DenseSymbol:
         """The same symbol as a DenseSymbol, whose slice at eta is the band sum
         chi.radial_sum of the a_k: a_k.samples itself on band k's plateau."""
@@ -95,6 +107,36 @@ class SeparableSymbol:
             sup = max(sup, float(np.abs(a_k.samples).max()))
             zyg = max(zyg, 2.0 ** (-k * self.r * self.delta) * zygmund_norm(a_k, self.r, self.chi))
         return {"sup": sup, "weighted_zygmund": zyg}
+
+
+# the share of a_k^'s l1 mass that a band's product grid may leave out
+_GRID_TAIL = 1e-12
+
+
+@_quiet
+def _product_grid(a_k: GridField, chi_k: np.ndarray) -> int:
+    """M_k, the smallest power of two >= 16 with M_k > 2 (A_k + C_k), or N when that reaches N.
+    C_k is the largest |FFT index| on either axis where chi_k != 0, exact as chi_k's zeros are
+    hard; A_k the smallest box half-width outside which a_k^ holds at most 1e-12 of its l1 mass.
+    On M_k points a_k chi_k(D)f aliases nothing onto the band: its spectrum fits in the M_k-box
+    but for that share.  Only a band with 4 C_k < N, which may leave the N-grid, runs a forward
+    transform; a non-finite mass keeps the band on N."""
+    N = a_k.spec.N
+    index = np.minimum(np.arange(N), N - np.arange(N))
+    C = int(index[chi_k.any(axis=0) | chi_k.any(axis=1)].max(initial=0))
+    if 4 * C >= N:
+        return N
+    mass = np.abs(_forward_in_place(np.array(a_k.samples), a_k.spec)).ravel()
+    by_radius = np.bincount(np.maximum.outer(index, index).ravel(), mass, N // 2 + 1)
+    outside = np.append(np.cumsum(by_radius[:0:-1])[::-1], 0.0)  # outside[h]: radius > h
+    total = outside[0] + by_radius[0]
+    if not np.isfinite(total):
+        return N
+    A = int(np.argmax(outside <= _GRID_TAIL * total))
+    M = 16
+    while M <= 2 * (A + C):
+        M *= 2
+    return min(M, N)
 
 
 @dataclass

@@ -554,6 +554,35 @@ def test_out_of_range_direction_count_exits_2_before_any_output(capsys, M):
     assert f"M={M}" in out.err
 
 
+@pytest.mark.parametrize("grid, flags, M", [
+    # the default count: 52 digits at L = 1e-100, 2 136 at L = 1e-3, and N^n = 256
+    ({"N": 16, "L": 1e-100}, [], 6745007137634597267152416579622654562780660084244480),
+    ({"N": 16, "L": 1e-3}, [], 2136),
+    ({"N": 16, "L": 2 * np.pi}, ["--M-omega", "257"], 257),
+])
+@pytest.mark.parametrize("command", ["calibrate", "bench-boundedness"])
+def test_a_direction_count_above_the_lattice_exits_2_before_any_output(
+        tmp_path, capsys, monkeypatch, grid, flags, M, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), *flags, command]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"M={M} exceeds" in out.err and "256 lattice points" in out.err
+    assert not (tmp_path / "boundedness.csv").exists()
+
+
+def test_the_direction_cap_leaves_the_default_grids_alone(capsys):
+    # 32 of 256 directions at N = 16, L = 2 pi; N^n itself is allowed
+    code, _ = run(["--N", "16", "--L", str(2 * np.pi), "calibrate"], capsys)
+    assert code == 0
+    assert fk.ParabolicFrame(fk.GridSpec(N=16, L=2 * np.pi)).n_directions == 32
+    assert fk.ParabolicFrame(fk.GridSpec(N=16, L=2 * np.pi), M_omega=256).n_directions == 256
+
+
 def test_separable_descriptor_with_a_repeated_band_exits_1(tmp_path, capsys):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     fk.write_fiof(tmp_path / "band.fiof", fk.GridField(spec, np.ones(spec.shape)))

@@ -1,4 +1,7 @@
+import json
 import warnings
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,11 +167,12 @@ def _reference_adjoint(spec, slice_at, g):
             spectrum[i1, i2] = (np.multiply(slice_, h, out=term).sum(axis=0) * e2).sum()
     np.conjugate(spectrum, out=spectrum)
     spectrum *= spec.cell_volume
-    return fk.inverse_transform(spectrum, spec).samples
+    return spectrum
 
 
 @pytest.mark.parametrize("case", ["chirp-seed0", "chirp-seed7", "identity", "multiplication"])
 def test_dense_cores_match_the_per_eta_walk_bit_for_bit(case):
+    # the cores bit for bit; the public apply and adjoint add an F^{-1} F round trip
     spec = fk.GridSpec(N=64, L=8.0 * np.pi)
     rng = np.random.default_rng(11)
     f, g = random_field(spec, rng), random_field(spec, rng)
@@ -179,9 +183,13 @@ def test_dense_cores_match_the_per_eta_walk_bit_for_bit(case):
         a = (fk.preset_identity(spec) if case == "identity"
              else fk.preset_multiplication(random_field(spec, rng)))
         slice_at = a.eval
-    assert fk.apply_dense(a, f).samples.tobytes() == _reference_apply(spec, slice_at, f).tobytes()
-    assert (fk.apply_dense_adjoint(a, g).samples.tobytes()
-            == _reference_adjoint(spec, slice_at, g).tobytes())
+    synth, analyze = _reference_apply(spec, slice_at, f), _reference_adjoint(spec, slice_at, g)
+    assert fk.operators._dense_synth(a, fk.forward_transform(f)).tobytes() == synth.tobytes()
+    assert fk.operators._dense_analyze(a, g.samples).tobytes() == analyze.tobytes()
+    adjoint = fk.inverse_transform(analyze, spec).samples
+    for got, want in [(fk.apply_dense(a, f).samples, synth),
+                      (fk.apply_dense_adjoint(a, g).samples, adjoint)]:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +286,10 @@ def test_separable_cores_read_only_returned_arrays(
         "apply": lambda: fk.apply_separable(complex_sym, f).samples,
         "adjoint": lambda: fk.apply_separable_adjoint(complex_sym, f).samples,
         "synth": lambda: fk.operators._synth(complex_sym, spectrum),
-        "analyze": lambda: fk.operators._analyze(complex_sym, f.samples),
+        "analyze": lambda: fk.operators._analyze(complex_sym, spectrum),
+        # the chirp's low bands run on product grids smaller than spec64's
+        "synth-chirp": lambda: fk.operators._synth(chirp, v_hat),
+        "analyze-chirp": lambda: fk.operators._analyze(chirp, v_hat),
         "step": lambda: step(v_hat),
     }
     expected = {name: run() for name, run in runs.items()}
@@ -304,6 +315,125 @@ def test_separable_cores_read_only_returned_arrays(
         assert np.abs(out - expected[name]).max() <= 1e-13 * np.abs(expected[name]).max(), name
         for key, x in inputs.items():
             assert x.tobytes() == before[key], (name, key)
+
+
+# ---------------------------------------------------------------------------
+# product grids: each band's product on the smallest grid that holds it
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chirp256(spec_fine, fam_fine):
+    return fk.preset_rough_chirp(spec_fine, 2.0, 0.5, seed=0, chi=fam_fine)
+
+
+def product_grid_of(a):
+    """{k: M_k} from the symbol's plan."""
+    return {k: grid.N for grid, ks in a._grids for k in ks}
+
+
+def all_bands_on_n(a, spectrum, adjoint):
+    """The pair's spectrum with every band's product on a's own grid: the band sum
+    Sum_k F(a_k F^{-1}(chi_k s)), or Sum_k chi_k F(conj(a_k) F^{-1} s) for the adjoint,
+    from the public transforms."""
+    spec, out = a.spec, np.zeros(a.spec.shape, dtype=complex)
+    g = fk.inverse_transform(spectrum, spec).samples
+    for k, a_k in a.bands.items():
+        chi_k = a.chi.values[k]
+        if adjoint:
+            out += chi_k * fk.forward_transform(fk.GridField(spec, np.conj(a_k.samples) * g))
+        else:
+            band = fk.inverse_transform(chi_k * spectrum, spec).samples
+            out += fk.forward_transform(fk.GridField(spec, a_k.samples * band))
+    return out
+
+
+@pytest.mark.parametrize("N, L, r, delta", [(256, 2 * np.pi, 2.0, 0.5),
+                                            (128, 8 * np.pi, 1.0, 0.25),
+                                            (128, 2 * np.pi, 1.5, 0.5)])
+def test_product_grids_match_the_band_sum_on_n(N, L, r, delta, rng):
+    spec = fk.GridSpec(N=N, L=L)
+    chirp = fk.preset_rough_chirp(spec, r, delta, seed=0)
+    assert min(product_grid_of(chirp).values()) < N
+    spectrum = fk.forward_transform(random_field(spec, rng))
+    for core, adjoint in [(fk.operators._synth, False), (fk.operators._analyze, True)]:
+        want = all_bands_on_n(chirp, spectrum, adjoint)
+        assert np.abs(core(chirp, spectrum) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_random_band_factors_stay_on_n(spec_op, complex_sym):
+    # random a_k fill the lattice, so every band's product wraps on N
+    assert set(product_grid_of(complex_sym).values()) == {spec_op.N}
+
+
+def test_chirp_plan_at_n256(spec_fine, chirp256):
+    plan = product_grid_of(chirp256)
+    assert {k: M for k, M in plan.items() if M < spec_fine.N} == {
+        0: 16, 1: 16, 2: 16, 3: 32, 4: 64, 5: 128}
+    assert sorted(k for k, M in plan.items() if M == spec_fine.N) == [6, 7, 8, 9]
+
+
+def test_product_grid_adjointness(spec_fine, chirp256, rng):
+    f, g = random_field(spec_fine, rng), random_field(spec_fine, rng)
+    lhs = fk.l2_inner(fk.apply_separable(chirp256, f), g)
+    rhs = fk.l2_inner(f, fk.apply_separable_adjoint(chirp256, g))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_plan_runs_its_transforms_once(spec_fine, fam_fine, rng, monkeypatch):
+    chirp = fk.preset_rough_chirp(spec_fine, 2.0, 0.5, seed=0, chi=fam_fine)
+    f = random_field(spec_fine, rng)
+    count = count_transforms(monkeypatch)
+    fk.apply_separable(chirp, f)
+    first, count["n"] = count["n"], 0
+    fk.apply_separable(chirp, f)
+    # F and F^{-1}, and per product grid one transform per band and one more
+    assert count["n"] == 2 + sum(len(ks) + 1 for _, ks in chirp._grids)
+    # the plan: one forward transform per band with 4 C_k < N, bands 0 to 6
+    assert first - count["n"] == 7
+
+
+def test_loaded_symbol_gets_the_written_plan(tmp_path):
+    spec = fk.GridSpec(N=128, L=2 * np.pi)
+    chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=0)
+    for k, a_k in chirp.bands.items():
+        fk.write_fiof(tmp_path / f"band_{k}.fiof", a_k)
+    doc = {"kind": "separable", "r": chirp.r, "delta": chirp.delta,
+           "bands": [{"k": k, "file": f"band_{k}.fiof"} for k in chirp.bands]}
+    (tmp_path / "sym.json").write_text(json.dumps(doc))
+    loaded = fk.load_symbol(tmp_path / "sym.json")
+    assert loaded._grids == chirp._grids
+    assert min(product_grid_of(loaded).values()) < spec.N
+
+
+def test_step_runs_two_transforms_per_grid_and_two_per_band(spec_fine, chirp256, monkeypatch):
+    # a unit frame weight: the step is B*B = T*T, and its transforms are the pair's
+    frame = SimpleNamespace(spec=spec_fine, q_values=np.ones(spec_fine.shape),
+                            energy=np.zeros(spec_fine.shape))
+    step = fk.operators._conjugated_step(chirp256, frame)
+    v_hat = fk.forward_transform(random_field(spec_fine, np.random.default_rng(3)))
+    step(v_hat)
+    sizes = []
+    for name in ("fftn", "ifftn"):
+        def sized(x, *args, _transform=getattr(np.fft, name), **kwargs):
+            sizes.append(x.shape[0])
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, sized)
+    step(v_hat)
+    assert len(sizes) == sum(2 * len(ks) + 2 for _, ks in chirp256._grids)
+    assert Counter(sizes) == {256: 10, 128: 4, 64: 4, 32: 4, 16: 8}
+
+
+def test_overflowing_band_mass_stays_on_n():
+    spec = fk.GridSpec(N=32, L=2 * np.pi)
+    fam = fk.build_lp_family(spec)
+    big = fk.GridField(spec, np.full(spec.shape, 1e308, dtype=complex))
+    one = fk.GridField(spec, np.ones(spec.shape, dtype=complex))
+    sym = fk.SeparableSymbol(spec, {0: big, 1: one}, fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert product_grid_of(sym) == {0: 32, 1: 16}
 
 
 @pytest.mark.parametrize("op", [fk.apply_separable, fk.apply_separable_adjoint])
@@ -493,12 +623,13 @@ def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, 
     assert bound == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert calls[0]["steps"] == oracle_applies
 
-    # one power step: 2 grid transforms around Phi^2 plus one per band in each of T, T*
+    # one power step: per product grid, one transform per band in each of T, T* and
+    # one between that grid and the spectrum in each
     v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
     v_hat = fk.forward_transform(v)
     count = count_transforms(monkeypatch)
     calls[0]["step"](v_hat)
-    assert count["n"] == 2 * len(chirp.bands) + 2
+    assert count["n"] == sum(2 * len(ks) + 2 for _, ks in chirp._grids)
 
 
 @pytest.mark.parametrize("kind", ["separable", "dense", "multiplier"])

@@ -377,3 +377,10 @@ def test_anisotropic_bound_check_refuses_a_negative_alpha_max(frame64):
 def test_zero_direction_count_is_refused_not_defaulted():
     with pytest.raises(fk.ParameterError, match="M=0"):
         fk.ParabolicFrame(fk.GridSpec(N=32, L=2.0 * np.pi), M_omega=0)
+
+
+@pytest.mark.parametrize("L, M_omega", [(1e-100, None), (1e-3, None), (2.0 * np.pi, 257)])
+def test_a_direction_count_above_the_lattice_is_refused(L, M_omega):
+    # N = 16 has 256 lattice points; the default count at L = 1e-3 is 2 136
+    with pytest.raises(fk.ParameterError, match="exceeds the grid's N\\^n = 256"):
+        fk.ParabolicFrame(fk.GridSpec(N=16, L=L), M_omega=M_omega)
