@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,16 +65,19 @@ class DenseSymbol:
 
 @dataclass
 class SeparableSymbol:
-    """a(x, eta) = Sum_k a_k(x) chi_k(eta) against a dyadic band family."""
+    """a(x, eta) = Sum_k a_k(x) chi_k(eta) against a dyadic band family.  `bands` is kept as a
+    read-only copy of the mapping given, since the product-grid plan is read from the band
+    samples on first use; those samples must not be written after construction either."""
 
     spec: GridSpec
-    bands: dict
+    bands: Mapping
     chi: LittlewoodPaleyFamily
     r: float = 1.0
     delta: float = 0.0
     residual: float = 0.0
 
     def __post_init__(self):
+        self.bands = MappingProxyType(dict(self.bands))
         _check_class(self.r, self.delta)
         _check_specs(self.chi.spec, self.spec)
         for k, a_k in self.bands.items():

@@ -1,5 +1,8 @@
 import json
+import shutil
+import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -796,3 +799,11 @@ def test_apply_refuses_a_non_finite_order(tmp_path, capsys):
     assert out.out == ""
     assert "config error" in out.err and "m=nan" in out.err and "Traceback" not in out.err
     assert not (tmp_path / "out.fiof").exists()
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash is not on PATH")
+def test_installed_cli_script_parses():
+    # CI runs the script against the installed command; a syntax error fails here first
+    script = Path(__file__).with_name("installed_cli.sh")
+    done = subprocess.run(["bash", "-n", str(script)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

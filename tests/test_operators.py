@@ -406,6 +406,22 @@ def test_loaded_symbol_gets_the_written_plan(tmp_path):
     assert min(product_grid_of(loaded).values()) < spec.N
 
 
+def test_bands_cannot_change_under_the_plan(rng):
+    # band 3 runs on a 32-point grid; a random field in its place would need all 64
+    spec = fk.GridSpec(N=64, L=2 * np.pi)
+    chirp = fk.preset_rough_chirp(spec, 2.0, 0.5, seed=0)
+    bands = dict(chirp.bands)
+    sym = fk.SeparableSymbol(spec, bands, chirp.chi, r=chirp.r, delta=chirp.delta)
+    f, g = random_field(spec, rng), random_field(spec, rng)
+    want = fk.apply_separable(sym, f).samples.tobytes()
+    assert product_grid_of(sym)[3] == 32
+    with pytest.raises(TypeError):
+        sym.bands[3] = g
+    bands[3] = g
+    assert sym.bands[3] is chirp.bands[3]
+    assert fk.apply_separable(sym, f).samples.tobytes() == want
+
+
 def test_step_runs_two_transforms_per_grid_and_two_per_band(spec_fine, chirp256, monkeypatch):
     # a unit frame weight: the step is B*B = T*T, and its transforms are the pair's
     frame = SimpleNamespace(spec=spec_fine, q_values=np.ones(spec_fine.shape),
