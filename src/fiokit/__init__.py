@@ -83,7 +83,6 @@ from .symbols import (
     preset_multiplication,
     preset_multiplier_bessel,
     preset_rough_chirp,
-    reconstruct_modes,
     smooth_split,
     to_separable,
 )

@@ -251,11 +251,16 @@ def bessel_potential(f: GridField, s: float) -> GridField:
     return inverse_transform(spectrum, f.spec)
 
 
+def _check_p(p: float):
+    """The one rule on an exponent p, for every norm, budget and probe."""
+    if not (1.0 < p < np.inf):
+        raise ParameterError(f"p={p} must lie in (1, inf)")
+
+
 @_quiet
 def lp_norm(f: GridField, p: float) -> float:
     """Riemann-sum L^p norm, p strictly inside (1, inf); inf, without a warning, on overflow."""
-    if not (1.0 < p < np.inf):
-        raise ParameterError(f"p={p} must lie in (1, inf)")
+    _check_p(p)
     return float((np.abs(f.samples) ** p).sum() ** (1.0 / p) * f.spec.dx ** (f.spec.n / p))
 
 

@@ -22,6 +22,7 @@ from .errors import ParameterError
 from .grid import (
     GridField,
     _bessel_weighted,
+    _check_p,
     _check_specs,
     _quiet,
     _sq_sum,
@@ -110,8 +111,7 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     overflowed to inf or nan raises ParameterError naming s and p, with no
     RuntimeWarning first, in the caller's thread or a worker's.
     """
-    if not (1.0 < p < np.inf):
-        raise ParameterError(f"p={p} must lie in (1, inf)")
+    _check_p(p)
     if not np.isfinite(s):
         raise ParameterError("smoothness s must be finite")
     _check_specs(f.spec, frame.spec)
@@ -210,8 +210,7 @@ def budget(r: float, delta: float, p: float, n: int, eps_slack: float = 0.01) ->
         raise ParameterError(f"r={r} must be positive")
     if not (0.0 <= delta <= 0.5):
         raise ParameterError(f"delta={delta} must lie in [0, 1/2]")
-    if not (1.0 < p < np.inf):
-        raise ParameterError(f"p={p} must lie in (1, inf)")
+    _check_p(p)
     if not eps_slack > 0:
         raise ParameterError("eps_slack must be positive")
     s_p = sobolev_s(p, n)

@@ -57,6 +57,7 @@ from .grid import (
     GridSpec,
     SpectralMultiplier,
     _band_sum,
+    _check_p,
     _forward_in_place,
     _inverse_in_place,
     _quiet,
@@ -186,35 +187,24 @@ def _pair(a, spec: GridSpec):
 
 
 def apply_symbol(a, f: GridField) -> GridField:
-    """a(x,D)f for a SeparableSymbol, a DenseSymbol or a SpectralMultiplier a."""
+    """a(x,D)f for a SeparableSymbol, a DenseSymbol or a SpectralMultiplier a: Sum_k a_k(x)
+    (chi_k(D) f)(x) for a separable symbol, and for a dense one (N <= MAX_DENSE_N) the direct
+    frequency sum L^{-n} sum_eta a(x,eta) f^(eta) e^{ix.eta}."""
     synth, _ = _pair(a, f.spec)
     return inverse_transform(synth(forward_transform(f)), f.spec)
 
 
 def _adjoint(a, g: GridField) -> GridField:
-    """a(x,D)*g on the grid inner product, for every kind apply_symbol takes."""
+    """a(x,D)*g on the grid inner product, for every kind apply_symbol takes: Sum_k chi_k(D)
+    (conj(a_k) g) for a separable symbol, and for a dense one the exact adjoint
+    (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n."""
     _, analyze = _pair(a, g.spec)
     return inverse_transform(analyze(forward_transform(g)), g.spec)
 
 
-def apply_dense(a: DenseSymbol, f: GridField) -> GridField:
-    """Direct frequency sum L^{-n} sum_eta a(x,eta) f^(eta) e^{ix.eta}, for N <= MAX_DENSE_N."""
-    return apply_symbol(a, f)
-
-
-def apply_dense_adjoint(a: DenseSymbol, g: GridField) -> GridField:
-    """Exact adjoint of apply_dense: (T*g)^(eta) = sum_x conj(a(x,eta)) g(x) e^{-ix.eta} dx^n."""
-    return _adjoint(a, g)
-
-
-def apply_separable(a: SeparableSymbol, f: GridField) -> GridField:
-    """Sum_k a_k(x) (chi_k(D) f)(x)."""
-    return apply_symbol(a, f)
-
-
-def apply_separable_adjoint(a: SeparableSymbol, g: GridField) -> GridField:
-    """Sum_k chi_k(D) (conj(a_k) g)."""
-    return _adjoint(a, g)
+# the kind-specific spellings that perfbench reaches by name
+apply_dense = apply_separable = apply_symbol
+apply_dense_adjoint = apply_separable_adjoint = _adjoint
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +297,7 @@ def _frame_weight_multipliers(frame: ParabolicFrame):
 
 def _conjugated_step(a, frame: ParabolicFrame):
     """v^ -> the spectrum of B*B v, B = Phi(D) T Phi(D)^{-1}: Phi^{-1} analyze(Phi^2
-    synth(Phi^{-1} v^)).  The step runs no transform of its own: the pair's are
-    Sum over product grids of 2K_M + 2 for K_M bands on grid M, 2 for a dense symbol
-    and none for a multiplier.  It builds no GridField."""
+    synth(Phi^{-1} v^)).  The step runs no transform of its own and builds no GridField."""
     synth, analyze = _pair(a, frame.spec)
     phi, phi_inv = _frame_weight_multipliers(frame)
     phi_inv, phi_sq = phi_inv.values, phi.values**2
@@ -336,11 +324,7 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     Power iteration runs on B*B = Phi^{-1} T* Phi^2 T Phi^{-1}, with
     B = Phi T Phi^{-1}, on spectra (_conjugated_step): it starts from F of
     power_iteration's seeded start and norms w by Parseval, L^{-n/2} ||w^||_2.
-    T and T* come from _pair for every kind, spectrum to spectrum.  For a
-    separable symbol each runs, per product grid M, one band transform
-    (grid._band_sum) per band on that grid and one transform between grid and
-    spectrum, so a step runs Sum over grids of 2K_M + 2 transforms; 2 if dense,
-    none for a multiplier.
+    T and T* come from _pair for every kind, spectrum to spectrum.
 
     The returned number is not that bound itself.  Power iteration gives a
     lower estimate of the spectral norm, and it returns after 200
@@ -409,8 +393,7 @@ def operator_norm_probe(
 ) -> BoundednessReport:
     """Ratios of directional norms over the family; at p = 2, s = 0 the
     power-iteration estimate of certified_l2_bound is recorded alongside."""
-    if not (1.0 < p < np.inf):
-        raise ParameterError(f"p={p} must lie in (1, inf)")
+    _check_p(p)
     if len(family) == 0:
         raise ParameterError("empty test family")
     report = BoundednessReport(frame.spec, p, s_in, s_out, budget=budget)

@@ -63,11 +63,12 @@ class DenseSymbol:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeparableSymbol:
-    """a(x, eta) = Sum_k a_k(x) chi_k(eta) against a dyadic band family.  `bands` is kept as a
-    read-only copy of the mapping given, since the product-grid plan is read from the band
-    samples on first use; those samples must not be written after construction either."""
+    """a(x, eta) = Sum_k a_k(x) chi_k(eta) against a dyadic band family.  The symbol is frozen
+    and `bands` is kept as a read-only copy of the mapping given, since the product-grid plan
+    is read from the band samples on first use; those samples must not be written after
+    construction either."""
 
     spec: GridSpec
     bands: Mapping
@@ -77,7 +78,7 @@ class SeparableSymbol:
     residual: float = 0.0
 
     def __post_init__(self):
-        self.bands = MappingProxyType(dict(self.bands))
+        object.__setattr__(self, "bands", MappingProxyType(dict(self.bands)))
         _check_class(self.r, self.delta)
         _check_specs(self.chi.spec, self.spec)
         for k, a_k in self.bands.items():
@@ -291,7 +292,6 @@ class FourierModeDecomposition:
     beta_max: int
     subgrid: int
     coeffs: dict
-    fam: LittlewoodPaleyFamily
 
 
 def coifman_meyer_decompose(
@@ -330,23 +330,7 @@ def coifman_meyer_decompose(
                 acc[j1] += phase[j1, i1] * inner
         coeffs[k] = {(b1, b2): acc[j1, j2] for j1, b1 in enumerate(betas)
                      for j2, b2 in enumerate(betas)}
-    return FourierModeDecomposition(a.spec, beta_max, P, coeffs, fam)
-
-
-def reconstruct_modes(d: FourierModeDecomposition, k: int, eta) -> np.ndarray:
-    """Partial-sum approximation of a(., eta) psi_k(eta) from the modes."""
-    if k not in d.coeffs:
-        raise ParameterError(f"band {k} not present in the decomposition")
-    eta = np.asarray(eta, dtype=float)
-    rho = float(np.hypot(eta[0], eta[1]))
-    wide = float(d.fam.tilde_profile(k, rho))
-    out = np.zeros(d.spec.shape, dtype=complex)
-    if wide == 0.0:
-        return out
-    for (b1, b2), c in d.coeffs[k].items():
-        phase = np.exp(1j * (b1 * eta[0] + b2 * eta[1]) * 2.0 ** (-k))
-        out += c * phase
-    return wide * out
+    return FourierModeDecomposition(a.spec, beta_max, P, coeffs)
 
 
 def to_separable(
@@ -364,17 +348,16 @@ def to_separable(
         else:
             eta_star = np.array([2.0 ** (k - 1) * (1.0 + eps / 4.0), 0.0])
         bands[k] = GridField(a.spec, a.eval(eta_star).copy())
-    sym = SeparableSymbol(a.spec, bands, chi, r=a.r, delta=a.delta)
-    approx = sym.densify()
+    approx = chi.radial_sum({k: a_k.samples for k, a_k in bands.items()})
     # The finite family sums to 1 only up to this radius; beyond it the
     # lattice has no content, so residual sampling stops there.
     cover = 2.0**chi.J_max * (1.0 + eps) / 2.0
+    residual = 0.0
     for k in range(chi.J_max + 1):
         for eta in _band_eta_samples(chi, k):
             if float(np.hypot(eta[0], eta[1])) <= cover:
-                diff = float(np.abs(a.eval(eta) - approx.eval(eta)).max())
-                sym.residual = max(sym.residual, diff)
-    return sym
+                residual = max(residual, float(np.abs(a.eval(eta) - approx(eta)).max()))
+    return SeparableSymbol(a.spec, bands, chi, r=a.r, delta=a.delta, residual=residual)
 
 
 # ---------------------------------------------------------------------------

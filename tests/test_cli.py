@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -807,3 +809,14 @@ def test_installed_cli_script_parses():
     script = Path(__file__).with_name("installed_cli.sh")
     done = subprocess.run(["bash", "-n", str(script)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_python_m_fiokit_runs_the_cli():
+    # __main__.py is the one module that no in-process test runs
+    path = [str(Path(fk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "fiokit", "--help"], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: fiokit") and "bench-boundedness" in done.stdout
+    assert done.stderr == ""

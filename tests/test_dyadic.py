@@ -134,14 +134,6 @@ def test_bands_equal_lp_project(spec64, fam64, rng):
     assert [j for j, _ in every] == list(range(fam64.J_max + 1))
     for j, samples in every:
         assert samples.tobytes() == fk.lp_project(f, j, fam64).samples.tobytes()
-    js = (3, 0, 2)
-    picked = list(fam64.bands(f, js))
-    assert [j for j, _ in picked] == list(js)
-    for j, samples in picked:
-        assert samples.tobytes() == fk.lp_project(f, j, fam64).samples.tobytes()
-    for bad in (-1, fam64.J_max + 1):
-        with pytest.raises(fk.ParameterError):
-            list(fam64.bands(f, (bad,)))
 
 
 def test_square_function_norm_one_forward_fft(spec64, fam64, rng, monkeypatch):

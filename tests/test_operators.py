@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from collections import Counter
@@ -82,7 +83,8 @@ def test_apply_dense_adjointness(spec_op, chirp_op, rng):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
-@pytest.mark.parametrize("op", [fk.apply_dense, fk.apply_dense_adjoint])
+@pytest.mark.parametrize("op", [fk.apply_dense, fk.apply_dense_adjoint],
+                         ids=["apply_dense", "apply_dense_adjoint"])
 def test_dense_guards_fire_before_any_work(spec_op, op, monkeypatch):
     # an all-zero input has no coefficient to visit; the checks still run,
     # before any transform or symbol evaluation
@@ -422,6 +424,28 @@ def test_bands_cannot_change_under_the_plan(rng):
     assert fk.apply_separable(sym, f).samples.tobytes() == want
 
 
+def test_a_separable_symbol_is_frozen(spec_fine, chirp256, rng):
+    # band 3 runs on a 32-point grid: bands reassigned after the first apply, with a
+    # random field in its place, would leave the next apply on the stale plan
+    sym = fk.SeparableSymbol(spec_fine, chirp256.bands, chirp256.chi, r=chirp256.r,
+                             delta=chirp256.delta)
+    f = random_field(spec_fine, rng)
+    want = fk.apply_symbol(sym, f).samples.tobytes()
+    assert product_grid_of(sym)[3] == 32
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sym.bands = {**sym.bands, 3: random_field(spec_fine, rng)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sym.residual = 1.0
+    assert sym.bands[3] is chirp256.bands[3]
+    assert fk.apply_symbol(sym, f).samples.tobytes() == want
+
+
+def test_the_kind_specific_names_are_the_generic_ones():
+    assert fk.apply_dense is fk.apply_separable is fk.apply_symbol
+    assert fk.apply_dense_adjoint is fk.apply_separable_adjoint is fk.operators._adjoint
+    assert fk.build_lp_family is fk.LittlewoodPaleyFamily
+
+
 def test_step_runs_two_transforms_per_grid_and_two_per_band(spec_fine, chirp256, monkeypatch):
     # a unit frame weight: the step is B*B = T*T, and its transforms are the pair's
     frame = SimpleNamespace(spec=spec_fine, q_values=np.ones(spec_fine.shape),
@@ -452,7 +476,8 @@ def test_overflowing_band_mass_stays_on_n():
         assert product_grid_of(sym) == {0: 32, 1: 16}
 
 
-@pytest.mark.parametrize("op", [fk.apply_separable, fk.apply_separable_adjoint])
+@pytest.mark.parametrize("op", [fk.apply_separable, fk.apply_separable_adjoint],
+                         ids=["apply_separable", "apply_separable_adjoint"])
 def test_separable_grid_mismatch(chirp_op, op, rng):
     other = fk.GridSpec(N=64, L=8.0 * np.pi)
     with pytest.raises(fk.DimensionError, match="grids differ"):
