@@ -46,6 +46,8 @@ class LittlewoodPaleyFamily:
         self.J_max = int(np.ceil(np.log2(spec.xi_max))) + 1
         mags = lattice(spec).mags
         self.values = [self.band_profile(j, mags) for j in range(self.J_max + 1)]
+        for v in self.values:  # shared by every reader of the family: read-only
+            v.flags.writeable = False
 
     def lowpass_profile(self, t) -> np.ndarray:
         """h(t): 1 for t <= (1+eps)/2, 0 for t >= 1 - eps/2."""

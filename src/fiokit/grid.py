@@ -87,6 +87,8 @@ class FrequencyLattice:
         mesh = np.meshgrid(*([self.axis] * spec.n), indexing="ij")
         self.mesh = mesh
         self.mags = np.sqrt(sum(m * m for m in mesh))
+        for a in (self.axis, *mesh, self.mags):  # cached per grid and shared: read-only
+            a.flags.writeable = False
 
     def points(self) -> np.ndarray:
         """All lattice frequencies as an (N^n, n) array."""

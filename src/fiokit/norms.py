@@ -101,10 +101,11 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     - p != 2: frame.parts returns each g_l to x with line-pruned inverse
       passes, and _direction_powers reduces it to ||g_l||_p^p.  A
       direction whose coefficients are all exactly zero adds exactly 0
-      and is skipped.  Directions run on a thread pool sized to the CPUs
-      this process may use; each worker walks its own directions with
-      its own scratch grids.  The terms are summed in direction order,
-      so the result does not depend on thread scheduling.
+      and is not yielded.  Directions run on a thread pool sized to the
+      CPUs this process may use; each worker walks its own directions with
+      its own scratch grids and writes their powers into one shared array
+      (the indices are disjoint).  The terms are summed in direction
+      order, so the result does not depend on thread scheduling.
 
     <xi>^s f^ is formed where f^ != 0 only, and refused before any
     direction runs when a weight overflows on that support.  A result that
@@ -131,14 +132,11 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
     # the worker threads raised probe_sweep's peak RSS 110.2 -> 114.0 MB (per-thread arenas)
     work = np.empty((W, 2) + spec.shape, dtype=complex)
 
-    def stride(w):
-        return _direction_powers(frame.parts(weighted, range(w, M, W), work[w]), p, spec,
-                                 work[w, 1])
-
-    powers = np.empty(M)
+    powers = np.zeros(M)  # each worker writes its own directions; a silent one stays 0
     with ThreadPoolExecutor(max_workers=W) as pool:
-        for w, values in enumerate(pool.map(stride, range(W))):
-            powers[w::W] = values
+        # list() waits for every worker and re-raises a worker's error here
+        list(pool.map(lambda w: _direction_powers(frame.parts(weighted, range(w, M, W), work[w]),
+                                                  p, spec, powers), range(W)))
     total = 0.0
     for weight, power in zip(frame.directions.weights, powers):
         total += weight * power
@@ -147,24 +145,18 @@ def hpfio_norm(f: GridField, s: float, p: float, frame: ParabolicFrame) -> float
 
 # error state is per thread, and this runs, with the parts generator, in worker threads
 @_quiet
-def _direction_powers(parts, p: float, spec, spare) -> list:
-    """||g_l||_p^p = dx^n sum |g_l|^p, p != 2, for each g_l = phi_l(D) f
-    that frame.parts yields (0 for None); spare is a complex grid that is
-    free between yields."""
-    # |g|^2 fills spare's first N^n floats: in g's memory, 80 N = 256 calls took 4.35 -> 5.3 s (2 vCPUs)
-    mod2 = spare.view(np.float64).reshape(-1)[: spare.size]
-    out = []
-    for g in parts:
-        if g is None:
-            out.append(0.0)
-            continue
+def _direction_powers(parts, p: float, spec, powers):
+    """powers[l] = ||g_l||_p^p = dx^n sum |g_l|^p, p != 2, for each (l, g_l = phi_l(D) f,
+    spare) that frame.parts yields; spare is a complex grid that is free until the next."""
+    for l, g, spare in parts:
+        # |g|^2 fills spare's first N^n floats: in g's memory, 80 N = 256 calls took 4.35 -> 5.3 s (2 vCPUs)
+        mod2 = spare.view(np.float64).reshape(-1)[: spare.size]
         # g may be a transposed view; the sum runs in memory order
         pairs = g.ravel(order="K").view(np.float64)
         np.square(pairs, out=pairs)
         np.add(pairs[0::2], pairs[1::2], out=mod2)
         np.power(mod2, p / 2.0, out=mod2)
-        out.append(float(mod2.sum()) * spec.cell_volume)
-    return out
+        powers[l] = float(mod2.sum()) * spec.cell_volume
 
 
 def _cpu_count() -> int:

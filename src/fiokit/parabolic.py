@@ -384,15 +384,15 @@ class ParabolicFrame:
         return self._lines[l]
 
     def parts(self, spectrum: np.ndarray, directions, work):
-        """Yield phi_l(D) f on the x-grid for each l in directions, with
-        spectrum = forward_transform(f), or None when all of direction l's
-        coefficients are exactly zero.
+        """Yield (l, phi_l(D) f on the x-grid, spare) for each l in directions,
+        in that order, with spectrum = forward_transform(f); a direction whose
+        coefficients are all exactly zero is silent and not yielded.
 
         The coefficients, times L^-n, fill the lines the sector touches
         (touched_lines); grid._line_inverse's first pass runs on those lines
         only.  On columns the passes run on the transpose, whose transposed
         view is yielded.  work is two complex scratch grids; a yielded array
-        is overwritten by the next step, and work[1] is free until then.
+        is overwritten by the next step, and spare = work[1] is free until then.
         """
         N, scale = self.spec.N, self.spec.L**-self.spec.n
         flat = spectrum.ravel()
@@ -402,7 +402,6 @@ class ParabolicFrame:
             idx, vals = self._sparse[l]
             coeffs = vals * flat[idx]
             if not coeffs.any():
-                yield None
                 continue
             coeffs *= scale
             axis, lines = self._lines[l]
@@ -414,7 +413,7 @@ class ParabolicFrame:
             part.fill(0.0)
             part[slot[line], pos] = coeffs
             g = _line_inverse(part, lines, grid)
-            yield g.T if axis == 1 else g
+            yield l, g.T if axis == 1 else g, spare
 
 
 def _touched_lines(idx: np.ndarray, N: int):
@@ -447,15 +446,15 @@ def build_phi_omega(omega, spec: GridSpec, geometry: PhiGeometry) -> SpectralMul
 
 def frame_analyze(f: GridField, frame: ParabolicFrame) -> list:
     """[phi_{omega_l}(D) f for every frame direction l], from one forward
-    transform and the line-pruned inverse passes of frame.parts.  A
-    direction whose coefficients are all exactly zero gives exact zeros."""
+    transform and the line-pruned inverse passes of frame.parts.  A silent
+    direction, which parts does not yield, gets its own grid of exact zeros."""
     _check_specs(f.spec, frame.spec)
-    spec = frame.spec
+    spec, M = frame.spec, frame.n_directions
     work = np.empty((2,) + spec.shape, dtype=complex)
-    out = []
-    for g in frame.parts(forward_transform(f), range(frame.n_directions), work):
-        out.append(GridField(spec, np.zeros(spec.shape) if g is None else g.copy()))
-    return out
+    out = [None] * M
+    for l, g, _ in frame.parts(forward_transform(f), range(M), work):
+        out[l] = GridField(spec, g.copy())
+    return [GridField(spec, np.zeros(spec.shape)) if g is None else g for g in out]
 
 
 def frame_synthesize(collection, frame: ParabolicFrame) -> GridField:

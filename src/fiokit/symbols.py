@@ -67,8 +67,8 @@ class DenseSymbol:
 class SeparableSymbol:
     """a(x, eta) = Sum_k a_k(x) chi_k(eta) against a dyadic band family.  The symbol is frozen
     and `bands` is kept as a read-only copy of the mapping given, since the product-grid plan
-    is read from the band samples on first use; those samples must not be written after
-    construction either."""
+    is read from the band samples on first use; for the same reason the symbol makes the
+    band sample arrays it is given read-only."""
 
     spec: GridSpec
     bands: Mapping
@@ -86,6 +86,7 @@ class SeparableSymbol:
                 raise ParameterError(f"band index {k} outside family range")
             if a_k.spec != self.spec:
                 raise DimensionError("band field grid differs from symbol grid")
+            a_k.samples.flags.writeable = False
 
     @cached_property
     def _grids(self) -> tuple:
@@ -480,6 +481,8 @@ def _symbol_from_descriptor(doc: dict, path, spec: GridSpec | None):
                 raise InvalidInputError(f"{path}: symbol descriptor lists band {k} twice")
             fields[k] = read_fiof(os.path.join(base, entry["file"]))
             _same_grid(path, ref, ref_name, fields[k].spec, f"band {k}'s file grid")
+            if ref is None:  # neither declared nor given: the first band file's grid
+                ref, ref_name = fields[k].spec, f"band {k}'s file grid"
             spec = fields[k].spec
     if spec is None:
         raise InvalidInputError(f"{path}: symbol descriptor lacks a grid")

@@ -82,6 +82,29 @@ def test_analyze_silent_direction_is_exactly_zero(frame64):
     _assert_analyze_matches_definition(f, frame64)
 
 
+def test_parts_yields_only_directions_with_content(frame64):
+    # the one-hot field above: parts yields (l, g_l, work[1]) for the loud directions only,
+    # in the order asked for, and frame_analyze gives each silent one its own zero grid
+    spec, M = frame64.spec, frame64.n_directions
+    k = np.arange(spec.N)
+    f = fk.GridField(spec, np.array([1.0, 1j, -1.0, -1j])[(k[:, None] + k[None, :]) % 4])
+    spectrum = fk.forward_transform(f)
+    order = [*range(1, M, 2), *range(0, M, 2)]
+    loud = [l for l in order if np.any(spectrum.ravel()[frame64.sparse(l)[0]])]
+    assert 0 < len(loud) < M
+    work = np.empty((2,) + spec.shape, dtype=complex)
+    seen = []
+    for l, g, spare in frame64.parts(spectrum, order, work):
+        assert spare.shape == spec.shape and spare.ctypes.data == work[1].ctypes.data
+        assert not np.may_share_memory(g, spare)
+        assert np.abs(g - _direction_by_definition(spectrum, frame64, l)).max() <= 1e-12
+        seen.append(l)
+    assert seen == loud
+    pieces = [piece.samples for piece in fk.frame_analyze(f, frame64)]
+    assert all(not np.any(pieces[l]) for l in set(range(M)) - set(loud))
+    assert not any(np.may_share_memory(a, b) for i, a in enumerate(pieces) for b in pieces[:i])
+
+
 def test_synthesize_runs_one_forward_transform(frame64, rng, monkeypatch):
     g = _high_pass(frame64.spec, rng)
     pieces = fk.frame_analyze(g, frame64)

@@ -196,3 +196,11 @@ def test_square_function_overflowing_weight_skips_zero_bands_with_no_warning():
         ones = fk.GridField(spec, np.ones(spec.shape))
         assert fk.square_function_norm(ones, 400.0, 4.0, fam) == 5.013256549262001
         assert fk.square_function_norm(plane_wave(spec, (1.5, 0.0)), 400.0, 4.0, fam) == np.inf
+
+
+def test_family_values_are_read_only(spec64):
+    fam = fk.LittlewoodPaleyFamily(spec64)
+    for v in fam.values:
+        with pytest.raises(ValueError, match="read-only"):
+            v *= 2.0
+    assert np.abs(sum(fam.values) - 1.0).max() <= 1e-12

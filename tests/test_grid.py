@@ -383,3 +383,15 @@ def test_band_sum_releases_each_term_before_the_next():
     out = _band_sum(terms(), x, 1.0)
     want = sum(2.0 * scipy.fft.ifftn(k * x, norm="forward") for k in range(3))
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_lattice_arrays_are_read_only():
+    # lattice(spec) is cached process-wide: an in-place write into its mags moved every
+    # family built later on that grid
+    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
+    lat = fk.FrequencyLattice(spec)
+    for a in (lat.axis, *lat.mesh, lat.mags):
+        with pytest.raises(ValueError, match="read-only"):
+            a **= 2
+    assert not fk.lattice(spec).mags.flags.writeable
+    assert lat.mags.tobytes() == fk.FrequencyLattice(spec).mags.tobytes()

@@ -233,6 +233,30 @@ def test_hpfio_concurrent_callers_agree(frame64, rng):
     assert all(value == want[p] for p, value in got)
 
 
+def test_direction_powers_of_many_workers_share_one_array(frame64, rng):
+    """Workers on more threads than cores, with frequent thread switches,
+    write their own directions' powers into one shared array; none is lost."""
+    spec, M, W = frame64.spec, frame64.n_directions, 8
+    spectrum = fk.forward_transform(random_field(spec, rng))
+    work = np.empty((W, 2) + spec.shape, dtype=complex)
+    want = np.zeros(M)
+    fk.norms._direction_powers(frame64.parts(spectrum, range(M), work[0]), 3.0, spec, want)
+    assert np.all(want > 0)
+    powers = np.zeros(M)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=W) as pool:
+            futures = [pool.submit(fk.norms._direction_powers,
+                                   frame64.parts(spectrum, range(w, M, W), work[w]), 3.0, spec, powers)
+                       for w in range(W)]
+            for fut in futures:
+                fut.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert powers.tobytes() == want.tobytes()
+
+
 def test_hpfio_p2_visits_no_direction(frame64, rng, monkeypatch):
     f = random_field(frame64.spec, rng)
     want = _hpfio_by_definition(f, 0.3, 2.0, frame64)

@@ -863,6 +863,32 @@ def test_undeclared_files_must_lie_on_the_given_grid(tmp_path, doc, what):
     assert fk.load_symbol(_descriptor(tmp_path, doc), spec=spec).spec == spec
 
 
+def test_undeclared_band_files_must_share_the_first_file_grid(tmp_path):
+    for name, N in (("a.fiof", 64), ("b.fiof", 32)):
+        spec = fk.GridSpec(N=N, L=2 * np.pi)
+        fk.write_fiof(tmp_path / name, fk.GridField(spec, np.ones(spec.shape)))
+    doc = {"kind": "separable", "bands": [{"k": 0, "file": "a.fiof"}, {"k": 1, "file": "b.fiof"}]}
+    with pytest.raises(fk.InvalidInputError,
+                       match="sym.json: band 0's file grid .*N=64.* differs from band 1's file grid .*N=32"):
+        fk.load_symbol(_descriptor(tmp_path, doc))
+    doc["bands"][1]["file"] = "a.fiof"
+    assert fk.load_symbol(_descriptor(tmp_path, doc)).spec.N == 64
+
+
+def test_separable_symbol_makes_its_band_arrays_read_only(spec_fine, fam_fine, rng):
+    # a band written after the first apply ran against the product-grid plan of the old
+    # samples: the N=256 chirp's next apply was 18.7% off
+    sym = fk.preset_rough_chirp(spec_fine, 2.0, 0.5, seed=0, chi=fam_fine)
+    f = random_field(spec_fine, rng)
+    first = fk.apply_symbol(sym, f).samples
+    with pytest.raises(ValueError, match="read-only"):
+        sym.bands[3].samples[...] = random_field(spec_fine, rng).samples
+    assert fk.apply_symbol(sym, f).samples.tobytes() == first.tobytes()
+    given = fk.GridField(spec_fine, np.ones(spec_fine.shape, dtype=complex))
+    fk.SeparableSymbol(spec_fine, {0: given}, fam_fine)
+    assert not given.samples.flags.writeable
+
+
 def test_descriptor_grid_must_match_the_given_grid(tmp_path):
     doc = {"kind": "analytic-preset", "preset": "identity", "grid": {"N": 64, "L": 1.0}}
     with pytest.raises(fk.InvalidInputError, match="differs from the given grid .*N=32"):
