@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dyadic import build_lp_family, low_cutoff
+from .dyadic import LittlewoodPaleyFamily, low_cutoff
 from .errors import ParameterError, ToolkitError, _convert, _read, _rng
 from .families import _check_band, build_test_family
 from .grid import (
@@ -31,7 +31,7 @@ from .grid import (
     write_fiof,
 )
 from .norms import _check_regularity, budget, classical_norm, hpfio_norm, zygmund_norm
-from .operators import _check_dense, apply_symbol, apply_dense, apply_separable, operator_norm_probe
+from .operators import _check_dense, apply_symbol, operator_norm_probe
 from .parabolic import ParabolicFrame, _directions, c_sigma, frame_analyze, frame_synthesize
 from .symbols import (
     SeparableSymbol,
@@ -97,7 +97,7 @@ def _checked(cfg: dict):
     config exits before a command prints."""
     g = cfg["grid"]
     spec = GridSpec(n=g["n"], N=g["N"], L=g["L"])
-    fam = build_lp_family(spec, cfg["eps"])
+    fam = LittlewoodPaleyFamily(spec, cfg["eps"])
     _directions(spec, cfg["M_omega"])
     _rng(cfg["seed"])
     _check_regularity(cfg["r"], fam.J_max)
@@ -207,8 +207,8 @@ def cmd_verify(cfg: dict, args, spec: GridSpec, fam) -> int:
     suite.check("smoothing-split-exactness", _rel(got, dense.eval(eta)), 1e-12)
 
     g = GridField(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
-    dense_out = apply_dense(dense, g)
-    sep_out = apply_separable(chirp, g)
+    dense_out = apply_symbol(dense, g)
+    sep_out = apply_symbol(chirp, g)
     suite.check("dense-separable-agreement", _rel(dense_out.samples, sep_out.samples), 1e-10)
 
     bud = budget(2.0, 0.5, 4.0, 2)
@@ -224,7 +224,7 @@ def cmd_norm(cfg: dict, args, spec: GridSpec, fam) -> int:
     # the classical norms check p, s and r before the frame is built
     lp = lp_norm(field, args.p)
     sobolev = classical_norm(field, args.s, args.p)
-    zygmund = zygmund_norm(field, args.r, build_lp_family(field.spec, cfg["eps"]))
+    zygmund = zygmund_norm(field, args.r, LittlewoodPaleyFamily(field.spec, cfg["eps"]))
     frame = ParabolicFrame(field.spec, cfg["M_omega"])
     out = {
         "lp": lp,
@@ -289,6 +289,8 @@ def cmd_bench(cfg: dict, args, spec: GridSpec, fam) -> int:
     for name in (cfg["csv_out"], cfg["json_out"]):
         if not name or os.path.isdir(name) or not os.path.isdir(os.path.dirname(name) or "."):
             raise OSError(f"cannot write {name!r}")
+    if os.path.realpath(cfg["csv_out"]) == os.path.realpath(cfg["json_out"]):
+        raise ParameterError(f"csv_out={cfg['csv_out']!r} and json_out={cfg['json_out']!r} name one file")
     frame = ParabolicFrame(spec, cfg["M_omega"])
     chirp = preset_rough_chirp(spec, cfg["r"], cfg["delta"], seed=cfg["seed"], chi=fam)
     family = build_test_family(spec, frame, cfg["bands"], seed=cfg["seed"], fam=fam)

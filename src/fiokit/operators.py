@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -281,7 +282,9 @@ def power_iteration(
     apply_fn, adjoint_fn, spec: GridSpec, iters: int = 200, seed: int = 0
 ) -> float:
     """Spectral norm estimate via power iteration on T*T (fixed seed); it
-    stops once the estimate changes by less than 1e-8 relative."""
+    stops once the estimate changes by less than 1e-8 relative, or after iters steps."""
+    if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 1:
+        raise ParameterError(f"iters={iters!r} must be a positive integer")
     return _power(lambda x: adjoint_fn(apply_fn(GridField(spec, x))).samples,
                   _start(spec, seed), spec.dx ** (spec.n / 2), iters)
 

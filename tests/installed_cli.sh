@@ -61,6 +61,8 @@ echo '{"delta": 0.75}' > delta75.json
 refused 2 boundedness.csv boundedness.json -- --config delta75.json bench-boundedness
 echo '{"csv_out": "missing/run.csv"}' > missing.json
 refused 3 boundedness.csv boundedness.json -- --config missing.json bench-boundedness
+echo '{"grid": {"N": 32, "L": 50.26548245743669}, "bands": [1, 2], "p_list": [2.0], "csv_out": "out.txt", "json_out": "./out.txt"}' > one_file.json
+refused 2 out.txt -- --config one_file.json bench-boundedness
 # out-of-range bench bands, a descriptor grid other than the field's, a non-finite order
 echo '{"grid": {"N": 128, "L": 100.53096491487338}, "bands": [1, 99]}' > bands99.json
 refused 2 boundedness.csv boundedness.json -- --config bands99.json bench-boundedness

@@ -298,8 +298,10 @@ def test_bench_rejects_bad_s_list(tmp_path, capsys, monkeypatch, s_list):
     ({"bands": [1, 99]}, 2, "band 99 outside the grid's dyadic range"),
     ({"bands": []}, 2, "empty test family"),
     ({"p_list": []}, 2, "p_list=[]"),
+    ({"csv_out": "out.txt", "json_out": "./out.txt"}, 2,
+     "csv_out='out.txt' and json_out='./out.txt' name one file"),
 ], ids=["delta", "p", "eps-slack", "csv-empty", "csv-missing-dir", "json-directory",
-        "band-out-of-range", "bands-empty", "p-list-empty"])
+        "band-out-of-range", "bands-empty", "p-list-empty", "csv-json-one-file"])
 def test_bench_refuses_before_building_the_frame(tmp_path, capsys, monkeypatch, doc, code, text):
     def no_frame(*args, **kwargs):
         raise AssertionError("the frame was built")

@@ -575,6 +575,15 @@ def test_power_iteration_zero_operator(spec64):
     assert sigma == 0.0
 
 
+@pytest.mark.parametrize("iters", [0, -1, 2.5, True])
+def test_power_iteration_refuses_an_iteration_count_before_any_apply(spec64, iters):
+    # a count of 0 or -1 would read as 0.0, the zero operator's norm, and 2.5 fail in range()
+    def never(v):
+        raise AssertionError("an apply ran")
+    with pytest.raises(fk.ParameterError, match="must be a positive integer"):
+        fk.power_iteration(never, never, spec64, iters=iters)
+
+
 def test_certified_bound_dominates_multiplier_norm(spec64, frame64):
     # T = <D>^{-1/2} commutes with the conjugation, so the certified
     # bound is at least the largest multiplier value (= 1 at xi = 0 is
