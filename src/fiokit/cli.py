@@ -21,6 +21,7 @@ from .dyadic import LittlewoodPaleyFamily, low_cutoff
 from .errors import ParameterError, ToolkitError, _convert, _read, _rng
 from .families import _check_band, build_test_family
 from .grid import (
+    _GRID_SCHEMA,
     GridField,
     GridSpec,
     forward_transform,
@@ -61,7 +62,7 @@ DEFAULT_CONFIG = {
 
 # the rules of a config document; load_config reads a user config through them
 _CONFIG = {
-    "grid": {"n": int, "N": int, "L": float}, "M_omega": None, "eps": float, "seed": int,
+    "grid": _GRID_SCHEMA, "M_omega": None, "eps": float, "seed": int,
     "r": float, "delta": float, "p_list": [float], "s_list": [float], "bands": [int],
     "eps_slack": float, "csv_out": str, "json_out": str,
 }

@@ -22,6 +22,10 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, ParameterError
 
 
+# a grid as a config or a symbol descriptor writes it (errors._read); GridSpec checks it
+_GRID_SCHEMA = {"n": int, "N": int, "L": float}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic grid on [0, L)^n, N samples per axis; n = 2 is checked here only."""

@@ -380,6 +380,9 @@ class BoundednessReport:
         if len(prof) < 2:
             return 0.0
         ks = np.array(sorted(prof))
+        for k in ks:
+            if prof[k] <= 0.0:
+                raise DegenerateInputError(f"band {k}'s largest ratio is 0, which has no log2")
         ys = np.log2([prof[k] for k in ks])
         dk = ks - ks.mean()
         return float((dk * (ys - ys.mean())).sum() / (dk * dk).sum())

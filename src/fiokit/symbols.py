@@ -23,7 +23,7 @@ from .errors import DimensionError, InvalidInputError, ParameterError, Resolutio
 from .errors import _read, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .grid import _band_sum, _check_specs, _forward_in_place, _inverse_in_place, _quiet
-from .grid import forward_transform
+from .grid import _GRID_SCHEMA, forward_transform
 from .norms import zygmund_norm
 from .parabolic import _derivative_table
 
@@ -441,12 +441,10 @@ def _same_grid(path, grid: GridSpec | None, name: str, other: GridSpec | None, w
         raise InvalidInputError(f"{path}: {name} {grid} differs from {what} {other}")
 
 
-# the rules of a descriptor, per kind, and of each preset's params; GridSpec
-# checks the grid's values
-_GRID = {"n": None, "N": None, "L": None}
-_SEPARABLE = {"kind": None, "grid": _GRID, "r": float, "eps": float, "delta": float,
+# the rules of a descriptor, per kind, and of each preset's params
+_SEPARABLE = {"kind": None, "grid": _GRID_SCHEMA, "r": float, "eps": float, "delta": float,
               "bands": [{"k": int, "file": str}]}
-_PRESET = {"kind": None, "grid": _GRID, "preset": None}
+_PRESET = {"kind": None, "grid": _GRID_SCHEMA, "preset": None}
 # each preset's own top-level keys and params: a rough chirp reads r from its params
 _PARAMS = {"identity": ({"r": float}, {}),
            "multiplier_bessel": ({"r": float}, {"m": float}),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
+from fiokit.grid import bessel_values
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +48,38 @@ def random_field(spec, rng, real=False):
 def plane_wave(spec, xi0):
     x1, x2 = spec.x_mesh()
     return fk.GridField(spec, np.exp(1j * (xi0[0] * x1 + xi0[1] * x2)))
+
+
+def band_limited(spec, rng, lo, hi):
+    noise = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    mags = fk.lattice(spec).mags
+    mask = np.where((mags > lo) & (mags < hi), 1.0, 0.0)
+    return fk.inverse_transform(mask * noise, spec)
+
+
+def high_pass(spec, rng):
+    f = random_field(spec, rng)
+    mask = np.where(fk.lattice(spec).mags >= 0.5, 1.0, 0.0)
+    return fk.inverse_transform(mask * fk.forward_transform(f), spec)
+
+
+def hpfio_by_definition(f, s, p, frame):
+    """The directional norm as defined: one full-grid inverse transform
+    and one L^p norm per direction."""
+    spec = f.spec
+    spectrum = fk.forward_transform(f)
+    q = fk.falling(fk.lattice(spec).mags, 2.0, 4.0)
+    low_part = fk.lp_norm(fk.inverse_transform(q * spectrum, spec), p)
+    bess = bessel_values(spec, s).ravel()
+    flat = spectrum.ravel()
+    total = 0.0
+    for l in range(frame.n_directions):
+        idx, vals = frame.sparse(l)
+        g = np.zeros(flat.shape, dtype=complex)
+        g[idx] = vals * bess[idx] * flat[idx]
+        gl = fk.inverse_transform(g.reshape(spec.shape), spec)
+        total += frame.directions.weights[l] * fk.lp_norm(gl, p) ** p
+    return low_part + total ** (1.0 / p)
 
 
 def write_fiof_n3(path):

@@ -10,25 +10,13 @@ import pytest
 from scipy.integrate import trapezoid
 
 import fiokit as fk
+from conftest import band_limited, random_field
 
 
 def report_line(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:2d} [{status}] {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def band_limited(spec, rng, lo, hi):
-    noise = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    mags = fk.lattice(spec).mags
-    mask = np.where((mags > lo) & (mags < hi), 1.0, 0.0)
-    return fk.inverse_transform(mask * noise, spec)
-
-
-def random_field(spec, rng):
-    return fk.GridField(
-        spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    )
 
 
 @pytest.fixture(scope="module")

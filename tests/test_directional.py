@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import fiokit as fk
-from conftest import random_field
-from fiokit.grid import bessel_values
+from conftest import high_pass, hpfio_by_definition, random_field
 
 
 def _direction_by_definition(spectrum, frame, l):
@@ -21,23 +20,6 @@ def _direction_by_definition(spectrum, frame, l):
     idx, vals = frame.sparse(l)
     flat[idx] = vals * spectrum.ravel()[idx]
     return fk.inverse_transform(flat.reshape(frame.spec.shape), frame.spec).samples
-
-
-def _hpfio_by_definition(f, s, p, frame):
-    spec = f.spec
-    spectrum = fk.forward_transform(f)
-    low = fk.falling(fk.lattice(spec).mags, 2.0, 4.0) * spectrum
-    weighted = bessel_values(spec, s) * spectrum
-    total = 0.0
-    for l, w in enumerate(frame.directions.weights):
-        g = fk.GridField(spec, _direction_by_definition(weighted, frame, l))
-        total += w * fk.lp_norm(g, p) ** p
-    return fk.lp_norm(fk.inverse_transform(low, spec), p) + total ** (1.0 / p)
-
-
-def _high_pass(spec, rng):
-    mask = np.where(fk.lattice(spec).mags >= 0.5, 1.0, 0.0)
-    return fk.inverse_transform(mask * fk.forward_transform(random_field(spec, rng)), spec)
 
 
 def _assert_analyze_matches_definition(f, frame):
@@ -106,7 +88,7 @@ def test_parts_yields_only_directions_with_content(frame64):
 
 
 def test_synthesize_runs_one_forward_transform(frame64, rng, monkeypatch):
-    g = _high_pass(frame64.spec, rng)
+    g = high_pass(frame64.spec, rng)
     pieces = fk.frame_analyze(g, frame64)
     calls = []
     fftn = np.fft.fftn
@@ -168,7 +150,7 @@ def test_property_analyze_matches_definition(frame, seed):
 @PROPERTY_SETTINGS
 @given(frame=frames(), seed=st.integers(0, 2**32 - 1))
 def test_property_synthesize_inverts_analyze_on_high_spectra(frame, seed):
-    g = _high_pass(frame.spec, np.random.default_rng(seed))
+    g = high_pass(frame.spec, np.random.default_rng(seed))
     rec = fk.frame_synthesize(fk.frame_analyze(g, frame), frame)
     assert np.abs(rec.samples - g.samples).max() <= 1e-10 * np.abs(g.samples).max()
 
@@ -183,4 +165,4 @@ def test_property_synthesize_inverts_analyze_on_high_spectra(frame, seed):
 def test_property_hpfio_matches_definition(frame, seed, p, s):
     f = random_field(frame.spec, np.random.default_rng(seed))
     assert fk.hpfio_norm(f, s, p, frame) == pytest.approx(
-        _hpfio_by_definition(f, s, p, frame), rel=1e-12)
+        hpfio_by_definition(f, s, p, frame), rel=1e-12)

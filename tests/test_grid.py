@@ -104,6 +104,18 @@ def test_non_finite_rejected(spec64):
         fk.inverse_transform(bad, spec64)
 
 
+def test_field_arithmetic_is_the_sample_arithmetic(spec64, rng):
+    f, g = random_field(spec64, rng), random_field(spec64, rng)
+    for got, want in [(f + g, f.samples + g.samples), (f - g, f.samples - g.samples),
+                      (2 * f, 2 * f.samples), (f * 2, f.samples * 2)]:
+        assert got.spec == spec64 and np.array_equal(got.samples, want)
+    other = random_field(fk.GridSpec(N=32), rng)
+    with pytest.raises(fk.DimensionError):
+        f + other
+    with pytest.raises(fk.DimensionError):
+        f - other
+
+
 def test_identity_multiplier(spec64, rng):
     f = random_field(spec64, rng)
     m = fk.SpectralMultiplier(spec64, np.ones(spec64.shape))

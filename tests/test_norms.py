@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
-from conftest import plane_wave, random_field
-from fiokit.grid import bessel_values
+from conftest import hpfio_by_definition, plane_wave, random_field
 
 
 def test_sobolev_s_values():
@@ -134,25 +133,6 @@ def test_hpfio_parameter_validation(spec64, frame64, rng):
         fk.hpfio_norm(fk.GridField(other, np.zeros(other.shape)), 0.0, 2.0, frame64)
 
 
-def _hpfio_by_definition(f, s, p, frame):
-    """The directional norm as defined: one full-grid inverse transform
-    and one L^p norm per direction."""
-    spec = f.spec
-    spectrum = fk.forward_transform(f)
-    q = fk.falling(fk.lattice(spec).mags, 2.0, 4.0)
-    low_part = fk.lp_norm(fk.inverse_transform(q * spectrum, spec), p)
-    bess = bessel_values(spec, s).ravel()
-    flat = spectrum.ravel()
-    total = 0.0
-    for l in range(frame.n_directions):
-        idx, vals = frame.sparse(l)
-        g = np.zeros(flat.shape, dtype=complex)
-        g[idx] = vals * bess[idx] * flat[idx]
-        gl = fk.inverse_transform(g.reshape(spec.shape), spec)
-        total += frame.directions.weights[l] * fk.lp_norm(gl, p) ** p
-    return low_part + total ** (1.0 / p)
-
-
 @pytest.fixture(scope="module")
 def frame128_2pi():
     return fk.ParabolicFrame(fk.GridSpec(N=128, L=2.0 * np.pi))
@@ -176,7 +156,7 @@ def test_hpfio_matches_definition(frame_name, request, rng):
     f = random_field(frame.spec, rng)
     for p in HPFIO_PS:
         for s in HPFIO_SS:
-            want = _hpfio_by_definition(f, s, p, frame)
+            want = hpfio_by_definition(f, s, p, frame)
             assert fk.hpfio_norm(f, s, p, frame) == pytest.approx(want, rel=1e-12)
 
 
@@ -190,7 +170,7 @@ def test_hpfio_plane_wave_matches_definition(frame_name, request):
     assert silent > frame.n_directions // 2
     for p in HPFIO_PS:
         for s in HPFIO_SS:
-            want = _hpfio_by_definition(f, s, p, frame)
+            want = hpfio_by_definition(f, s, p, frame)
             assert want > 0.0
             assert fk.hpfio_norm(f, s, p, frame) == pytest.approx(want, rel=1e-12)
 
@@ -259,7 +239,7 @@ def test_direction_powers_of_many_workers_share_one_array(frame64, rng):
 
 def test_hpfio_p2_visits_no_direction(frame64, rng, monkeypatch):
     f = random_field(frame64.spec, rng)
-    want = _hpfio_by_definition(f, 0.3, 2.0, frame64)
+    want = hpfio_by_definition(f, 0.3, 2.0, frame64)
 
     def refuse(*args, **kwargs):
         raise AssertionError("p = 2 must not run the per-direction path")

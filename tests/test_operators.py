@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
-from conftest import random_field
+from conftest import band_limited, random_field
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +25,6 @@ def fam_op(spec_op):
 @pytest.fixture(scope="module")
 def chirp_op(spec_op, fam_op):
     return fk.preset_rough_chirp(spec_op, 1.5, 0.5, seed=3, chi=fam_op)
-
-
-def band_limited(spec, rng, lo, hi):
-    noise = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    mags = fk.lattice(spec).mags
-    mask = np.where((mags > lo) & (mags < hi), 1.0, 0.0)
-    return fk.inverse_transform(mask * noise, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +844,20 @@ def test_probe_rejects_degenerate_member(spec64, frame64, fam64):
     family = [zero]
     with pytest.raises(fk.DegenerateInputError):
         fk.operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame64, family)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_trend_slope_refuses_a_band_whose_largest_ratio_is_zero(spec_op, fam_op, p):
+    # the zero operator's ratios are 0 on every band, and log2(0) has no value
+    frame = fk.ParabolicFrame(spec_op)
+    family = fk.build_test_family(spec_op, frame, bands=(1, 2), fam=fam_op)
+    zero = fk.SpectralMultiplier(spec_op, np.zeros(spec_op.shape))
+    report = fk.operator_norm_probe(zero, 0.0, 0.0, p, frame, family)
+    assert report.band_profile() == {1: 0.0, 2: 0.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fk.DegenerateInputError, match="band 1's largest ratio is 0"):
+            report.trend_slope()
 
 
 def test_probe_parameter_validation(spec64, frame64, fam64):

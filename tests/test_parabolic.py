@@ -10,13 +10,7 @@ from scipy.interpolate import CubicSpline
 
 import fiokit as fk
 from fiokit import parabolic
-from conftest import random_field
-
-
-def high_pass(spec, rng):
-    f = random_field(spec, rng)
-    mask = np.where(fk.lattice(spec).mags >= 0.5, 1.0, 0.0)
-    return fk.inverse_transform(mask * fk.forward_transform(f), spec)
+from conftest import high_pass, random_field
 
 
 def test_c_sigma_closed_form():

@@ -699,11 +699,16 @@ def test_symbol_file_presets(tmp_path, spec_mid, rng):
 
 
 def test_symbol_file_grid_must_be_integral(tmp_path):
-    doc = {"kind": "analytic-preset", "preset": "identity", "grid": {"N": 64.0, "L": 1.0}}
+    # the config's integer rule: an integral float reads as its integer, no value is truncated
     path = tmp_path / "identity.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(fk.ParameterError):
-        fk.load_symbol(path)
+    for N in (64.0, 64.5, "x"):
+        path.write_text(json.dumps({"kind": "analytic-preset", "preset": "identity",
+                                    "grid": {"N": N, "L": 1.0}}))
+        if N == 64.0:
+            assert fk.load_symbol(path).spec == fk.GridSpec(N=64, L=1.0)
+        else:
+            with pytest.raises(fk.InvalidInputError, match=f"symbol descriptor grid.N={N!r}"):
+                fk.load_symbol(path)
 
 
 @pytest.mark.parametrize("grid", [[64], 64, "64"], ids=["list", "int", "str"])
