@@ -4,9 +4,11 @@ operator-norm probing.
 One seam, _pair, decides the operator's kind once: a dense symbol (the
 literal frequency sum, quadratic in the lattice size, for small grids),
 a separable one (a short sum of band projections times pointwise
-factors, for large grids) or a SpectralMultiplier.  Its pair maps
-spectrum to spectrum: applying and adjoints are F^{-1} pair F, and the
-p = 2 certificate iterates on spectra with no transform of its own.  A
+factors, for large grids) or a SpectralMultiplier.  It also composes:
+_Composed(a, m), a(x,D) m(D), is a's own pair with the multiplier m folded
+in, at no transform.  Its pair maps spectrum to spectrum: applying and
+adjoints are F^{-1} pair F, and the p = 2 certificate iterates on the pair
+of T Phi^{-1} with no transform of its own.  A
 separable symbol runs band k's product a_k chi_k(D)f on the smallest grid
 that holds it, M_k points per axis with M_k > 2 (A_k + C_k): C_k bounds
 chi_k's FFT indices, A_k a_k's up to 1e-12 of its l1 spectral mass
@@ -171,13 +173,28 @@ def _analyze(a: SeparableSymbol, spectrum: np.ndarray) -> np.ndarray:
     return _grid_sum(a, part)
 
 
+@dataclass(frozen=True)
+class _Composed:
+    """a(x,D) m(D): a is any operator _pair takes, a _Composed included, and m is a
+    SpectralMultiplier.  Its grid is a's; _pair refuses an m on another one."""
+
+    a: object
+    m: SpectralMultiplier
+    spec = property(lambda self: self.a.spec)
+
+
 def _pair(a, spec: GridSpec):
     """(synth, analyze) for a on spec, spectrum to spectrum: synth(F f) = F(a(x,D)f) and
     analyze(F g) = F(a(x,D)*g); neither writes into its argument.  A multiplier runs no
-    transform, a dense symbol one around its lattice walk.  Its checks and choice of kind
-    precede any transform or evaluation."""
-    if a.spec != spec:
+    transform, a dense symbol one around its lattice walk.  A _Composed(a, m) is a's own pair
+    with m multiplied in before synth and conj(m) into analyze's fresh result, so it adds no
+    transform and, for a real m, no array.  Its checks and choice of kind precede any
+    transform or evaluation."""
+    if a.spec != spec or isinstance(a, _Composed) and a.m.spec != spec:
         raise DimensionError("symbol and field grids differ")
+    if isinstance(a, _Composed):
+        (synth, analyze), m, m_conj = _pair(a.a, spec), a.m.values, a.m.values.conj()
+        return (lambda s: synth(m * s)), (lambda u: np.multiply(w := analyze(u), m_conj, out=w))
     if isinstance(a, SpectralMultiplier):
         return (lambda s: a.values * s), (lambda u: np.conj(a.values) * u)
     if isinstance(a, SeparableSymbol):
@@ -290,29 +307,21 @@ def power_iteration(
 
 
 def _frame_weight_multipliers(frame: ParabolicFrame):
-    """Phi = sqrt(q^2 + frame.energy), with frame.energy = sum_l w_l phi_l^2,
-    positive on the whole lattice, and its reciprocal."""
+    """Phi = sqrt(q^2 + frame.energy), with frame.energy = sum_l w_l phi_l^2, and its
+    reciprocal.  Phi is positive on the whole lattice: q = 1 on |zeta| <= 2, and on
+    |zeta| >= 1/2 the frame's coverage is at least 1e-10 (build_reproducing_m), so by
+    Cauchy-Schwarz energy >= coverage^2 / 2 pi > 0 there."""
     phi = np.sqrt(frame.q_values**2 + frame.energy)
-    if float(phi.min()) <= 0.0:
-        raise ParameterError("frame weight vanishes somewhere; cannot conjugate")
     return SpectralMultiplier(frame.spec, phi), SpectralMultiplier(frame.spec, 1.0 / phi)
 
 
 def _conjugated_step(a, frame: ParabolicFrame):
-    """v^ -> the spectrum of B*B v, B = Phi(D) T Phi(D)^{-1}: Phi^{-1} analyze(Phi^2
-    synth(Phi^{-1} v^)).  The step runs no transform of its own and builds no GridField."""
-    synth, analyze = _pair(a, frame.spec)
+    """v^ -> the spectrum of B*B v, B = Phi(D) T Phi(D)^{-1}: the pair of T Phi^{-1}
+    (_Composed) with Phi^2 multiplied in between.  The step runs no transform of its own
+    and builds no GridField."""
     phi, phi_inv = _frame_weight_multipliers(frame)
-    phi_inv, phi_sq = phi_inv.values, phi.values**2
-
-    def step(v_hat):
-        u = synth(phi_inv * v_hat)
-        u *= phi_sq
-        w = analyze(u)
-        w *= phi_inv
-        return w
-
-    return step
+    (synth, analyze), phi_sq = _pair(_Composed(a, phi_inv), frame.spec), phi.values**2
+    return lambda v_hat: analyze(np.multiply(u := synth(v_hat), phi_sq, out=u))
 
 
 def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
@@ -327,7 +336,8 @@ def certified_l2_bound(a, frame: ParabolicFrame, seed: int = 0) -> float:
     Power iteration runs on B*B = Phi^{-1} T* Phi^2 T Phi^{-1}, with
     B = Phi T Phi^{-1}, on spectra (_conjugated_step): it starts from F of
     power_iteration's seeded start and norms w by Parseval, L^{-n/2} ||w^||_2.
-    T and T* come from _pair for every kind, spectrum to spectrum.
+    T Phi^{-1} and its adjoint come from _pair for every kind, spectrum to
+    spectrum, as the pair of _Composed(T, Phi^{-1}).
 
     The returned number is not that bound itself.  Power iteration gives a
     lower estimate of the spectral norm, and it returns after 200
@@ -398,16 +408,19 @@ def operator_norm_probe(
     budget: ExponentBudget | None = None,
 ) -> BoundednessReport:
     """Ratios of directional norms over the family; at p = 2, s = 0 the
-    power-iteration estimate of certified_l2_bound is recorded alongside."""
+    power-iteration estimate of certified_l2_bound is recorded alongside.  The
+    operator's pair, and with it its grid check, is taken before any member is
+    normed."""
     _check_p(p)
     if len(family) == 0:
         raise ParameterError("empty test family")
+    synth, _ = _pair(a, frame.spec)
     report = BoundednessReport(frame.spec, p, s_in, s_out, budget=budget)
     for member in family:
         in_norm = hpfio_norm(member.field, s_in, p, frame)
         if in_norm < 1e-14:
             raise DegenerateInputError(f"member {member.name} has vanishing input norm")
-        out = apply_symbol(a, member.field)
+        out = inverse_transform(synth(forward_transform(member.field)), frame.spec)
         out_norm = hpfio_norm(out, s_out, p, frame)
         report.add(member, in_norm, out_norm)
     if p == 2.0 and s_in == 0.0 and s_out == 0.0:

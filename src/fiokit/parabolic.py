@@ -259,6 +259,8 @@ class DirectionSet:
         ang = 2.0 * np.pi * np.arange(M) / M
         self.omegas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         self.weights = np.full(M, 2.0 * np.pi / M)
+        for a in (self.omegas, self.weights):  # read by every norm on the frame: read-only
+            a.flags.writeable = False
 
 
 def default_direction_count(spec: GridSpec) -> int:
@@ -363,6 +365,10 @@ class ParabolicFrame:
         self.energy = energy.reshape(spec.shape)
         self.m = build_reproducing_m(self)
         self.q_values = low_cutoff(lattice(spec).mags)
+        # shared by every norm, apply and certificate on the frame: read-only
+        for a in (*(a for pair in self._sparse for a in pair), *(lines for _, lines in self._lines),
+                  coverage, energy, self.coverage, self.energy, self.m.values, self.q_values):
+            a.flags.writeable = False
 
     @property
     def n_directions(self) -> int:

@@ -24,7 +24,7 @@ from .errors import _read, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .grid import _band_sum, _check_specs, _forward_in_place, _inverse_in_place, _quiet
 from .grid import _GRID_SCHEMA, forward_transform
-from .norms import zygmund_norm
+from .norms import _check_regularity, zygmund_norm
 from .parabolic import _derivative_table
 
 
@@ -392,9 +392,12 @@ def preset_rough_chirp(
     """Built-in C^r_* S^0_{1,delta} test family: per eta-band k, a real
     random field whose x-spectrum fills dyadic bands up to scale
     2^{k delta}, with lacunary amplitudes 2^{(k delta - j) r} capped at 1,
-    rescaled so the recorded size constants equal 1."""
+    rescaled so the recorded size constants equal 1.  r and delta are checked
+    before any band is drawn."""
     rng = _rng(seed)
     chi = _family(chi, spec)
+    _check_regularity(r, chi.J_max)
+    _check_class(r, delta)
     bands = {}
     for k in range(chi.J_max + 1):
         if k == 0:

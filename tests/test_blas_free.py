@@ -16,6 +16,8 @@ spec = fk.GridSpec(N=128, L=2 * np.pi)
 frame, fam = fk.ParabolicFrame(spec), fk.build_lp_family(spec)
 chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=0, chi=fam)
 print(fk.certified_l2_bound(chirp, frame, seed=0).hex())
+half_wave = fk.SpectralMultiplier(spec, np.exp(-0.5j * fk.lattice(spec).mags))
+print(fk.certified_l2_bound(fk.operators._Composed(chirp, half_wave), frame, seed=0).hex())
 f = fk.GridField(spec, np.random.default_rng(1).standard_normal(spec.shape))
 print(fk.hpfio_norm(f, 0.5, 2.0, frame).hex())
 print(hashlib.sha256(fk.focusing_member(spec, 3, frame).field.samples.tobytes()).hexdigest())
@@ -34,7 +36,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
         done = subprocess.run([sys.executable, "-c", THREAD_DIGESTS], capture_output=True,
                               text=True, env=env, check=True)
         outputs.append(done.stdout)
-    assert len(outputs[0].splitlines()) == 4
+    assert len(outputs[0].splitlines()) == 5
     assert outputs[0] == outputs[1]
 
 

@@ -794,6 +794,110 @@ def test_overflowing_power_step_is_refused_without_a_warning(entry, magnitude):
 
 
 # ---------------------------------------------------------------------------
+# the composition seam: _Composed(a, m) is a(x,D) m(D) for every kind of a
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def seam():
+    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
+    fam = fk.build_lp_family(spec)
+    chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=0, chi=fam)
+    lat = fk.lattice(spec)
+    bracket = np.sqrt(1.0 + lat.mags**2)
+    return SimpleNamespace(
+        spec=spec, frame=fk.ParabolicFrame(spec), chirp=chirp,
+        kinds={"separable": chirp, "dense": chirp.densify(),
+               "multiplier": fk.SpectralMultiplier(spec, np.exp(1j * lat.mesh[0]) / bracket)},
+        # damped, complex and not unitary, so a lost conjugation or |U|^2 shows
+        U=fk.SpectralMultiplier(spec, bracket**-0.5 * np.exp(-0.5j * lat.mags)),
+        V=fk.SpectralMultiplier(spec, 1.0 / bracket + 0.25j * np.sin(lat.mesh[1])),
+        ones=fk.SpectralMultiplier(spec, np.ones(spec.shape)))
+
+
+def _relmax(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+KINDS = ["separable", "dense", "multiplier"]
+Composed = fk.operators._Composed
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_composed_apply_is_the_apply_after_the_multiplier(seam, kind, rng):
+    a, f = seam.kinds[kind], random_field(seam.spec, rng)
+    got = fk.apply_symbol(Composed(a, seam.U), f).samples
+    want = fk.apply_symbol(a, fk.apply_multiplier(f, seam.U)).samples
+    assert _relmax(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_composed_adjointness(seam, kind, rng):
+    T = Composed(Composed(seam.kinds[kind], seam.U), seam.V)
+    f, g = random_field(seam.spec, rng), random_field(seam.spec, rng)
+    lhs = fk.l2_inner(fk.apply_symbol(T, f), g)
+    rhs = fk.l2_inner(f, fk.operators._adjoint(T, g))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nested_composition_is_the_product_multiplier(seam, kind, rng):
+    a, f = seam.kinds[kind], random_field(seam.spec, rng)
+    nested = Composed(Composed(a, seam.U), seam.V)
+    product = Composed(a, fk.SpectralMultiplier(seam.spec, seam.U.values * seam.V.values))
+    for op in (fk.apply_symbol, fk.operators._adjoint):
+        assert _relmax(op(nested, f).samples, op(product, f).samples) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_all_ones_multiplier_changes_no_bit(seam, kind, rng):
+    a, f = seam.kinds[kind], random_field(seam.spec, rng)
+    ones = Composed(a, seam.ones)
+    for op in (fk.apply_symbol, fk.operators._adjoint):
+        assert op(ones, f).samples.tobytes() == op(a, f).samples.tobytes()
+    v_hat = fk.forward_transform(f)
+    step, bare = (fk.operators._conjugated_step(b, seam.frame) for b in (ones, a))
+    assert step(v_hat).tobytes() == bare(v_hat).tobytes()
+    if kind != "dense":  # a dense power iteration at N = 64 takes tens of seconds
+        assert (fk.certified_l2_bound(ones, seam.frame).hex()
+                == fk.certified_l2_bound(a, seam.frame).hex())
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["outer", "inner"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_multiplier_on_another_grid_is_refused_before_any_work(seam, kind, nested,
+                                                                 monkeypatch):
+    # same N, another L: nothing downstream would notice the shapes
+    other = fk.GridSpec(N=64, L=4.0 * np.pi)
+    U = fk.SpectralMultiplier(other, seam.U.values)
+    a, evals = counted(seam.chirp.densify()) if kind == "dense" else (seam.kinds[kind], [])
+    T = Composed(Composed(a, U), seam.V) if nested else Composed(a, U)
+    f = fk.GridField(seam.spec, np.ones(seam.spec.shape))
+    count = count_transforms(monkeypatch)
+    for run in (lambda: fk.apply_symbol(T, f), lambda: fk.operators._adjoint(T, f),
+                lambda: fk.certified_l2_bound(T, seam.frame)):
+        with pytest.raises(fk.DimensionError, match="grids differ"):
+            run()
+    assert count["n"] == 0 and evals == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_composed_step_runs_the_bare_steps_transforms(seam, kind, monkeypatch):
+    a = seam.kinds[kind]
+    v_hat = fk.forward_transform(random_field(seam.spec, np.random.default_rng(2)))
+    steps = [fk.operators._conjugated_step(b, seam.frame) for b in (a, Composed(a, seam.U))]
+    count = count_transforms(monkeypatch)
+    counts = []
+    for step in steps:
+        count["n"] = 0
+        step(v_hat)
+        counts.append(count["n"])
+    want = {"separable": sum(2 * len(ks) + 2 for _, ks in seam.chirp._grids),
+            "dense": 2, "multiplier": 0}[kind]
+    assert counts == [want, want]
+
+
+# ---------------------------------------------------------------------------
 # operator-norm probing
 # ---------------------------------------------------------------------------
 
@@ -836,6 +940,18 @@ def test_probe_band_profile_and_rows(spec64, frame64, fam64):
     for row in report.rows:
         assert row["ratio"] == row["out_norm"] / row["in_norm"]
     assert report.spectral_bound is None  # p != 2
+
+
+def test_probe_refuses_a_symbol_on_another_grid_before_any_transform(seam, monkeypatch):
+    # the grid check comes before the first member's norm, at every p
+    spec = fk.GridSpec(N=64, L=4.0 * np.pi)
+    chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=0)
+    family = fk.build_test_family(seam.spec, seam.frame, bands=(2,), kinds=("random",))
+    count = count_transforms(monkeypatch)
+    for p in (2.0, 4.0):
+        with pytest.raises(fk.DimensionError, match="grids differ"):
+            fk.operator_norm_probe(chirp, 0.0, 0.0, p, seam.frame, family)
+    assert count["n"] == 0
 
 
 def test_probe_rejects_degenerate_member(spec64, frame64, fam64):

@@ -284,6 +284,23 @@ def test_frame_q_values_are_the_low_cutoff_of_the_lattice(spec64, frame64):
     assert np.array_equal(frame64.q_values, fk.dyadic.low_cutoff(fk.lattice(spec64).mags))
 
 
+def test_frame_arrays_are_read_only():
+    # every norm on the frame reads these arrays, so a write into one would move them all
+    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
+    frame = fk.ParabolicFrame(spec)
+    f = random_field(spec, np.random.default_rng(5))
+    before = [fk.hpfio_norm(f, 0.5, p, frame).hex() for p in (2.0, 4.0)]
+    idx, vals = frame.sparse(3)
+    arrays = (frame.energy, frame.coverage, frame.q_values, frame.m.values, idx, vals,
+              frame.touched_lines(3)[1], frame.directions.omegas, frame.directions.weights)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            a.reshape(-1)[0] = 0
+    assert [fk.hpfio_norm(f, 0.5, p, frame).hex() for p in (2.0, 4.0)] == before
+
+
 @pytest.mark.parametrize("M", [None, 57])
 def test_frame_energy_is_weighted_square_sum(frame64, M):
     from fiokit.operators import _frame_weight_multipliers

@@ -661,6 +661,20 @@ def test_rough_chirp_refuses_a_negative_seed_and_an_overflowing_r(spec_mid, fam_
         fk.preset_rough_chirp(spec_mid, 5000.0, 0.5, seed=0, chi=fam_mid)
 
 
+@pytest.mark.parametrize("r, delta, text", [(1.5, 3.0, "delta=3.0"), (1.5, -0.5, "delta=-0.5"),
+                                            (0.0, 0.5, "r=0.0"), (np.nan, 0.5, "r=nan"),
+                                            (5000.0, 0.5, "r=5000")])
+def test_rough_chirp_checks_r_and_delta_before_drawing_a_band(spec_mid, fam_mid, monkeypatch,
+                                                              r, delta, text):
+    # r and delta are refused before band 1 is drawn, which takes transforms
+    calls = []
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(fk.ParameterError, match=text):
+        fk.preset_rough_chirp(spec_mid, r, delta, seed=0, chi=fam_mid)
+    assert calls == []
+
+
 def test_symbol_file_round_trip(tmp_path, spec_mid, fam_mid, rng):
     chirp = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=4, chi=fam_mid)
     entries = []
