@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .grid import (
     GridField,
     GridSpec,
@@ -99,7 +99,7 @@ class LittlewoodPaleyFamily:
         return fn
 
     def multiplier(self, j: int) -> SpectralMultiplier:
-        if not (0 <= j <= self.J_max):
+        if _integer("band index j", j, 0) > self.J_max:
             raise ParameterError(f"band index j={j} outside 0..{self.J_max}")
         return SpectralMultiplier(self.spec, self.values[j])
 
@@ -112,7 +112,7 @@ class LittlewoodPaleyFamily:
         return rising(t, 0.5, (1.0 + self.eps) / 2.0) * falling(t, 2.0 - self.eps, 2.0)
 
     def tilde_multiplier(self, k: int) -> SpectralMultiplier:
-        if not (0 <= k <= self.J_max):
+        if _integer("band index k", k, 0) > self.J_max:
             raise ParameterError(f"band index k={k} outside 0..{self.J_max}")
         return SpectralMultiplier(self.spec, self.tilde_profile(k, lattice(self.spec).mags))
 

@@ -1,5 +1,5 @@
 """Exception hierarchy for the toolkit, the checked conversion and schema walk
-of values read from outside it, and the seed rule every seeded entry point keeps."""
+of values read from outside it, and the integer rule every count, index and seed keeps."""
 
 from numbers import Integral
 
@@ -81,10 +81,14 @@ def _read(doc, schema, error):
     return out
 
 
+def _integer(name: str, value, lo: int):
+    """value, or ParameterError: a bool (an int to Python), a value of no integer type
+    (2.0 included) and a value below lo are refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo:
+        raise ParameterError(f"{name}={value!r} must be an integer >= {lo}")
+    return value
+
+
 def _rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed); a bool, non-integer or negative seed is a ParameterError."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
-        raise ParameterError(f"seed={seed!r} must be an integer")
-    if seed < 0:
-        raise ParameterError(f"seed={seed} must be non-negative")
-    return np.random.default_rng(seed)
+    """np.random.default_rng(seed) of an integer seed >= 0."""
+    return np.random.default_rng(_integer("seed", seed, 0))

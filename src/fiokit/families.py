@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LittlewoodPaleyFamily, _family
-from .errors import DegenerateInputError, ParameterError, _rng
+from .errors import DegenerateInputError, ParameterError, _integer, _rng
 from .grid import GridField, GridSpec, _check_specs, _sq_sum, forward_transform, inverse_transform
 from .grid import lattice, lp_norm
 from .parabolic import ParabolicFrame
@@ -92,9 +92,10 @@ def focusing_member(spec: GridSpec, k: int, frame: ParabolicFrame) -> FamilyMemb
     return FamilyMember(f"focus_k{k}", k, _normalize(spec, spectrum))
 
 
-def _check_band(k: int, J_max: int) -> None:
-    if not (0 <= k <= J_max):
+def _check_band(k: int, J_max: int) -> int:
+    if _integer("band", k, 0) > J_max:
         raise ParameterError(f"band {k} outside the grid's dyadic range")
+    return k
 
 
 def build_test_family(
@@ -112,9 +113,9 @@ def build_test_family(
     _check_specs(frame.spec, spec)
     fam = _family(fam, spec)
     e1 = np.array([1.0, 0.0])
+    bands = [_check_band(k, fam.J_max) for k in bands]  # every band before any member
     members = []
     for k in bands:
-        _check_band(k, fam.J_max)
         if "plane" in kinds:
             members.append(plane_wave_member(spec, k))
         if "packet" in kinds:

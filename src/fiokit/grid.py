@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, ParameterError
+from .errors import DimensionError, InvalidInputError, ParameterError, _integer
 
 
 # a grid as a config or a symbol descriptor writes it (errors._read); GridSpec checks it
@@ -36,9 +36,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("n", "N"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name}={value!r} must be an integer")
+            _integer(name, getattr(self, name), 1)
         if isinstance(self.L, bool) or not isinstance(self.L, numbers.Real):
             raise ParameterError(f"period L={self.L!r} must be a real number")
         if self.n != 2:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import LittlewoodPaleyFamily, _family
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .grid import (
     GridField,
     _bessel_weighted,
@@ -35,9 +35,10 @@ from .parabolic import ParabolicFrame
 
 
 def sobolev_s(p: float, n: int) -> float:
-    """s(p) = (n-1)/2 |1/p - 1/2|."""
+    """s(p) = (n-1)/2 |1/p - 1/2| in dimension n >= 1."""
     if not (1.0 <= p <= np.inf):
         raise ParameterError(f"p={p} out of range")
+    _integer("n", n, 1)
     return (n - 1) / 2.0 * abs(1.0 / p - 0.5)
 
 
@@ -198,8 +199,8 @@ def budget(r: float, delta: float, p: float, n: int, eps_slack: float = 0.01) ->
     rho = max(0, tau - (1/2 - delta) r);
     admissible s: -(1-gamma) r - s(p) < s < r - s(p).
     """
-    if not r > 0:
-        raise ParameterError(f"r={r} must be positive")
+    if not 0 < r < np.inf:
+        raise ParameterError(f"r={r} must be positive and finite")
     if not (0.0 <= delta <= 0.5):
         raise ParameterError(f"delta={delta} must lie in [0, 1/2]")
     _check_p(p)

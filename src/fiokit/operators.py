@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .errors import (
     InvalidInputError,
     ParameterError,
     ResolutionError,
+    _integer,
     _rng,
 )
 from .families import FamilyMember
@@ -300,8 +300,7 @@ def power_iteration(
 ) -> float:
     """Spectral norm estimate via power iteration on T*T (fixed seed); it
     stops once the estimate changes by less than 1e-8 relative, or after iters steps."""
-    if isinstance(iters, bool) or not isinstance(iters, Integral) or iters < 1:
-        raise ParameterError(f"iters={iters!r} must be a positive integer")
+    _integer("iters", iters, 1)
     return _power(lambda x: adjoint_fn(apply_fn(GridField(spec, x))).samples,
                   _start(spec, seed), spec.dx ** (spec.n / 2), iters)
 

@@ -41,13 +41,12 @@ evaluated and summed on its own, so the blocking changes no bit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import low_cutoff
-from .errors import ConstructionError, ParameterError, ResolutionError
+from .errors import ConstructionError, ParameterError, ResolutionError, _integer
 from .grid import (
     GridField,
     GridSpec,
@@ -84,6 +83,8 @@ def c_sigma(sigma: float, nodes: int | None = None) -> float:
         raise ParameterError(f"sigma={sigma} must be positive")
     if nodes is None:
         nodes = max(512, int(np.ceil(2048.0 / np.sqrt(min(sigma, 16.0)))))
+    else:
+        _integer("nodes", nodes, 1)
     theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
     on = _support_nodes(sigma, nodes)
     chord = 2.0 * np.abs(np.sin(theta[on] / 2.0))
@@ -251,11 +252,7 @@ class DirectionSet:
     """Equispaced directions on the circle with uniform quadrature weights."""
 
     def __init__(self, M: int):
-        if isinstance(M, bool) or not isinstance(M, numbers.Integral):
-            raise ParameterError(f"direction count M={M!r} must be an integer")
-        if M < 4:
-            raise ParameterError(f"direction count M={M} too small")
-        self.M = M
+        self.M = _integer("direction count M", M, 4)
         ang = 2.0 * np.pi * np.arange(M) / M
         self.omegas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         self.weights = np.full(M, 2.0 * np.pi / M)
@@ -272,8 +269,8 @@ def _directions(spec: GridSpec, M_omega: int | None) -> DirectionSet:
     """The frame's directions: M_omega, or the default count when it is None.  A count above
     the grid's N^n lattice points is refused before anything is allocated: at N = 16 and
     L = 1e-100 the default count has 52 digits."""
-    M = default_direction_count(spec) if M_omega is None else M_omega
-    if isinstance(M, numbers.Integral) and M > spec.N**spec.n:
+    M = _integer("direction count M", default_direction_count(spec) if M_omega is None else M_omega, 4)
+    if M > spec.N**spec.n:
         raise ParameterError(f"direction count M={M} exceeds the grid's N^n = {spec.N**spec.n} "
                              "lattice points")
     return DirectionSet(M)
@@ -501,7 +498,7 @@ def _fd_derivative(fun, pts, a1, a2, h1, h2) -> np.ndarray:
 def _derivative_table(fun, samples, alpha_max: int, measure) -> dict:
     """{(a1, a2): max(0, measure(pts, a1, a2, d))} over the samples (pts, h1, h2)
     for |alpha| <= alpha_max, with d = _fd_derivative(fun, pts, a1, a2, h1, h2)."""
-    if not 0 <= alpha_max <= 3:
+    if _integer("alpha_max", alpha_max, 0) > 3:
         raise ParameterError(f"alpha_max={alpha_max} must lie in 0..3")
     return {
         (a1, a2): max([0.0] + [measure(pts, a1, a2, _fd_derivative(fun, pts, a1, a2, h1, h2))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dyadic import LittlewoodPaleyFamily, _family
 from .errors import DimensionError, InvalidInputError, ParameterError, ResolutionError
-from .errors import _read, _rng
+from .errors import _integer, _read, _rng
 from .grid import GridField, GridSpec, SpectralMultiplier, apply_multiplier, lattice, read_fiof
 from .grid import _band_sum, _check_specs, _forward_in_place, _inverse_in_place, _quiet
 from .grid import _GRID_SCHEMA, forward_transform
@@ -305,8 +305,7 @@ def coifman_meyer_decompose(
     c_beta = P^-2 Sum_zeta (psi_k a)(., 2^{k+1} pi zeta) e^{-2 pi i beta.zeta},
     summed directly for |beta|_inf <= beta_max.  Memory is (2 beta_max + 1)^2 N^n for
     the kept modes plus 2 (2 beta_max + 1) N^n for one zeta_1 row's sums."""
-    if beta_max < 0:
-        raise ParameterError("beta_max must be >= 0")
+    _integer("beta_max", beta_max, 0)
     fam = _family(fam, a.spec)
     P = 32
     while P < 4 * max(beta_max, 1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
+from conftest import refusal_tests
 
 
 @pytest.mark.parametrize("N, L", [(16, 1.0), (64, 2.0 * np.pi), (128, 32.0 * np.pi)])
@@ -25,18 +26,6 @@ def test_embed_keeps_a_real_field_with_nyquist_content_real():
         assert np.abs(g.imag).max() <= 1e-13
         step = N // coarse.N
         assert np.abs(g[::step, ::step] - f.samples).max() <= 1e-13
-
-
-def test_build_test_family_rejects_unknown_kinds(monkeypatch):
-    spec = fk.GridSpec(N=32, L=8 * np.pi)
-    frame = fk.ParabolicFrame(spec)
-
-    def built(*args):
-        raise AssertionError("a member was built before the kinds were checked")
-
-    monkeypatch.setattr(fk.families, "plane_wave_member", built)
-    with pytest.raises(fk.ParameterError, match="pakcet"):
-        fk.build_test_family(spec, frame, bands=(1, 2), kinds=("plane", "pakcet"))
 
 
 def unmasked_packet_spectrum(spec, k, omega):
@@ -74,6 +63,4 @@ def test_packet_spectra_equal_unmasked_exp(monkeypatch):
     assert built == members()
 
 
-def test_build_test_family_refuses_a_negative_seed(spec64, frame64):
-    with pytest.raises(fk.ParameterError, match="seed=-1 must be non-negative"):
-        fk.build_test_family(spec64, frame64, bands=(1,), seed=-1)
+globals().update(refusal_tests(__name__))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
-from conftest import hpfio_by_definition, plane_wave, random_field
+from conftest import hpfio_by_definition, plane_wave, random_field, refusal_tests
 
 
 def test_sobolev_s_values():
@@ -63,18 +63,6 @@ def test_zygmund_homogeneity(spec64, rng):
     assert fk.zygmund_norm(2.0 * f, 1.1) == pytest.approx(2.0 * fk.zygmund_norm(f, 1.1), rel=1e-12)
 
 
-def test_zygmund_requires_positive_r(spec64, rng):
-    with pytest.raises(fk.ParameterError):
-        fk.zygmund_norm(random_field(spec64, rng), 0.0)
-
-
-@pytest.mark.parametrize("r", [np.inf, np.nan, -np.inf])
-def test_zygmund_refuses_a_non_finite_r(r):
-    spec = fk.GridSpec(N=32, L=8 * np.pi)
-    with pytest.raises(fk.ParameterError, match="positive and finite"):
-        fk.zygmund_norm(fk.GridField(spec, np.ones(spec.shape)), r)
-
-
 def test_zygmund_refuses_an_r_whose_top_weight_overflows():
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     fam = fk.build_lp_family(spec)
@@ -122,15 +110,6 @@ def test_hpfio_is_a_norm(spec64, frame64, rng):
     nfg = fk.hpfio_norm(f + g, s, p, frame64)
     assert nfg <= (nf + ng) * (1 + 1e-10)
     assert fk.hpfio_norm(2.5 * f, s, p, frame64) == pytest.approx(2.5 * nf, rel=1e-10)
-
-
-def test_hpfio_parameter_validation(spec64, frame64, rng):
-    f = random_field(spec64, rng)
-    with pytest.raises(fk.ParameterError):
-        fk.hpfio_norm(f, 0.0, 1.0, frame64)
-    other = fk.GridSpec(N=32)
-    with pytest.raises(fk.DimensionError):
-        fk.hpfio_norm(fk.GridField(other, np.zeros(other.shape)), 0.0, 2.0, frame64)
 
 
 @pytest.fixture(scope="module")
@@ -288,53 +267,9 @@ def test_budget_gamma_range():
             assert 0.5 <= g < 1.0
 
 
-def test_budget_validation():
-    with pytest.raises(fk.ParameterError):
-        fk.budget(2.0, 0.6, 4.0, 2)
-    with pytest.raises(fk.ParameterError):
-        fk.budget(-1.0, 0.0, 4.0, 2)
-    with pytest.raises(fk.ParameterError):
-        fk.budget(2.0, 0.0, 1.0, 2)
-
-
-@pytest.mark.parametrize(
-    "call, match",
-    [
-        (lambda: fk.sobolev_s(0.5, 2), "out of range"),
-        (lambda: fk.budget(2.0, 0.5, 4.0, 2, eps_slack=0.0), "eps_slack"),
-    ],
-    ids=["sobolev-s-p", "budget-eps-slack"],
-)
-def test_norms_input_checks(call, match):
-    with pytest.raises(fk.ParameterError, match=match):
-        call()
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0], ids=["parseval", "directions"])
-@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
-def test_hpfio_norm_refuses_a_non_finite_s(frame64, monkeypatch, p, s):
-    f = fk.GridField(frame64.spec, np.ones(frame64.spec.shape))
-
-    def refuse(*args):
-        raise AssertionError("transform before the check")
-
-    monkeypatch.setattr(fk.norms, "forward_transform", refuse)
-    with pytest.raises(fk.ParameterError, match="finite"):
-        fk.hpfio_norm(f, s, p, frame64)
-
-
 @pytest.fixture(scope="module")
 def frame64_2pi():
     return fk.ParabolicFrame(fk.GridSpec(N=64, L=2.0 * np.pi))
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0], ids=["parseval", "directions"])
-@pytest.mark.parametrize("s", [180.0, 200.0])
-def test_hpfio_norm_refuses_an_overflowing_s(frame64_2pi, p, s):
-    # xi_max = 45.3 at N=64, L=2 pi: <xi>^s f^ or its p-th power overflows to inf or nan
-    f = random_field(frame64_2pi.spec, np.random.default_rng(0), real=True)
-    with pytest.raises(fk.ParameterError, match=f"s={s}, p={p} overflows"):
-        fk.hpfio_norm(f, s, p, frame64_2pi)
 
 
 @pytest.mark.parametrize("s", [0.0, 180.0, 200.0, 400.0])
@@ -360,17 +295,6 @@ def test_hpfio_norm_refuses_overflowing_weights_before_any_direction(frame64_2pi
         fk.hpfio_norm(f, 200.0, 4.0, frame64_2pi)
 
 
-@pytest.mark.parametrize("s, p, match", [
-    (400.0, 2.0, "smoothness s=400.0: <D>"),
-    (180.0, 4.0, "s=180.0, p=4.0 overflows"),
-], ids=["weights-overflow", "power-overflows"])
-def test_classical_norm_refuses_an_overflowing_s(s, p, match):
-    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
-    f = random_field(spec, np.random.default_rng(0), real=True)
-    with pytest.raises(fk.ParameterError, match=match):
-        fk.classical_norm(f, s, p)
-
-
 def test_a_power_that_overflows_at_s_zero_is_refused_with_no_warning():
     # no weight overflows at s = 0, but |f|^4 of a 1e100 field does
     spec = fk.GridSpec(N=32, L=8.0 * np.pi)
@@ -383,3 +307,6 @@ def test_a_power_that_overflows_at_s_zero_is_refused_with_no_warning():
             fk.hpfio_norm(f, 0.0, 4.0, frame)
         with pytest.raises(fk.ParameterError, match="s=0.0, p=4.0 overflows"):
             fk.classical_norm(f, 0.0, 4.0)
+
+
+globals().update(refusal_tests(__name__))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
-from conftest import band_limited, random_field
+from conftest import band_limited, random_field, refusal_tests
 
 
 @pytest.fixture(scope="module")
@@ -54,19 +54,6 @@ def test_apply_dense_bessel_multiplier(spec_op, rng):
     assert np.abs(out.samples - ref.samples).max() <= 1e-10 * np.abs(ref.samples).max()
 
 
-def test_apply_dense_resolution_guard(rng):
-    spec = fk.GridSpec(N=256, L=2.0 * np.pi)
-    f = random_field(spec, rng)
-    with pytest.raises(fk.ResolutionError):
-        fk.apply_dense(fk.preset_identity(spec), f)
-
-
-def test_apply_dense_grid_mismatch(spec_op, rng):
-    other = fk.GridSpec(N=64, L=8.0 * np.pi)
-    with pytest.raises(fk.DimensionError):
-        fk.apply_dense(fk.preset_identity(spec_op), random_field(other, rng))
-
-
 def test_apply_dense_adjointness(spec_op, chirp_op, rng):
     a = chirp_op.densify()
     f = random_field(spec_op, rng)
@@ -74,27 +61,6 @@ def test_apply_dense_adjointness(spec_op, chirp_op, rng):
     lhs = fk.l2_inner(fk.apply_dense(a, f), g)
     rhs = fk.l2_inner(f, fk.apply_dense_adjoint(a, g))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
-
-
-@pytest.mark.parametrize("op", [fk.apply_dense, fk.apply_dense_adjoint],
-                         ids=["apply_dense", "apply_dense_adjoint"])
-def test_dense_guards_fire_before_any_work(spec_op, op, monkeypatch):
-    # an all-zero input has no coefficient to visit; the checks still run,
-    # before any transform or symbol evaluation
-    def refuse(*args, **kwargs):
-        raise AssertionError("work ran before the dense guards")
-
-    monkeypatch.setattr(fk.operators, "forward_transform", refuse)
-    monkeypatch.setattr(fk.operators, "inverse_transform", refuse)
-    big = fk.GridSpec(N=256, L=2.0 * np.pi)
-    other = fk.GridSpec(N=64, L=8.0 * np.pi)
-    for spec, field_spec, error in [
-        (big, big, fk.ResolutionError),
-        (spec_op, other, fk.DimensionError),
-    ]:
-        a = fk.DenseSymbol(spec, refuse)
-        with pytest.raises(error):
-            op(a, fk.GridField(field_spec, np.zeros(field_spec.shape)))
 
 
 def counted(a):
@@ -265,12 +231,12 @@ def test_separable_cores_match_band_definitions(spec_op, complex_sym, rng):
 
 
 def test_separable_cores_read_only_returned_arrays(
-    spec_op, spec64, frame64, fam64, complex_sym, rng, monkeypatch
+    spec_op, spec64, frame64, fam64, complex_sym, rng, request
 ):
     # numpy.fft's out= contract: the transform reads its input, writes the
-    # result into out and returns out, and touches no other array.  Model
-    # exactly that, with the result computed from a copy of the input, and
-    # refuse a call without out=.  The results must not change, and the
+    # result into out and returns out, and touches no other array.  fft_calls
+    # models exactly that, with the result computed from a copy of the input,
+    # and refuses a call without out=.  The results must not change, and the
     # caller's samples and spectrum must come back untouched.
     f = random_field(spec_op, rng)
     spectrum = fk.forward_transform(f)
@@ -288,19 +254,7 @@ def test_separable_cores_read_only_returned_arrays(
         "step": lambda: step(v_hat),
     }
     expected = {name: run() for name, run in runs.items()}
-
-    calls = []
-
-    def into_out(transform):
-        def run(x, *args, out, **kwargs):
-            calls.append(transform.__name__)
-            out[...] = transform(np.array(x, copy=True), *args, **kwargs)
-            return out
-
-        return run
-
-    for name in ("fftn", "ifftn", "fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, into_out(getattr(np.fft, name)))
+    calls = request.getfixturevalue("fft_calls")
     inputs = {"f": f.samples, "spectrum": spectrum, "v_hat": v_hat}
     before = {name: x.tobytes() for name, x in inputs.items()}
     for name, run in runs.items():
@@ -375,17 +329,18 @@ def test_product_grid_adjointness(spec_fine, chirp256, rng):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-def test_plan_runs_its_transforms_once(spec_fine, fam_fine, rng, monkeypatch):
+def test_plan_runs_its_transforms_once(spec_fine, fam_fine, rng, fft_calls):
     chirp = fk.preset_rough_chirp(spec_fine, 2.0, 0.5, seed=0, chi=fam_fine)
     f = random_field(spec_fine, rng)
-    count = count_transforms(monkeypatch)
+    fft_calls.clear()
     fk.apply_separable(chirp, f)
-    first, count["n"] = count["n"], 0
+    first = len(fft_calls)
+    fft_calls.clear()
     fk.apply_separable(chirp, f)
     # F and F^{-1}, and per product grid one transform per band and one more
-    assert count["n"] == 2 + sum(len(ks) + 1 for _, ks in chirp._grids)
+    assert len(fft_calls) == 2 + sum(len(ks) + 1 for _, ks in chirp._grids)
     # the plan: one forward transform per band with 4 C_k < N, bands 0 to 6
-    assert first - count["n"] == 7
+    assert first - len(fft_calls) == 7
 
 
 def test_loaded_symbol_gets_the_written_plan(tmp_path):
@@ -439,23 +394,17 @@ def test_the_kind_specific_names_are_the_generic_ones():
     assert fk.build_lp_family is fk.LittlewoodPaleyFamily
 
 
-def test_step_runs_two_transforms_per_grid_and_two_per_band(spec_fine, chirp256, monkeypatch):
+def test_step_runs_two_transforms_per_grid_and_two_per_band(spec_fine, chirp256, fft_calls):
     # a unit frame weight: the step is B*B = T*T, and its transforms are the pair's
     frame = SimpleNamespace(spec=spec_fine, q_values=np.ones(spec_fine.shape),
                             energy=np.zeros(spec_fine.shape))
     step = fk.operators._conjugated_step(chirp256, frame)
     v_hat = fk.forward_transform(random_field(spec_fine, np.random.default_rng(3)))
     step(v_hat)
-    sizes = []
-    for name in ("fftn", "ifftn"):
-        def sized(x, *args, _transform=getattr(np.fft, name), **kwargs):
-            sizes.append(x.shape[0])
-            return _transform(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, sized)
+    fft_calls.clear()
     step(v_hat)
-    assert len(sizes) == sum(2 * len(ks) + 2 for _, ks in chirp256._grids)
-    assert Counter(sizes) == {256: 10, 128: 4, 64: 4, 32: 4, 16: 8}
+    assert len(fft_calls) == sum(2 * len(ks) + 2 for _, ks in chirp256._grids)
+    assert Counter(call.shape[0] for call in fft_calls) == {256: 10, 128: 4, 64: 4, 32: 4, 16: 8}
 
 
 def test_overflowing_band_mass_stays_on_n():
@@ -467,14 +416,6 @@ def test_overflowing_band_mass_stays_on_n():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert product_grid_of(sym) == {0: 32, 1: 16}
-
-
-@pytest.mark.parametrize("op", [fk.apply_separable, fk.apply_separable_adjoint],
-                         ids=["apply_separable", "apply_separable_adjoint"])
-def test_separable_grid_mismatch(chirp_op, op, rng):
-    other = fk.GridSpec(N=64, L=8.0 * np.pi)
-    with pytest.raises(fk.DimensionError, match="grids differ"):
-        op(chirp_op, random_field(other, rng))
 
 
 def test_apply_symbol_dispatch(spec_op, chirp_op, rng):
@@ -525,13 +466,6 @@ def test_verify_band_support_adversarial(spec_fine, rng):
     assert report["leak"] > 1e-6
 
 
-def test_verify_band_support_grid_mismatch(spec_fine, spec64, rng):
-    with pytest.raises(fk.DimensionError):
-        fk.verify_band_support(
-            random_field(spec_fine, rng), random_field(spec64, rng), 4
-        )
-
-
 # ---------------------------------------------------------------------------
 # spectral-norm estimation
 # ---------------------------------------------------------------------------
@@ -566,15 +500,6 @@ def test_power_iteration_zero_operator(spec64):
         spec64,
     )
     assert sigma == 0.0
-
-
-@pytest.mark.parametrize("iters", [0, -1, 2.5, True])
-def test_power_iteration_refuses_an_iteration_count_before_any_apply(spec64, iters):
-    # a count of 0 or -1 would read as 0.0, the zero operator's norm, and 2.5 fail in range()
-    def never(v):
-        raise AssertionError("an apply ran")
-    with pytest.raises(fk.ParameterError, match="must be a positive integer"):
-        fk.power_iteration(never, never, spec64, iters=iters)
 
 
 def test_certified_bound_dominates_multiplier_norm(spec64, frame64):
@@ -615,22 +540,6 @@ def count_steps(monkeypatch):
     return calls
 
 
-def count_transforms(monkeypatch):
-    """Count every numpy.fft.fftn and ifftn call from here on."""
-    count = {"n": 0}
-
-    def counting(fn):
-        def run(*args, **kwargs):
-            count["n"] += 1
-            return fn(*args, **kwargs)
-
-        return run
-
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-    return count
-
-
 def public_composition(a, frame, apply_fn, adjoint_fn):
     """Phi T Phi^{-1} and its adjoint, composed from the public multiplier
     apply and apply_fn(a, .), adjoint_fn(a, .) for T and T*."""
@@ -647,7 +556,7 @@ def public_composition(a, frame, apply_fn, adjoint_fn):
     return conj_apply, conj_adjoint
 
 
-def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, monkeypatch):
+def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, monkeypatch, request):
     # oracle: Phi T Phi^{-1} and its adjoint, composed from the public
     # multiplier and separable applies
     chirp = fk.preset_rough_chirp(spec64, 1.5, 0.5, seed=9, chi=fam64)
@@ -670,9 +579,9 @@ def test_certified_bound_matches_conjugated_composition(spec64, frame64, fam64, 
     # one between that grid and the spectrum in each
     v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
     v_hat = fk.forward_transform(v)
-    count = count_transforms(monkeypatch)
+    fft_calls = request.getfixturevalue("fft_calls")
     calls[0]["step"](v_hat)
-    assert count["n"] == sum(2 * len(ks) + 2 for _, ks in chirp._grids)
+    assert len(fft_calls) == sum(2 * len(ks) + 2 for _, ks in chirp._grids)
 
 
 @pytest.mark.parametrize("kind", ["separable", "dense", "multiplier"])
@@ -696,17 +605,17 @@ def test_conjugated_step_is_the_public_step_on_spectra(spec64, frame64, fam64, k
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_certified_bound_rejects_other_grid(spec64, frame64, monkeypatch):
+def test_certified_bound_rejects_other_grid(spec64, frame64, monkeypatch, fft_calls):
     # equal shapes, different periods: nothing downstream would notice
     spec = fk.GridSpec(N=64, L=2.0 * np.pi)
     fam = fk.build_lp_family(spec)
     sym = fk.SeparableSymbol(spec, identity_bands(spec, fam), fam)
     calls = count_steps(monkeypatch)
-    count = count_transforms(monkeypatch)
+    fft_calls.clear()
     with pytest.raises(fk.DimensionError, match="grids differ"):
         fk.certified_l2_bound(sym, frame64)
     # refused before any transform ran or any step was built
-    assert count["n"] == 0
+    assert fft_calls == []
     assert calls == []
 
 
@@ -758,39 +667,17 @@ def test_multiplier_adjointness(spec64, half_wave, rng):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-def test_dense_certificate_step_runs_two_transforms(spec64, frame64, monkeypatch):
+def test_dense_certificate_step_runs_two_transforms(spec64, frame64, request):
     # the dense lattice walk runs no transform, so a step costs the
     # two grid transforms around Phi^2 alone
     step = fk.operators._conjugated_step(fk.preset_identity(spec64), frame64)
     v = fk.GridField(spec64, np.random.default_rng(0).standard_normal(spec64.shape))
     v_hat = fk.forward_transform(v)
-    count = count_transforms(monkeypatch)
+    fft_calls = request.getfixturevalue("fft_calls")
     w_hat = step(v_hat)
-    assert count["n"] == 2
+    assert len(fft_calls) == 2
     # the identity commutes with Phi, so the step returns v
     assert np.abs(fk.inverse_transform(w_hat, spec64).samples - v.samples).max() <= 1e-10
-
-
-@pytest.mark.parametrize("magnitude", [1e150, 1e300])
-@pytest.mark.parametrize("entry", ["certified_l2_bound", "power_iteration"])
-def test_overflowing_power_step_is_refused_without_a_warning(entry, magnitude):
-    # at 1e150 a step's norm overflows, and dividing by it once made every
-    # later iterate zero and the certificate 0.0; at 1e300 the step itself
-    # overflows.  Both are one refusal, with no RuntimeWarning before it.
-    spec = fk.GridSpec(N=32, L=2 * np.pi)
-    fam = fk.build_lp_family(spec)
-    frame = fk.ParabolicFrame(spec)
-    big = fk.GridField(spec, np.full(spec.shape, magnitude, dtype=complex))
-    sym = fk.SeparableSymbol(spec, {k: big for k in range(fam.J_max + 1)}, fam)
-    run = {
-        "certified_l2_bound": lambda: fk.certified_l2_bound(sym, frame),
-        "power_iteration": lambda: fk.power_iteration(
-            lambda v: fk.apply_separable(sym, v), lambda v: fk.apply_separable_adjoint(sym, v), spec),
-    }[entry]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(fk.InvalidInputError, match="non-finite"):
-            run()
 
 
 # ---------------------------------------------------------------------------
@@ -863,35 +750,17 @@ def test_the_all_ones_multiplier_changes_no_bit(seam, kind, rng):
                 == fk.certified_l2_bound(a, seam.frame).hex())
 
 
-@pytest.mark.parametrize("nested", [False, True], ids=["outer", "inner"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_a_multiplier_on_another_grid_is_refused_before_any_work(seam, kind, nested,
-                                                                 monkeypatch):
-    # same N, another L: nothing downstream would notice the shapes
-    other = fk.GridSpec(N=64, L=4.0 * np.pi)
-    U = fk.SpectralMultiplier(other, seam.U.values)
-    a, evals = counted(seam.chirp.densify()) if kind == "dense" else (seam.kinds[kind], [])
-    T = Composed(Composed(a, U), seam.V) if nested else Composed(a, U)
-    f = fk.GridField(seam.spec, np.ones(seam.spec.shape))
-    count = count_transforms(monkeypatch)
-    for run in (lambda: fk.apply_symbol(T, f), lambda: fk.operators._adjoint(T, f),
-                lambda: fk.certified_l2_bound(T, seam.frame)):
-        with pytest.raises(fk.DimensionError, match="grids differ"):
-            run()
-    assert count["n"] == 0 and evals == []
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_composed_step_runs_the_bare_steps_transforms(seam, kind, monkeypatch):
+def test_a_composed_step_runs_the_bare_steps_transforms(seam, kind, request):
     a = seam.kinds[kind]
     v_hat = fk.forward_transform(random_field(seam.spec, np.random.default_rng(2)))
     steps = [fk.operators._conjugated_step(b, seam.frame) for b in (a, Composed(a, seam.U))]
-    count = count_transforms(monkeypatch)
+    fft_calls = request.getfixturevalue("fft_calls")
     counts = []
     for step in steps:
-        count["n"] = 0
+        fft_calls.clear()
         step(v_hat)
-        counts.append(count["n"])
+        counts.append(len(fft_calls))
     want = {"separable": sum(2 * len(ks) + 2 for _, ks in seam.chirp._grids),
             "dense": 2, "multiplier": 0}[kind]
     assert counts == [want, want]
@@ -942,67 +811,6 @@ def test_probe_band_profile_and_rows(spec64, frame64, fam64):
     assert report.spectral_bound is None  # p != 2
 
 
-def test_probe_refuses_a_symbol_on_another_grid_before_any_transform(seam, monkeypatch):
-    # the grid check comes before the first member's norm, at every p
-    spec = fk.GridSpec(N=64, L=4.0 * np.pi)
-    chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=0)
-    family = fk.build_test_family(seam.spec, seam.frame, bands=(2,), kinds=("random",))
-    count = count_transforms(monkeypatch)
-    for p in (2.0, 4.0):
-        with pytest.raises(fk.DimensionError, match="grids differ"):
-            fk.operator_norm_probe(chirp, 0.0, 0.0, p, seam.frame, family)
-    assert count["n"] == 0
-
-
-def test_probe_rejects_degenerate_member(spec64, frame64, fam64):
-    chirp = fk.preset_rough_chirp(spec64, 1.0, 0.5, chi=fam64)
-    zero = fk.FamilyMember("zero", 2, fk.GridField(spec64, np.zeros(spec64.shape)))
-    family = [zero]
-    with pytest.raises(fk.DegenerateInputError):
-        fk.operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame64, family)
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_trend_slope_refuses_a_band_whose_largest_ratio_is_zero(spec_op, fam_op, p):
-    # the zero operator's ratios are 0 on every band, and log2(0) has no value
-    frame = fk.ParabolicFrame(spec_op)
-    family = fk.build_test_family(spec_op, frame, bands=(1, 2), fam=fam_op)
-    zero = fk.SpectralMultiplier(spec_op, np.zeros(spec_op.shape))
-    report = fk.operator_norm_probe(zero, 0.0, 0.0, p, frame, family)
-    assert report.band_profile() == {1: 0.0, 2: 0.0}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(fk.DegenerateInputError, match="band 1's largest ratio is 0"):
-            report.trend_slope()
-
-
-def test_probe_parameter_validation(spec64, frame64, fam64):
-    chirp = fk.preset_rough_chirp(spec64, 1.0, 0.5, chi=fam64)
-    family = []
-    with pytest.raises(fk.ParameterError):
-        fk.operator_norm_probe(chirp, 0.0, 0.0, 1.0, frame64, family)
-    with pytest.raises(fk.ParameterError):
-        fk.operator_norm_probe(chirp, 0.0, 0.0, 2.0, frame64, family)
-
-
-@pytest.mark.parametrize("seed, text", [(-1, "seed=-1 must be non-negative"),
-                                        (2.5, "seed=2.5 must be an integer"),
-                                        (True, "seed=True must be an integer")],
-                         ids=["negative", "float", "bool"])
-@pytest.mark.parametrize("entry", ["certified_l2_bound", "power_iteration",
-                                   "preset_rough_chirp", "build_test_family"])
-def test_every_seeded_entry_point_keeps_one_seed_rule(spec64, frame64, fam64, entry, seed, text):
-    calls = {
-        "certified_l2_bound": lambda: fk.certified_l2_bound(
-            fk.preset_rough_chirp(spec64, 1.0, 0.5, chi=fam64), frame64, seed=seed),
-        "power_iteration": lambda: fk.power_iteration(lambda v: v, lambda v: v, spec64, seed=seed),
-        "preset_rough_chirp": lambda: fk.preset_rough_chirp(spec64, 1.0, 0.5, seed=seed, chi=fam64),
-        "build_test_family": lambda: fk.build_test_family(spec64, frame64, bands=(1,), seed=seed),
-    }
-    with pytest.raises(fk.ParameterError, match=text):
-        calls[entry]()
-
-
 # ---------------------------------------------------------------------------
 # test-family construction and embedding
 # ---------------------------------------------------------------------------
@@ -1028,11 +836,6 @@ def test_focusing_member_matches_x_domain_sum(spec64, frame64, k):
     assert fk.lp_norm(got, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_family_band_out_of_range(spec64, frame64, fam64):
-    with pytest.raises(fk.ParameterError):
-        fk.build_test_family(spec64, frame64, bands=(fam64.J_max + 1,), fam=fam64)
-
-
 def test_embed_preserves_norms_exactly(rng):
     coarse = fk.GridSpec(N=64, L=2.0 * np.pi)
     fine = fk.GridSpec(N=128, L=2.0 * np.pi)
@@ -1045,10 +848,4 @@ def test_embed_preserves_norms_exactly(rng):
     assert np.abs(dst[:32, :32] - src[:32, :32]).max() <= 1e-10 * np.abs(src).max()
 
 
-def test_embed_rejects_incompatible_grid(rng):
-    coarse = fk.GridSpec(N=64, L=2.0 * np.pi)
-    f = random_field(coarse, rng)
-    with pytest.raises(fk.ParameterError):
-        fk.embed(f, fk.GridSpec(N=128, L=4.0 * np.pi))
-    with pytest.raises(fk.ParameterError):
-        fk.embed(f, fk.GridSpec(N=32, L=2.0 * np.pi))
+globals().update(refusal_tests(__name__))

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 import fiokit as fk
 from fiokit import parabolic
-from conftest import high_pass, random_field
+from conftest import high_pass, random_field, refusal_tests
 
 
 def test_c_sigma_closed_form():
@@ -30,11 +30,6 @@ def test_c_sigma_against_fine_trapezoid_oracle():
     for sigma in (0.3, 1.0, 4.0, 12.0):
         oracle = fk.c_sigma(sigma, nodes=8192)
         assert abs(fk.c_sigma(sigma) - oracle) / oracle < 1e-8
-
-
-def test_c_sigma_validation():
-    with pytest.raises(fk.ParameterError):
-        fk.c_sigma(-1.0)
 
 
 def test_c_sigma_table_matches_direct(frame64):
@@ -204,12 +199,6 @@ def test_m_growth_exponent(spec_fine):
     assert abs(slope - 0.25) <= 0.05
 
 
-def test_insufficient_directions_raises():
-    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
-    with pytest.raises(fk.ConstructionError):
-        fk.ParabolicFrame(spec, M_omega=4)
-
-
 def test_direction_set_weights(frame64):
     w = frame64.directions.weights
     assert abs(w.sum() - 2.0 * np.pi) < 1e-12
@@ -226,11 +215,6 @@ def test_anisotropic_bound_finite(frame64):
     # far off the support the integrand contributes nothing
     geom = frame64.geometry
     assert float(geom.phi_values(np.array([-4.0, 0.0]), np.array([1.0, 0.0]))) == 0.0
-
-
-def test_frame_rejects_other_dimensions():
-    with pytest.raises(fk.ParameterError):
-        fk.ParabolicFrame(fk.GridSpec(n=1, N=64))
 
 
 def assert_matches_direct_evaluation(frame):
@@ -319,33 +303,6 @@ def test_frame_energy_is_weighted_square_sum(frame64, M):
     assert np.array_equal(phi.values, np.sqrt(frame.q_values**2 + energy))
 
 
-@pytest.mark.parametrize(
-    "call, error, match",
-    [
-        (lambda frame, other: fk.DirectionSet(3), fk.ParameterError, "too small"),
-        # a grid mismatch is a DimensionError here as in hpfio_norm and the symbols
-        (lambda frame, other: fk.frame_analyze(other, frame), fk.DimensionError,
-         "grid specs differ"),
-        (lambda frame, other: fk.frame_synthesize([], frame), fk.ParameterError,
-         "collection size"),
-        (lambda frame, other: fk.frame_synthesize([other] * frame.n_directions, frame),
-         fk.DimensionError, "grid specs differ"),
-        (lambda frame, other: fk.anisotropic_bound_check(frame, alpha_max=4), fk.ParameterError,
-         "alpha_max"),
-        (lambda frame, other: fk.DirectionSet(4.5), fk.ParameterError, "must be an integer"),
-        (lambda frame, other: fk.DirectionSet(True), fk.ParameterError, "must be an integer"),
-        (lambda frame, other: fk.ParabolicFrame(other.spec, True), fk.ParameterError,
-         "must be an integer"),
-    ],
-    ids=["directions-M<4", "analyze-grid", "synthesize-count", "synthesize-grid",
-         "anisotropic-alpha>3", "directions-float", "directions-bool", "frame-bool"],
-)
-def test_parabolic_input_checks(frame64, call, error, match):
-    other = fk.GridField(fk.GridSpec(N=32), np.zeros((32, 32)))
-    with pytest.raises(error, match=match):
-        call(frame64, other)
-
-
 def frame_bytes(frame):
     arrays = [a for pair in frame._sparse for a in pair]
     return [a.tobytes() for a in arrays + [frame.coverage, frame.energy, frame.m.values]]
@@ -380,18 +337,4 @@ def test_frame_build_peak_memory():
     assert peak <= 8 * 2**20
 
 
-def test_anisotropic_bound_check_refuses_a_negative_alpha_max(frame64):
-    with pytest.raises(fk.ParameterError, match="alpha_max"):
-        fk.anisotropic_bound_check(frame64, alpha_max=-1)
-
-
-def test_zero_direction_count_is_refused_not_defaulted():
-    with pytest.raises(fk.ParameterError, match="M=0"):
-        fk.ParabolicFrame(fk.GridSpec(N=32, L=2.0 * np.pi), M_omega=0)
-
-
-@pytest.mark.parametrize("L, M_omega", [(1e-100, None), (1e-3, None), (2.0 * np.pi, 257)])
-def test_a_direction_count_above_the_lattice_is_refused(L, M_omega):
-    # N = 16 has 256 lattice points; the default count at L = 1e-3 is 2 136
-    with pytest.raises(fk.ParameterError, match="exceeds the grid's N\\^n = 256"):
-        fk.ParabolicFrame(fk.GridSpec(N=16, L=L), M_omega=M_omega)
+globals().update(refusal_tests(__name__))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fiokit as fk
-from conftest import plane_wave, random_field
+from conftest import descriptor, plane_wave, random_field, refusal_tests
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +52,6 @@ def test_seminorms_multiplication_reduces_to_zygmund(spec_mid, fam_mid):
     assert report[(0, 0)] == pytest.approx(fk.zygmund_norm(b, r, fam_mid), rel=1e-8)
 
 
-def test_seminorms_resolution_error():
-    # spacing 1: band 1 holds a single axis frequency
-    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
-    a = fk.preset_identity(spec)
-    with pytest.raises(fk.ResolutionError):
-        fk.estimate_seminorms(a, 1)
-
-
 # ---------------------------------------------------------------------------
 # symbol smoothing
 # ---------------------------------------------------------------------------
@@ -85,10 +77,10 @@ def test_smooth_split_flat_is_closure_of_sharp(spec_mid, fam_mid):
         assert split.flat.eval(eta).tobytes() == want.tobytes()
 
 
-def test_smooth_split_flat_evaluates_symbol_once(spec_mid, fam_mid, monkeypatch):
+def test_smooth_split_flat_evaluates_symbol_once(spec_mid, fam_mid, request):
     a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid).densify()
     field = a.field
-    evals, calls = [], []
+    evals = []
 
     def counted_field(eta):
         evals.append(1)
@@ -96,16 +88,10 @@ def test_smooth_split_flat_evaluates_symbol_once(spec_mid, fam_mid, monkeypatch)
 
     a.field = counted_field
     split = fk.smooth_split(a, 0.75, fam_mid)
-    fftn = np.fft.fftn
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fftn(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fftn", counted)
+    calls = request.getfixturevalue("fft_calls")
     split.flat.eval(np.array([1.9, 0.8]))
     assert len(evals) == 1
-    assert len(calls) == 1
+    assert [call.name for call in calls].count("fftn") == 1
 
 
 def test_smooth_split_x_independent_has_zero_flat(spec_mid, fam_mid):
@@ -126,19 +112,6 @@ def test_smooth_split_band_thresholds(spec_mid, fam_mid):
     # band-1 plateau: 2^{-1} * 2 = 1 beyond the low-pass support -> sharp = 0
     eta1 = np.array([1.0, 0.0])
     assert np.abs(split.sharp.eval(eta1)).max() <= 1e-12
-
-
-def test_smooth_split_rejects_non_finite_slice(spec_mid, fam_mid):
-    a = fk.DenseSymbol(spec_mid, lambda eta: np.full(spec_mid.shape, np.nan))
-    split = fk.smooth_split(a, 0.75, fam_mid)
-    with pytest.raises(fk.InvalidInputError):
-        split.sharp.eval(np.array([1.0, 0.0]))
-
-
-def test_smooth_split_gamma_below_delta(spec_mid, fam_mid):
-    chirp = fk.preset_rough_chirp(spec_mid, 1.0, 0.5, chi=fam_mid)
-    with pytest.raises(fk.ParameterError):
-        fk.smooth_split(chirp.densify(), 0.25, fam_mid)
 
 
 def test_smooth_split_flat_declared_order(spec_mid, fam_mid):
@@ -225,42 +198,23 @@ def test_paraproducts_equal_the_all_pairs_sum(rng, piece, pair):
 
 @pytest.mark.parametrize("piece, count", [(fk.paraproduct_hh, 22), (fk.paraproduct_hl, 10),
                                           (fk.paraproduct_lh, 10)], ids=["hh", "hl", "lh"])
-def test_paraproduct_transform_counts(spec_fine, fam_fine, rng, monkeypatch, piece, count):
+def test_paraproduct_transform_counts(spec_fine, fam_fine, rng, fft_calls, piece, count):
     # J_max = 9: hh has a window for every k, hl for k <= 3 and lh for k >= 6
     assert fam_fine.J_max == 9
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     piece(random_field(spec_fine, rng), random_field(spec_fine, rng), fam_fine)
-    assert len(calls) == count
-    assert calls.count("fftn") == 2
+    assert len(fft_calls) == count
+    assert [call.name for call in fft_calls].count("fftn") == 2
 
 
 @pytest.mark.parametrize("piece, count", [(fk.paraproduct_hh, 14), (fk.paraproduct_hl, 0),
                                           (fk.paraproduct_lh, 0)], ids=["hh", "hl", "lh"])
-def test_paraproduct_with_no_window_transforms_nothing(rng, monkeypatch, piece, count):
+def test_paraproduct_with_no_window_transforms_nothing(rng, request, piece, count):
     # J_max = 5 < 6: no k has an hl or lh window, so those pieces are zero
     spec = fk.GridSpec(N=16, L=2 * np.pi)
     fam = fk.build_lp_family(spec)
     assert fam.J_max == 5
     b, f = random_field(spec, rng), random_field(spec, rng)
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    calls = request.getfixturevalue("fft_calls")
     got = piece(b, f, fam)
     assert len(calls) == count
     if count == 0:
@@ -420,12 +374,6 @@ def test_paraproduct_peak_memory(piece):
     assert peak <= 6.4e6
 
 
-def test_mode_validation(spec_cm):
-    a = fk.preset_identity(spec_cm)
-    with pytest.raises(fk.ParameterError):
-        fk.coifman_meyer_decompose(a, -1)
-
-
 # ---------------------------------------------------------------------------
 # separable conversion and presets
 # ---------------------------------------------------------------------------
@@ -558,37 +506,6 @@ def test_smooth_split_builds_its_cutoffs_once(spec_mid, fam_mid, monkeypatch, ga
         assert sharp.tobytes() == ref.samples.tobytes()
 
 
-OTHER_L = 4.0 * np.pi
-
-
-@pytest.mark.parametrize("call", [
-    lambda a, other, frame, other_frame: fk.zygmund_norm(a.bands[1], 1.5, other),
-    lambda a, other, frame, other_frame: fk.build_test_family(a.spec, frame, [1], fam=other),
-    lambda a, other, frame, other_frame: fk.build_test_family(a.spec, other_frame, [1]),
-    lambda a, other, frame, other_frame: fk.smooth_split(a.densify(), 0.75, other),
-    lambda a, other, frame, other_frame: fk.estimate_seminorms(a.densify(), 1, other),
-    lambda a, other, frame, other_frame: fk.paraproduct_hh(a.bands[1], a.bands[2], other),
-    lambda a, other, frame, other_frame: fk.paraproduct_hl(a.bands[1], a.bands[2], other),
-    lambda a, other, frame, other_frame: fk.paraproduct_lh(a.bands[1], a.bands[2], other),
-    lambda a, other, frame, other_frame: fk.coifman_meyer_decompose(
-        a.densify(), 1, bands=[1], fam=other),
-    lambda a, other, frame, other_frame: fk.to_separable(a.densify(), other),
-    lambda a, other, frame, other_frame: fk.preset_rough_chirp(a.spec, 1.5, 0.5, chi=other),
-    lambda a, other, frame, other_frame: fk.SeparableSymbol(a.spec, a.bands, other),
-], ids=["zygmund_norm", "build_test_family", "build_test_family-frame", "smooth_split",
-        "estimate_seminorms", "paraproduct_hh", "paraproduct_hl", "paraproduct_lh",
-        "coifman_meyer_decompose", "to_separable", "preset_rough_chirp", "SeparableSymbol"])
-def test_entry_points_refuse_a_family_on_another_grid(spec_mid, fam_mid, call):
-    # the N = 64, L = 4 pi family has bands 0..6, so spec_mid's bands 0..5 all index it
-    other_spec = fk.GridSpec(N=64, L=OTHER_L)
-    other = fk.build_lp_family(other_spec)
-    assert other.J_max > fam_mid.J_max
-    a = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=7, chi=fam_mid)
-    frame, other_frame = fk.ParabolicFrame(spec_mid), fk.ParabolicFrame(other_spec)
-    with pytest.raises(fk.DimensionError, match="grid specs differ"):
-        call(a, other, frame, other_frame)
-
-
 def test_to_separable_recovers_separable(spec_mid, fam_mid, rng):
     chirp = fk.preset_rough_chirp(spec_mid, 1.0, 0.5, seed=2, chi=fam_mid)
     back = fk.to_separable(chirp.densify(), fam_mid)
@@ -654,27 +571,6 @@ def test_rough_chirp_capped_amplitude_is_the_same_float():
     assert 2.0 ** min(0.0, 5000.0) == 1.0
 
 
-def test_rough_chirp_refuses_a_negative_seed_and_an_overflowing_r(spec_mid, fam_mid):
-    with pytest.raises(fk.ParameterError, match="seed=-1"):
-        fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=-1, chi=fam_mid)
-    with pytest.raises(fk.ParameterError, match="r=5000"):
-        fk.preset_rough_chirp(spec_mid, 5000.0, 0.5, seed=0, chi=fam_mid)
-
-
-@pytest.mark.parametrize("r, delta, text", [(1.5, 3.0, "delta=3.0"), (1.5, -0.5, "delta=-0.5"),
-                                            (0.0, 0.5, "r=0.0"), (np.nan, 0.5, "r=nan"),
-                                            (5000.0, 0.5, "r=5000")])
-def test_rough_chirp_checks_r_and_delta_before_drawing_a_band(spec_mid, fam_mid, monkeypatch,
-                                                              r, delta, text):
-    # r and delta are refused before band 1 is drawn, which takes transforms
-    calls = []
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(fk.ParameterError, match=text):
-        fk.preset_rough_chirp(spec_mid, r, delta, seed=0, chi=fam_mid)
-    assert calls == []
-
-
 def test_symbol_file_round_trip(tmp_path, spec_mid, fam_mid, rng):
     chirp = fk.preset_rough_chirp(spec_mid, 1.5, 0.5, seed=4, chi=fam_mid)
     entries = []
@@ -725,133 +621,11 @@ def test_symbol_file_grid_must_be_integral(tmp_path):
                 fk.load_symbol(path)
 
 
-@pytest.mark.parametrize("grid", [[64], 64, "64"], ids=["list", "int", "str"])
-def test_symbol_file_grid_must_be_an_object(tmp_path, grid):
-    doc = {"kind": "analytic-preset", "preset": "identity", "grid": grid}
-    path = tmp_path / "identity.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(fk.InvalidInputError, match="symbol descriptor grid"):
-        fk.load_symbol(path)
-
-
 def test_dense_symbol_broadcasts_scalar_slice(spec_mid):
     out = fk.DenseSymbol(spec_mid, lambda eta: 2.0).eval([1.0, 0.0])
     assert out.dtype == complex
     assert out.shape == spec_mid.shape
     assert np.all(out == 2.0)
-
-
-def _descriptor(tmp, doc):
-    path = tmp / "sym.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-@pytest.mark.parametrize(
-    "call, error, match",
-    [
-        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: 1.0, r=0.0),
-         fk.ParameterError, "r=0.0"),
-        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: 1.0, delta=1.5),
-         fk.ParameterError, "delta=1.5"),
-        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: 1.0, m=np.nan),
-         fk.ParameterError, "order m=nan must be finite"),
-        (lambda spec, fam, tmp: fk.DenseSymbol(spec, lambda eta: np.ones((8, 8))).eval([1.0, 0.0]),
-         fk.InvalidInputError, "slice shape"),
-        (lambda spec, fam, tmp: fk.SeparableSymbol(
-            spec, {fam.J_max + 1: fk.GridField(spec, np.ones(spec.shape))}, fam),
-         fk.ParameterError, "outside family range"),
-        (lambda spec, fam, tmp: fk.SeparableSymbol(
-            spec, {1: fk.GridField(fk.GridSpec(N=16), np.ones((16, 16)))}, fam),
-         fk.DimensionError, "grid differs"),
-        (lambda spec, fam, tmp: fk.estimate_seminorms(fk.preset_identity(spec), 4, fam),
-         fk.ParameterError, "alpha_max"),
-        (lambda spec, fam, tmp: fk.paraproduct_hh(
-            fk.GridField(spec, np.ones(spec.shape)),
-            fk.GridField(fk.GridSpec(N=16), np.ones((16, 16))), fam),
-         fk.DimensionError, "different grids"),
-        (lambda spec, fam, tmp: fk.load_symbol(
-            _descriptor(tmp, {"kind": "analytic-preset", "preset": "identity"})),
-         fk.InvalidInputError, "lacks a grid"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(
-            tmp, {"kind": "dense", "preset": "nope", "grid": {"N": 16, "L": 1.0}})),
-         fk.InvalidInputError, "unknown preset 'nope'"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
-            "kind": "analytic-preset", "preset": "rough_chirp", "params": {"r": 2, "delta": 0.5},
-            "detla": 0.5, "grid": {"N": 16, "L": 1.0}})),
-         fk.InvalidInputError, r"unknown keys \['detla'\]"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
-            "kind": "separable", "bands": [], "preset": "identity", "grid": {"N": 16, "L": 1.0}})),
-         fk.InvalidInputError, r"unknown keys \['preset'\]"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
-            "kind": "analytic-preset", "preset": "identity", "grid": {"N": 16, "L": 1.0, "M": 5}})),
-         fk.InvalidInputError, r"unknown keys \['grid.M'\]"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
-            "kind": "separable", "grid": {"N": 16, "L": 1.0},
-            "bands": [{"k": 1, "file": "absent.fiof"}, {"k": 2, "file": "absent.fiof", "w": 2}]})),
-         fk.InvalidInputError, r"unknown keys \['bands\[1\].w'\]"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
-            "kind": "analytic-preset", "preset": "rough_chirp", "grid": {"N": 16, "L": 1.0},
-            "params": {"r": 2, "delta": 0.5, "sede": 3}})),
-         fk.InvalidInputError, r"unknown keys \['params.sede'\]"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
-            "kind": "analytic-preset", "preset": "identity", "grid": {"N": 16, "L": 1.0},
-            "params": {"m": 1.0}})),
-         fk.InvalidInputError, r"unknown keys \['params.m'\]"),
-        (lambda spec, fam, tmp: fk.load_symbol(_descriptor(tmp, {
-            "kind": "separable", "preset": "identity", "grid": {"N": 16, "L": 1.0, "M": 5},
-            "bands": [{"k": 1, "file": "absent.fiof", "w": 2}]})),
-         fk.InvalidInputError, r"unknown keys \['preset', 'grid.M', 'bands\[0\].w'\]"),
-    ],
-    ids=["dense-r", "dense-delta", "dense-m", "slice-shape", "separable-band-range",
-         "separable-grid", "seminorms-alpha>3", "paraproduct-grid", "descriptor-without-grid",
-         "unknown-preset", "descriptor-key", "separable-descriptor-key", "descriptor-grid-key",
-         "descriptor-band-key", "descriptor-params-key", "identity-params-key",
-         "descriptor-keys-on-three-levels"],
-)
-def test_symbols_input_checks(spec_mid, fam_mid, tmp_path, call, error, match):
-    with pytest.raises(error, match=match):
-        call(spec_mid, fam_mid, tmp_path)
-
-
-def test_separable_descriptor_without_grid(tmp_path):
-    with pytest.raises(fk.InvalidInputError, match="lacks a grid"):
-        fk.load_symbol(_descriptor(tmp_path, {"kind": "separable", "bands": []}))
-
-
-@pytest.mark.parametrize("kwargs, match", [({"r": 0.0}, "r=0.0"), ({"delta": 1.5}, "delta=1.5")])
-def test_separable_symbol_checks_its_class(spec_mid, fam_mid, kwargs, match):
-    bands = {1: fk.GridField(spec_mid, np.ones(spec_mid.shape))}
-    with pytest.raises(fk.ParameterError, match=match):
-        fk.SeparableSymbol(spec_mid, bands, fam_mid, **kwargs)
-
-
-
-def test_seminorms_refuse_a_negative_alpha_max(spec_mid, fam_mid):
-    with pytest.raises(fk.ParameterError, match="alpha_max"):
-        fk.estimate_seminorms(fk.preset_identity(spec_mid), -1, fam_mid)
-
-
-def test_separable_descriptor_refuses_a_repeated_band(spec_mid, tmp_path):
-    fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec_mid, np.ones(spec_mid.shape)))
-    fk.write_fiof(tmp_path / "two.fiof", fk.GridField(spec_mid, 2.0 * np.ones(spec_mid.shape)))
-    doc = {"kind": "separable", "bands": [{"k": 1, "file": "one.fiof"}, {"k": 1, "file": "two.fiof"}]}
-    with pytest.raises(fk.InvalidInputError, match="band 1 twice"):
-        fk.load_symbol(_descriptor(tmp_path, doc))
-
-
-@pytest.mark.parametrize("doc", [
-    {"kind": "separable", "bands": [{"k": True, "file": "one.fiof"}]},
-    {"kind": "separable", "r": True, "bands": [{"k": 1, "file": "one.fiof"}]},
-    {"kind": "analytic-preset", "preset": "identity", "r": True},
-    {"kind": "analytic-preset", "preset": "multiplier_bessel", "params": {"m": False}},
-], ids=["band-k", "separable-r", "preset-r", "params-m"])
-def test_descriptor_refuses_booleans(spec_mid, tmp_path, doc):
-    # int(True) is 1 and float(True) 1.0: band k = true would be read as band 1
-    fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec_mid, np.ones(spec_mid.shape)))
-    doc = {"grid": {"N": spec_mid.N, "L": spec_mid.L}, **doc}
-    with pytest.raises(fk.InvalidInputError, match="symbol descriptor .*=(True|False) is not"):
-        fk.load_symbol(_descriptor(tmp_path, doc))
 
 
 @pytest.mark.parametrize("doc, what", [
@@ -864,9 +638,9 @@ def test_descriptor_grid_must_match_its_files(tmp_path, doc, what):
     fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec, np.ones(spec.shape)))
     doc = {**doc, "grid": {"N": 64, "L": 1.0}}
     with pytest.raises(fk.InvalidInputError, match=f"N=64, L=1.0.* differs from {what} .*N=32"):
-        fk.load_symbol(_descriptor(tmp_path, doc))
+        fk.load_symbol(descriptor(tmp_path, doc))
     doc["grid"] = {"N": 32, "L": 8 * np.pi}
-    assert fk.load_symbol(_descriptor(tmp_path, doc)).spec == spec
+    assert fk.load_symbol(descriptor(tmp_path, doc)).spec == spec
 
 
 @pytest.mark.parametrize("doc, what", [
@@ -878,8 +652,8 @@ def test_undeclared_files_must_lie_on_the_given_grid(tmp_path, doc, what):
     spec = fk.GridSpec(N=32, L=8 * np.pi)
     fk.write_fiof(tmp_path / "one.fiof", fk.GridField(spec, np.ones(spec.shape)))
     with pytest.raises(fk.InvalidInputError, match=f"the given grid .*N=64.* differs from {what} .*N=32"):
-        fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=64, L=8 * np.pi))
-    assert fk.load_symbol(_descriptor(tmp_path, doc), spec=spec).spec == spec
+        fk.load_symbol(descriptor(tmp_path, doc), spec=fk.GridSpec(N=64, L=8 * np.pi))
+    assert fk.load_symbol(descriptor(tmp_path, doc), spec=spec).spec == spec
 
 
 def test_undeclared_band_files_must_share_the_first_file_grid(tmp_path):
@@ -889,9 +663,9 @@ def test_undeclared_band_files_must_share_the_first_file_grid(tmp_path):
     doc = {"kind": "separable", "bands": [{"k": 0, "file": "a.fiof"}, {"k": 1, "file": "b.fiof"}]}
     with pytest.raises(fk.InvalidInputError,
                        match="sym.json: band 0's file grid .*N=64.* differs from band 1's file grid .*N=32"):
-        fk.load_symbol(_descriptor(tmp_path, doc))
+        fk.load_symbol(descriptor(tmp_path, doc))
     doc["bands"][1]["file"] = "a.fiof"
-    assert fk.load_symbol(_descriptor(tmp_path, doc)).spec.N == 64
+    assert fk.load_symbol(descriptor(tmp_path, doc)).spec.N == 64
 
 
 def test_separable_symbol_makes_its_band_arrays_read_only(spec_fine, fam_fine, rng):
@@ -911,8 +685,11 @@ def test_separable_symbol_makes_its_band_arrays_read_only(spec_fine, fam_fine, r
 def test_descriptor_grid_must_match_the_given_grid(tmp_path):
     doc = {"kind": "analytic-preset", "preset": "identity", "grid": {"N": 64, "L": 1.0}}
     with pytest.raises(fk.InvalidInputError, match="differs from the given grid .*N=32"):
-        fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=32, L=1.0))
-    assert fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=64, L=1.0)).spec.N == 64
+        fk.load_symbol(descriptor(tmp_path, doc), spec=fk.GridSpec(N=32, L=1.0))
+    assert fk.load_symbol(descriptor(tmp_path, doc), spec=fk.GridSpec(N=64, L=1.0)).spec.N == 64
     doc["grid"] = {"N": 30, "L": 1.0}
     with pytest.raises(fk.ParameterError, match="N=30"):
-        fk.load_symbol(_descriptor(tmp_path, doc), spec=fk.GridSpec(N=32, L=1.0))
+        fk.load_symbol(descriptor(tmp_path, doc), spec=fk.GridSpec(N=32, L=1.0))
+
+
+globals().update(refusal_tests(__name__))
