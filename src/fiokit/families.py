@@ -44,6 +44,7 @@ def _band_center(spec: GridSpec, k: int) -> float:
 
 def plane_wave_member(spec: GridSpec, k: int) -> FamilyMember:
     """e^{i xi0 x} at the lattice point nearest the band-k center."""
+    _integer("band", k, 0)
     h = spec.xi_spacing
     target = _band_center(spec, k)
     # _band_center keeps i <= 3N/8, inside the axis Nyquist range
@@ -72,12 +73,14 @@ def _packet_spectrum(spec: GridSpec, k: int, omega) -> np.ndarray:
 def packet_member(spec: GridSpec, k: int, omega) -> FamilyMember:
     """Parabolic wave packet: spectral Gaussian centered at rho0*omega,
     width rho0/4 along omega and sqrt(rho0)/2 across."""
+    _integer("band", k, 0)
     return FamilyMember(f"packet_k{k}", k, _normalize(spec, _packet_spectrum(spec, k, omega)))
 
 
 def random_band_member(
     spec: GridSpec, k: int, fam: LittlewoodPaleyFamily, rng: np.random.Generator
 ) -> FamilyMember:
+    _check_band(k, fam.J_max)
     noise = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
     spectrum = fam.values[k] * noise
     return FamilyMember(f"random_k{k}", k, _normalize(spec, spectrum))
@@ -85,6 +88,7 @@ def random_band_member(
 
 def focusing_member(spec: GridSpec, k: int, frame: ParabolicFrame) -> FamilyMember:
     """Sum of unit-L^2 packets (Parseval-scaled spectra) over every fourth frame direction."""
+    _integer("band", k, 0)
     spectrum = np.zeros(spec.shape, dtype=complex)
     for omega in frame.directions.omegas[::4]:
         g = _packet_spectrum(spec, k, omega)

@@ -39,6 +39,60 @@ def fam_fine(spec_fine):
     return fk.build_lp_family(spec_fine)
 
 
+@pytest.fixture(scope="module")
+def spec_op():
+    # small grid: the dense path is quadratic in lattice size
+    return fk.GridSpec(N=32, L=8.0 * np.pi)
+
+
+@pytest.fixture(scope="module")
+def fam_op(spec_op):
+    return fk.build_lp_family(spec_op)
+
+
+@pytest.fixture(scope="module")
+def chirp_op(spec_op, fam_op):
+    return fk.preset_rough_chirp(spec_op, 1.5, 0.5, seed=3, chi=fam_op)
+
+
+@pytest.fixture(scope="module")
+def seam():
+    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
+    fam = fk.build_lp_family(spec)
+    chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=0, chi=fam)
+    lat = fk.lattice(spec)
+    bracket = np.sqrt(1.0 + lat.mags**2)
+    return SimpleNamespace(
+        spec=spec, frame=fk.ParabolicFrame(spec), chirp=chirp,
+        kinds={"separable": chirp, "dense": chirp.densify(),
+               "multiplier": fk.SpectralMultiplier(spec, np.exp(1j * lat.mesh[0]) / bracket)},
+        # damped, complex and not unitary, so a lost conjugation or |U|^2 shows
+        U=fk.SpectralMultiplier(spec, bracket**-0.5 * np.exp(-0.5j * lat.mags)),
+        V=fk.SpectralMultiplier(spec, 1.0 / bracket + 0.25j * np.sin(lat.mesh[1])),
+        ones=fk.SpectralMultiplier(spec, np.ones(spec.shape)))
+
+
+@pytest.fixture(scope="module")
+def spec_mid():
+    # spacing 1/4, axis range 8: resolves bands 1..4 with >= 5 axis samples
+    return fk.GridSpec(N=64, L=8.0 * np.pi)
+
+
+@pytest.fixture(scope="module")
+def fam_mid(spec_mid):
+    return fk.build_lp_family(spec_mid)
+
+
+@pytest.fixture(scope="module")
+def spec_cm():
+    return fk.GridSpec(N=32, L=8.0 * np.pi)
+
+
+@pytest.fixture(scope="module")
+def frame64_2pi():
+    return fk.ParabolicFrame(fk.GridSpec(N=64, L=2.0 * np.pi))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -157,7 +211,9 @@ def refuses(rows, request):
 def refusal_tests(module):
     """module's tests from REFUSALS, for its namespace: one test per item name, with the
     rows keyed name, or parametrized by the ids of the rows keyed name[id].  A key holds
-    one Refusal, or a list of them that one item runs in order."""
+    one Refusal, or a list of them that one item runs in order.  Every fixture a row names
+    is defined in this file; a key's module only says where its test is collected, which
+    keeps the item id the test had as a function of that module."""
     module = module.rpartition(".")[2]
     items = {key.partition("::")[2]: [rows] if isinstance(rows, Refusal) else rows
              for key, rows in REFUSALS.items() if key.partition("::")[0] == module}
@@ -236,9 +292,10 @@ _L8PI = fk.GridSpec(N=64, L=8.0 * np.pi)
 _GRID16 = {"N": 16, "L": 1.0}
 
 
-def _one_file(tmp, spec, doc):
-    """The descriptor doc, beside one.fiof: ones on spec."""
+def _band_files(tmp, spec, doc):
+    """The descriptor doc, beside one.fiof and two.fiof: ones and twos on spec."""
     fk.write_fiof(tmp / "one.fiof", _ones(spec))
+    fk.write_fiof(tmp / "two.fiof", fk.GridField(spec, 2.0 * np.ones(spec.shape)))
     return descriptor(tmp, doc)
 
 
@@ -265,7 +322,9 @@ def _zero_operator_slope(spec, fam, p):
     frame = fk.ParabolicFrame(spec)
     family = fk.build_test_family(spec, frame, bands=(1, 2), fam=fam)
     zero = fk.SpectralMultiplier(spec, np.zeros(spec.shape))
-    return fk.operator_norm_probe(zero, 0.0, 0.0, p, frame, family).trend_slope()
+    report = fk.operator_norm_probe(zero, 0.0, 0.0, p, frame, family)
+    assert report.band_profile() == {1: 0.0, 2: 0.0}
+    return report.trend_slope()
 
 
 _ON_ANOTHER_GRID_RUNS = (lambda T, seam: fk.apply_symbol(T, _ones(seam.spec)),
@@ -560,6 +619,20 @@ REFUSALS = {
         ("bool", [True], "band=True must be an integer >= 0"),
         ("after-a-band", [1, 2.5], "band=2.5 must be an integer >= 0"),
         ("after-a-band-negative", [1, -1], "band=-1 must be an integer >= 0")]},
+    # 2.5 and True were named plane_k2.5 and packet_kTrue, -1 built a member, and a random
+    # member raised a TypeError or IndexError on fam.values
+    **{f"test_families::test_member_constructors_refuse_a_band_that_is_not_an_integer[{key}]": Refusal(
+        call, fk.ParameterError, text) for key, call, text in [
+        ("plane-fraction", lambda spec64: fk.plane_wave_member(spec64, 2.5), "band=2.5 must be an integer"),
+        ("plane-negative", lambda spec64: fk.plane_wave_member(spec64, -1), "band=-1 must be an integer"),
+        ("packet-bool", lambda spec64: fk.packet_member(spec64, True, (1.0, 0.0)),
+         "band=True must be an integer"),
+        ("random-fraction", lambda spec64, fam64, rng: fk.random_band_member(spec64, 2.5, fam64, rng),
+         "band=2.5 must be an integer"),
+        ("random-above-range", lambda spec64, fam64, rng: fk.random_band_member(
+            spec64, fam64.J_max + 1, fam64, rng), "outside the grid's dyadic range"),
+        ("focus-negative", lambda spec64, frame64: fk.focusing_member(spec64, -1, frame64),
+         "band=-1 must be an integer")]},
     # -- test_symbols ------------------------------------------------------------
     # spacing 1: band 1 holds a single axis frequency
     "test_symbols::test_seminorms_resolution_error": Refusal(
@@ -688,12 +761,12 @@ REFUSALS = {
         lambda spec_mid, fam_mid: fk.estimate_seminorms(fk.DenseSymbol(spec_mid, _never), 1.5, fam_mid),
         fk.ParameterError, "alpha_max=1.5 must be an integer >= 0"),
     "test_symbols::test_separable_descriptor_refuses_a_repeated_band": Refusal(
-        lambda spec_mid, tmp_path: fk.load_symbol(_one_file(tmp_path, spec_mid, {
-            "kind": "separable", "bands": [{"k": 1, "file": "one.fiof"}, {"k": 1, "file": "one.fiof"}]})),
+        lambda spec_mid, tmp_path: fk.load_symbol(_band_files(tmp_path, spec_mid, {
+            "kind": "separable", "bands": [{"k": 1, "file": "one.fiof"}, {"k": 1, "file": "two.fiof"}]})),
         fk.InvalidInputError, "band 1 twice"),
     # int(True) is 1 and float(True) 1.0: band k = true would be read as band 1
     **{f"test_symbols::test_descriptor_refuses_booleans[{key}]": Refusal(
-        lambda spec_mid, tmp_path, doc=doc: fk.load_symbol(_one_file(
+        lambda spec_mid, tmp_path, doc=doc: fk.load_symbol(_band_files(
             tmp_path, spec_mid, {"grid": {"N": spec_mid.N, "L": spec_mid.L}, **doc})),
         fk.InvalidInputError, "symbol descriptor .*=(True|False) is not") for key, doc in [
         ("band-k", {"kind": "separable", "bands": [{"k": True, "file": "one.fiof"}]}),

@@ -267,11 +267,6 @@ def test_budget_gamma_range():
             assert 0.5 <= g < 1.0
 
 
-@pytest.fixture(scope="module")
-def frame64_2pi():
-    return fk.ParabolicFrame(fk.GridSpec(N=64, L=2.0 * np.pi))
-
-
 @pytest.mark.parametrize("s", [0.0, 180.0, 200.0, 400.0])
 def test_a_constant_field_has_finite_norms_at_every_s(frame64_2pi, s):
     # f^ = 0 off xi = 0, where <xi>^s = 1: a weight that overflows to inf

@@ -11,22 +11,6 @@ import fiokit as fk
 from conftest import band_limited, random_field, refusal_tests
 
 
-@pytest.fixture(scope="module")
-def spec_op():
-    # small grid: the dense path is quadratic in lattice size
-    return fk.GridSpec(N=32, L=8.0 * np.pi)
-
-
-@pytest.fixture(scope="module")
-def fam_op(spec_op):
-    return fk.build_lp_family(spec_op)
-
-
-@pytest.fixture(scope="module")
-def chirp_op(spec_op, fam_op):
-    return fk.preset_rough_chirp(spec_op, 1.5, 0.5, seed=3, chi=fam_op)
-
-
 # ---------------------------------------------------------------------------
 # dense application
 # ---------------------------------------------------------------------------
@@ -683,23 +667,6 @@ def test_dense_certificate_step_runs_two_transforms(spec64, frame64, request):
 # ---------------------------------------------------------------------------
 # the composition seam: _Composed(a, m) is a(x,D) m(D) for every kind of a
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def seam():
-    spec = fk.GridSpec(N=64, L=2.0 * np.pi)
-    fam = fk.build_lp_family(spec)
-    chirp = fk.preset_rough_chirp(spec, 1.5, 0.5, seed=0, chi=fam)
-    lat = fk.lattice(spec)
-    bracket = np.sqrt(1.0 + lat.mags**2)
-    return SimpleNamespace(
-        spec=spec, frame=fk.ParabolicFrame(spec), chirp=chirp,
-        kinds={"separable": chirp, "dense": chirp.densify(),
-               "multiplier": fk.SpectralMultiplier(spec, np.exp(1j * lat.mesh[0]) / bracket)},
-        # damped, complex and not unitary, so a lost conjugation or |U|^2 shows
-        U=fk.SpectralMultiplier(spec, bracket**-0.5 * np.exp(-0.5j * lat.mags)),
-        V=fk.SpectralMultiplier(spec, 1.0 / bracket + 0.25j * np.sin(lat.mesh[1])),
-        ones=fk.SpectralMultiplier(spec, np.ones(spec.shape)))
 
 
 def _relmax(got, want):

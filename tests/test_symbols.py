@@ -8,17 +8,6 @@ import fiokit as fk
 from conftest import descriptor, plane_wave, random_field, refusal_tests
 
 
-@pytest.fixture(scope="module")
-def spec_mid():
-    # spacing 1/4, axis range 8: resolves bands 1..4 with >= 5 axis samples
-    return fk.GridSpec(N=64, L=8.0 * np.pi)
-
-
-@pytest.fixture(scope="module")
-def fam_mid(spec_mid):
-    return fk.build_lp_family(spec_mid)
-
-
 # ---------------------------------------------------------------------------
 # seminorm estimation
 # ---------------------------------------------------------------------------
@@ -224,11 +213,6 @@ def test_paraproduct_with_no_window_transforms_nothing(rng, request, piece, coun
 # ---------------------------------------------------------------------------
 # Fourier-mode decomposition
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def spec_cm():
-    return fk.GridSpec(N=32, L=8.0 * np.pi)
 
 
 def test_modes_of_eta_independent_symbol(spec_cm):
